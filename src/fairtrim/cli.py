@@ -188,6 +188,7 @@ def cmd_rank(args) -> int:
         "discriminatory_pairs": len(discm),
         "ranking_path": str(out / "ranking.csv"),
         "most_harmful": list(ranking.row_ids[:10]),
+        "ranking_solve": ranking.solve_health(),
     })
     return 0
 

@@ -77,6 +77,7 @@ class DebiasReport:
                 for t in self.trace
             ],
             "ranking_row_ids": None if self.ranking is None else list(self.ranking.row_ids),
+            "ranking_solve": None if self.ranking is None else self.ranking.solve_health(),
         }
 
     def save(self, path) -> None:

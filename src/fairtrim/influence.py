@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatch, EmptyDataset, EmptyInfluenceSet, RangeError
-from .model import Model, grad_loss, hvp, per_example_grads
+from .model import Model, grad_loss, hvp, mean_grad, per_example_grads
 
 CG = "cg"
 LISSA = "lissa"
@@ -205,6 +205,15 @@ class InfluenceRanking:
             for rank, e in enumerate(self.entries, start=1):
                 w.writerow((rank, e.row_id, repr(e.score)))
 
+    def solve_health(self) -> dict:
+        """Convergence, iterations and residual norm of the ranking's one solve."""
+        (s,) = self.solves
+        return {
+            "converged": s.converged,
+            "iterations": s.iterations,
+            "residual_norm": s.residual_norm,
+        }
+
     def diagnostics_json(self) -> dict:
         return {
             "method": self.method,
@@ -233,9 +242,12 @@ def rank_by_influence(
 ) -> InfluenceRanking:
     """Aggregate influence of every training row on the set, ascending.
 
-    One damped inverse-HVP solve per set entry; a row's aggregate score is the
-    mean of its per-entry scores. Ascending scores put the most harmful rows
-    first; ties break toward the smaller row_id.
+    A row's aggregate score is the mean of its per-entry scores. Influence is
+    linear in the test gradient, mean_i(-G (H+dI)^{-1} g_i) =
+    -G (H+dI)^{-1} mean_i(g_i), so one damped inverse-HVP solve against the
+    mean loss gradient over the set gives every aggregate score (Koh & Liang
+    compute s_test this way for a summed test loss). Ascending scores put the
+    most harmful rows first; ties break toward the smaller row_id.
     """
     if len(iset) == 0:
         raise EmptyInfluenceSet("cannot rank against an empty influence set")
@@ -246,20 +258,16 @@ def rank_by_influence(
             f"influence set width {iset.features.shape[1]} != model input {m.input_dim}"
         )
 
-    solves = []
-    stests = np.empty((len(iset), m.n_params))
-    for i in range(len(iset)):
-        g = grad_loss(m, iset.features[i], int(iset.labels[i]))
-        stests[i], info = inverse_hvp_detailed(m, g, train, cfg)
-        solves.append(info)
+    g = mean_grad(m, iset.features, iset.labels)
+    s_test, info = inverse_hvp_detailed(m, g, train, cfg)
 
     G = per_example_grads(m, train.encoded, train.labels)  # (n, p)
-    scores = -(G @ stests.T).mean(axis=1)  # (n,)
+    scores = -(G @ s_test)  # (n,)
 
     order = np.lexsort((train.row_ids, scores))  # score asc, then row_id asc
     entries = tuple(
         RankedPoint(int(train.row_ids[i]), float(scores[i])) for i in order
     )
     return InfluenceRanking(
-        entries=entries, method=cfg.method, damping=cfg.damping, solves=tuple(solves)
+        entries=entries, method=cfg.method, damping=cfg.damping, solves=(info,)
     )

@@ -134,6 +134,7 @@ def test_rank_outputs(capsys, toy_files, tmp_path):
     assert len(rows) >= 1
     assert (tmp_path / "ranking_diagnostics.json").exists()
     assert obj["most_harmful"][0] == int(rows[0].split(",")[1])
+    assert set(obj["ranking_solve"]) == {"converged", "iterations", "residual_norm"}
 
 
 def test_debias_outputs(capsys, toy_files, tmp_path):
@@ -148,6 +149,8 @@ def test_debias_outputs(capsys, toy_files, tmp_path):
     assert Path(obj["debiased_path"]).exists()
     report = json.loads((tmp_path / "debias_report.json").read_text())
     assert report["removed_row_ids"] == obj["removed_row_ids"]
+    assert report["ranking_solve"]["iterations"] >= 1
+    assert isinstance(report["ranking_solve"]["converged"], bool)
 
 
 def test_grid_and_report(capsys, loans_files, tmp_path):

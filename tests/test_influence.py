@@ -11,6 +11,7 @@ from fairtrim.fairness import (
     discriminatory_pairs,
     generate_similar_pairs,
 )
+import fairtrim.influence
 from fairtrim.influence import (
     InfluenceSet,
     SolverConfig,
@@ -20,7 +21,7 @@ from fairtrim.influence import (
     inverse_hvp_detailed,
     rank_by_influence,
 )
-from fairtrim.model import Hyperparameters, grad_loss, hvp, train
+from fairtrim.model import Hyperparameters, grad_loss, hvp, per_example_grads, train
 from fairtrim.synthetic import toy_schema, write_toy_loans
 
 
@@ -161,8 +162,8 @@ def test_ranking_sorted_ascending_with_diagnostics(trained, toy):
     scores = [e.score for e in rk.entries]
     assert scores == sorted(scores)
     assert sorted(rk.row_ids) == toy.row_ids.tolist()
-    assert len(rk.solves) == len(iset)
-    assert all(s.converged for s in rk.solves)
+    assert len(rk.solves) == 1  # one solve against the mean set gradient
+    assert rk.solves[0].converged
 
 
 def test_ranking_mean_aggregation_against_manual(trained, toy):
@@ -219,5 +220,49 @@ def test_ranking_csv_and_diagnostics(tmp_path, trained, toy):
     assert len(rows) == len(toy) + 1
     assert float(rows[1][2]) == rk.entries[0].score  # repr round-trips
     diag = json.loads((tmp_path / "d.json").read_text())
-    assert diag["n_solves"] == len(iset)
-    assert diag["converged"] == len(iset)
+    assert diag["n_solves"] == 1
+    assert diag["converged"] == 1
+
+
+def test_ranking_matches_dense_exact_solve(trained, toy):
+    # assemble H column by column; the toy model is small (p = 86)
+    batch = (toy.encoded, toy.labels)
+    p = trained.n_params
+    H = np.column_stack([hvp(trained, e, batch) for e in np.eye(p)])
+    H = (H + H.T) / 2
+    cfg = SolverConfig(cg_tol=1e-10, cg_max_iter=500)
+    assert np.linalg.eigvalsh(H).min() + cfg.damping > 0  # damped H is PD here
+    A = H + cfg.damping * np.eye(p)
+
+    iset = make_iset(trained, toy)
+    grads = np.stack([
+        grad_loss(trained, iset.features[k], int(iset.labels[k])) for k in range(len(iset))
+    ])
+    G = per_example_grads(trained, toy.encoded, toy.labels)
+    exact = -(G @ np.linalg.solve(A, grads.T)).mean(axis=1)  # mean of per-pair scores
+
+    rk = rank_by_influence(iset, toy, trained, cfg)
+    by_row = {e.row_id: e.score for e in rk.entries}
+    got = np.array([by_row[int(r)] for r in toy.row_ids])
+    assert np.linalg.norm(got - exact) <= 1e-8 * np.linalg.norm(exact)
+    expected_order = toy.row_ids[np.lexsort((toy.row_ids, exact))].tolist()
+    assert list(rk.row_ids) == expected_order
+
+
+def test_ranking_solves_once_whatever_the_set_size(monkeypatch, trained, toy):
+    calls = []
+    solve = fairtrim.influence.inverse_hvp_detailed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fairtrim.influence, "inverse_hvp_detailed", counted)
+    sizes = set()
+    for multiplier in (2, 20):
+        iset = make_iset(trained, toy, multiplier=multiplier)
+        sizes.add(len(iset))
+        calls.clear()
+        rank_by_influence(iset, toy, trained, SolverConfig())
+        assert len(calls) == 1
+    assert len(sizes) == 2  # the two sets really differ in size
