@@ -15,7 +15,7 @@ from fairtrim.data import load_dataset, load_schema
 from fairtrim.debias import DebiasConfig, debias_data
 from fairtrim.fairness import SimilarityConfig, accuracy, estimate_discrim
 from fairtrim.influence import SolverConfig
-from fairtrim.model import Hyperparameters, train
+from fairtrim.model import Hyperparameters
 
 FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -33,16 +33,16 @@ def main() -> int:
                          learning_rate=args.lr, weight_init_seed=args.seed)
     sim = SimilarityConfig(lam=0.0, pool_multiplier=100, rng_seed=args.seed)
 
+    debiased, report = debias_data(
+        d, DebiasConfig(similarity=sim, hp=hp, solver=SolverConfig(), chunk_percent=1.0)
+    )
     print(f"dataset: {len(d)} rows, encoded width {d.width}")
-    m = train(d, hp)
+    m = report.full_model
     print(f"full model: train accuracy {accuracy(m, d):.2f}, "
           f"final loss {m.final_train_loss:.4f}")
     full_discm = estimate_discrim(m, d, sim, call_index=1000)
     print(f"full model discrimination on a {100 * len(d)}-pair pool: {full_discm:.2%}")
 
-    debiased, report = debias_data(
-        d, DebiasConfig(similarity=sim, hp=hp, solver=SolverConfig(), chunk_percent=1.0)
-    )
     print("influence ranking (most harmful first):",
           ", ".join(f"#{rid}" for rid in report.ranking.row_ids))
     print(f"removal loop: stop index {report.stop_index}, "
@@ -51,7 +51,7 @@ def main() -> int:
         print(f"  chunk {mark.chunk_index}: removed {mark.rows_removed} rows, "
               f"discrimination {mark.discrimination:.2%}")
 
-    retrained = train(debiased, hp)
+    retrained = report.model
     post_discm = estimate_discrim(retrained, d, sim, call_index=1001)
     print(f"retrained without {list(report.removed_row_ids)}: "
           f"accuracy {accuracy(retrained, debiased):.2f} on the survivors, "

@@ -54,7 +54,7 @@ def check(task):
         return None
     if report.removed_row_ids != (2,):
         return None
-    m2 = train(debiased, hp)
+    m2 = report.model
     labels, _ = predict_batch(m2, debiased.encoded)
     if accuracy(m2, debiased) < 1.0 or len(set(labels.tolist())) < 2:
         return None  # collapsed or underfit retrain does not count

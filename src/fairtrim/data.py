@@ -79,9 +79,6 @@ class FeatureSchema:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.columns)
 
-    def kind_of(self, name: str) -> str:
-        return dict(self.columns)[name]
-
     def to_json(self) -> dict:
         return {
             "columns": [{"name": n, "kind": k} for n, k in self.columns],
@@ -182,21 +179,6 @@ class EncodingSpec:
         if not blocks:
             return np.zeros((len(rows), 0), dtype=np.float64)
         return np.hstack(blocks)
-
-    def decode_vector(self, x: np.ndarray) -> dict:
-        """Map one encoded vector back to raw-ish column values.
-
-        Numerics come back as floats on the original scale; categoricals as
-        the argmax category. Used for reporting, not round-tripping strings.
-        """
-        out = {}
-        for c in self.codecs:
-            block = x[c.start : c.stop]
-            if c.kind == NUMERIC:
-                out[c.name] = float(c.lo + block[0] * (c.hi - c.lo))
-            else:
-                out[c.name] = c.categories[int(np.argmax(block))]
-        return out
 
 
 def _parse_numeric(name: str, values: list[str]) -> np.ndarray:

@@ -22,6 +22,7 @@ from .fairness import (
     build_influence_set,
     discriminatory_pairs,
     estimate_discrim,
+    flip_mask,
     generate_similar_pairs,
 )
 from .influence import InfluenceRanking, SolverConfig, rank_by_influence
@@ -53,7 +54,12 @@ class ChunkMeasurement:
 
 @dataclass(frozen=True, eq=False)
 class DebiasReport:
-    """Everything observed during the removal loop."""
+    """Everything observed during the removal loop.
+
+    ``full_model`` was trained on the input and ``model`` on the returned
+    dataset; ``model`` is ``full_model`` when the input comes back
+    unchanged. Neither is written by ``to_json``.
+    """
 
     trace: tuple[ChunkMeasurement, ...]
     stop_index: int  # chunk index of the returned dataset
@@ -61,6 +67,8 @@ class DebiasReport:
     ranking: InfluenceRanking | None
     already_fair: bool = False
     loop_exhausted: bool = False
+    full_model: Model | None = None
+    model: Model | None = None
 
     def to_json(self) -> dict:
         return {
@@ -133,7 +141,9 @@ def debias_data(
     measured on a fresh pool (or a frozen one when cfg.freeze_pool). The
     first measurement that fails to improve on the best seen ends the loop,
     returning the previous candidate. If the initial model discriminates on
-    no pair at all, ``d`` is returned unchanged with already_fair set.
+    no pair at all, ``d`` is returned unchanged with already_fair set. The
+    report carries the model trained on ``d`` (``full_model``) and the one
+    trained on the returned subset (``model``), so callers need not retrain.
 
     ``train_fn(subset) -> model`` and ``discrim_fn(model, chunk_index) ->
     float`` default to real training and fresh-pool estimation; they exist so
@@ -146,72 +156,49 @@ def debias_data(
     if discrim_fn is None:
         if cfg.freeze_pool:
             frozen = generate_similar_pairs(d, cfg.similarity, call_index=0)
-
-            def discrim_fn(model, _i, _pool=frozen):
-                from .model import predict_batch
-
-                l1, _ = predict_batch(model, _pool.first)
-                l2, _ = predict_batch(model, _pool.second)
-                return float(np.mean(l1 != l2))
-
+            discrim_fn = lambda model, _i: float(np.mean(flip_mask(model, frozen)))
         else:
             discrim_fn = lambda model, i: estimate_discrim(
                 model, d, cfg.similarity, call_index=i
             )
 
     full_model = train_fn(d)
+    kept, model, stop, exhausted = d, full_model, 0, False
+    trace = []
     try:
         ranking = sort_dataset(d, full_model, cfg.similarity, cfg.solver)
     except AlreadyFair:
-        report = DebiasReport(
-            trace=(), stop_index=0, removed_row_ids=(), ranking=None, already_fair=True
-        )
-        return d, report
-
-    least = math.inf
-    trace = []
-    candidate = d
-    model = full_model
-    prev = d
-    for i in range(0, cfg.max_chunks + 1):
-        if i > 0:
+        ranking = None
+    else:
+        least = math.inf
+        for i in range(cfg.max_chunks + 1):
             k = removal_count(i, cfg.chunk_percent, len(d))
             if k >= len(d):  # would leave nothing to train on
-                return candidate, DebiasReport(
-                    trace=tuple(trace),
-                    stop_index=max(i - 1, 0),
-                    removed_row_ids=ranking.row_ids[
-                        : removal_count(max(i - 1, 0), cfg.chunk_percent, len(d))
-                    ],
-                    ranking=ranking,
-                    loop_exhausted=True,
-                )
-            prev = candidate
-            candidate = drop_first(ranking, d, i, cfg.chunk_percent)
-            model = train_fn(candidate)
-        discm = float(discrim_fn(model, i))
-        trace.append(
-            ChunkMeasurement(i, removal_count(i, cfg.chunk_percent, len(d)), discm)
-        )
-        if discm >= least:
-            stop = i - 1
-            return prev, DebiasReport(
-                trace=tuple(trace),
-                stop_index=stop,
-                removed_row_ids=ranking.row_ids[
-                    : removal_count(stop, cfg.chunk_percent, len(d))
-                ],
-                ranking=ranking,
-            )
-        least = discm
+                exhausted = True
+                break
+            candidate, candidate_model = d, full_model
+            if i > 0:
+                candidate = drop_first(ranking, d, i, cfg.chunk_percent)
+                candidate_model = train_fn(candidate)
+            discm = float(discrim_fn(candidate_model, i))
+            trace.append(ChunkMeasurement(i, k, discm))
+            if discm >= least:
+                break
+            least = discm
+            kept, model, stop = candidate, candidate_model, i
+        else:  # strict improvement all the way to max_chunks
+            exhausted = True
 
-    # strict improvement all the way to max_chunks: keep the last candidate
-    return candidate, DebiasReport(
+    return kept, DebiasReport(
         trace=tuple(trace),
-        stop_index=cfg.max_chunks,
-        removed_row_ids=ranking.row_ids[
-            : removal_count(cfg.max_chunks, cfg.chunk_percent, len(d))
-        ],
+        stop_index=stop,
+        removed_row_ids=(
+            () if ranking is None
+            else ranking.row_ids[: removal_count(stop, cfg.chunk_percent, len(d))]
+        ),
         ranking=ranking,
-        loop_exhausted=True,
+        already_fair=ranking is None,
+        loop_exhausted=exhausted,
+        full_model=full_model,
+        model=model,
     )

@@ -7,6 +7,9 @@ Per grid config (hidden sizes x batch size x split permutation seed):
             feature mask so it lives in the original space;
 * ``ours``: trained on the debiased train split (influence-ranked removal).
 
+``full`` and ``ours`` are the models ``debias_data`` trained while removing
+rows, so each config trains them once.
+
 Phase two pools the unfair rows found across configs, filters them out of
 every test split, and scores accuracy and statistical parity for all three
 models per config on that shared debiased test set. Individual
@@ -214,7 +217,10 @@ def _enumerate_configs(d: Dataset, spec: GridSpec):
 
 
 def _phase_one(args):
-    """Train full/sr/ours for one config; returns a picklable payload."""
+    """Train sr and debias one config; returns a picklable payload.
+
+    full and ours are the report's models from ``debias_data``.
+    """
     d, spec, (index, config_id, h1, h2, bs, ps) = args
     tr, te = split(d, SplitSpec(permutation_seed=ps, train_fraction=spec.train_fraction))
     hp = Hyperparameters(
@@ -227,9 +233,8 @@ def _phase_one(args):
         pool_multiplier=spec.pool_multiplier,
         rng_seed=_config_seed(spec.base_seed, index),
     )
-    full = train(tr, hp)
     sr = mask_sensitive(train(drop_sensitive(tr), hp), tr)
-    debiased, report = debias_data(
+    _, report = debias_data(
         tr,
         DebiasConfig(
             similarity=sim, hp=hp, solver=spec.solver,
@@ -237,10 +242,9 @@ def _phase_one(args):
             freeze_pool=spec.freeze_pool,
         ),
     )
-    ours = train(debiased, hp)
 
     # final pools: call indices past anything the removal loop used
-    models = {"full": full, "sr": sr, "ours": ours}
+    models = {"full": report.full_model, "sr": sr, "ours": report.model}
     discm = {
         tech: estimate_discrim(models[tech], tr, sim, call_index=spec.max_chunks + 1 + j)
         for j, tech in enumerate(TECHNIQUES)

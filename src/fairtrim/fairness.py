@@ -62,12 +62,6 @@ class SimilarityConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SimilarPair:
-    first: np.ndarray
-    second: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class PairPool:
     """Columnar batch of similar pairs (row i of each matrix is one pair)."""
 
@@ -82,12 +76,6 @@ class PairPool:
 
     def __len__(self) -> int:
         return int(self.first.shape[0])
-
-    def pair(self, i: int) -> SimilarPair:
-        return SimilarPair(self.first[i].copy(), self.second[i].copy())
-
-    def pairs(self) -> list[SimilarPair]:
-        return [self.pair(i) for i in range(len(self))]
 
     def select(self, mask: np.ndarray) -> "PairPool":
         return PairPool(self.first[mask].copy(), self.second[mask].copy())
@@ -140,11 +128,16 @@ def generate_similar_pairs(
     return PairPool(first, second)
 
 
-def discriminatory_pairs(m, pool: PairPool) -> PairPool:
-    """The subset of ``pool`` on which ``m`` predicts different labels."""
+def flip_mask(m, pool: PairPool) -> np.ndarray:
+    """True for each pair of ``pool`` on which ``m`` predicts different labels."""
     l1, _ = predict_batch(m, pool.first)
     l2, _ = predict_batch(m, pool.second)
-    return pool.select(l1 != l2)
+    return l1 != l2
+
+
+def discriminatory_pairs(m, pool: PairPool) -> PairPool:
+    """The subset of ``pool`` on which ``m`` predicts different labels."""
+    return pool.select(flip_mask(m, pool))
 
 
 def build_influence_set(m, discm: PairPool) -> InfluenceSet:
@@ -172,9 +165,7 @@ def estimate_discrim(
     same index.
     """
     pool = generate_similar_pairs(d, cfg, call_index=call_index)
-    l1, _ = predict_batch(m, pool.first)
-    l2, _ = predict_batch(m, pool.second)
-    return float(np.mean(l1 != l2))
+    return float(np.mean(flip_mask(m, pool)))
 
 
 def accuracy(m, d: Dataset) -> float:
@@ -212,12 +203,11 @@ def statistical_parity_difference(m, d: Dataset) -> float:
 def metrics_report(m, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) -> dict:
     """Discrimination, accuracy, and (when group metadata exists) parity."""
     pool = generate_similar_pairs(d, cfg, call_index=call_index)
-    l1, _ = predict_batch(m, pool.first)
-    l2, _ = predict_batch(m, pool.second)
+    flips = flip_mask(m, pool)
     out = {
-        "individual_discrimination": float(np.mean(l1 != l2)),
+        "individual_discrimination": float(np.mean(flips)),
         "pool_pairs": int(len(pool)),
-        "discriminatory_pairs": int(np.sum(l1 != l2)),
+        "discriminatory_pairs": int(np.sum(flips)),
         "accuracy": accuracy(m, d),
     }
     try:

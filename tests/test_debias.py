@@ -1,5 +1,6 @@
 """Removal-loop semantics, driven by stubbed training and measurements."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from fairtrim.debias import (
     sort_dataset,
 )
 from fairtrim.errors import AlreadyFair, EmptyDataset, RangeError
-from fairtrim.fairness import SimilarityConfig
+from fairtrim.fairness import SimilarityConfig, flip_mask, generate_similar_pairs
 from fairtrim.influence import SolverConfig
 from fairtrim.model import Hyperparameters, train
 from fairtrim.synthetic import toy_schema, write_toy_loans
@@ -33,23 +34,36 @@ def trained(toy):
     return train(toy, hp)
 
 
-def stub_cfg(chunk_percent=1.0, max_chunks=100):
+def stub_cfg(chunk_percent=1.0, max_chunks=100, freeze_pool=False):
     return DebiasConfig(
         similarity=SimilarityConfig(lam=0.0, pool_multiplier=10, rng_seed=0),
         hp=Hyperparameters(4, 2, 7, epochs=1, weight_init_seed=0),
         solver=SolverConfig(),
         chunk_percent=chunk_percent,
         max_chunks=max_chunks,
+        freeze_pool=freeze_pool,
     )
 
 
+def trained_on(calls, subset):
+    """The one model train_fn returned for ``subset``."""
+    [m] = [m for ids, m in calls if ids == tuple(subset.row_ids.tolist())]
+    return m
+
+
 def run_stubbed(toy, trained, sequence, chunk_percent=1.0, max_chunks=100):
-    """Drive the loop with a fixed model and a scripted discrimination series."""
+    """Drive the loop with a scripted discrimination series.
+
+    Every training returns a distinct copy of ``trained``; ``calls`` records
+    (row ids, model) per training so tests can tell which model came from
+    which subset.
+    """
     calls = []
 
     def train_fn(subset):
-        calls.append(len(subset))
-        return trained
+        m = copy.copy(trained)
+        calls.append((tuple(subset.row_ids.tolist()), m))
+        return m
 
     def discrim_fn(model, i):
         return sequence[i]
@@ -110,6 +124,9 @@ def test_loop_stops_at_first_non_improvement(toy, trained):
     assert set(out.row_ids.tolist()) == set(toy.row_ids.tolist()) - set(report.removed_row_ids)
     assert [t.discrimination for t in report.trace] == [0.30, 0.20, 0.10, 0.10]
     assert not report.loop_exhausted and not report.already_fair
+    assert report.full_model is trained_on(calls, toy)
+    assert report.model is trained_on(calls, out)
+    assert len(calls) == 4  # the full data and chunks 1-3, each trained once
 
 
 def test_loop_immediate_stop_returns_input_unchanged(toy, trained):
@@ -139,19 +156,23 @@ def test_trace_strictly_decreasing_before_stop(toy, trained):
 def test_loop_exhaustion_returns_last_candidate(toy, trained):
     # always improving; max_chunks=3 -> returns chunk-3 subset, flagged
     seq = {i: 0.5 - 0.1 * i for i in range(4)}
-    out, report, _ = run_stubbed(toy, trained, seq, chunk_percent=15.0, max_chunks=3)
+    out, report, calls = run_stubbed(toy, trained, seq, chunk_percent=15.0, max_chunks=3)
     assert report.loop_exhausted
     assert report.stop_index == 3
     assert len(out) == 7 - removal_count(3, 15.0, 7)
+    assert report.model is trained_on(calls, out)
+    assert report.model is not report.full_model
 
 
 def test_loop_guards_against_emptying_dataset(toy, trained):
     # chunk 1 would remove all rows: loop must stop before training on nothing
     seq = {0: 0.5, 1: 0.4}
-    out, report, _ = run_stubbed(toy, trained, seq, chunk_percent=100.0)
+    out, report, calls = run_stubbed(toy, trained, seq, chunk_percent=100.0)
     assert report.loop_exhausted
     assert report.stop_index == 0
     assert out.row_ids.tolist() == toy.row_ids.tolist()
+    assert len(calls) == 1
+    assert report.model is report.full_model is trained_on(calls, toy)
 
 
 def test_already_fair_short_circuits(toy):
@@ -160,11 +181,19 @@ def test_already_fair_short_circuits(toy):
 
     hp = Hyperparameters(6, 3, 7, epochs=300, weight_init_seed=0)
     wrapped = mask_sensitive(train(drop_sensitive(toy), hp), toy)
-    out, report = debias_data(toy, stub_cfg(), train_fn=lambda d: wrapped)
+    calls = []
+
+    def train_fn(subset):
+        calls.append((tuple(subset.row_ids.tolist()), wrapped))
+        return wrapped
+
+    out, report = debias_data(toy, stub_cfg(), train_fn=train_fn)
     assert report.already_fair
     assert report.removed_row_ids == ()
     assert out.row_ids.tolist() == toy.row_ids.tolist()
     assert report.trace == ()
+    assert len(calls) == 1
+    assert report.model is report.full_model is trained_on(calls, out)
 
 
 def test_chunk_indices_measured_with_distinct_pools(toy, trained):
@@ -178,6 +207,16 @@ def test_chunk_indices_measured_with_distinct_pools(toy, trained):
 
     debias_data(toy, stub_cfg(), train_fn=lambda d: trained, discrim_fn=discrim_fn)
     assert seen == [0, 1]
+
+
+def test_frozen_pool_measures_every_chunk_on_pool_zero(toy, trained):
+    # the same model on the same frozen pool measures the same rate each time
+    cfg = stub_cfg(chunk_percent=15.0, freeze_pool=True)
+    _, report = debias_data(toy, cfg, train_fn=lambda subset: trained)
+    frozen = generate_similar_pairs(toy, cfg.similarity, call_index=0)
+    expected = float(np.mean(flip_mask(trained, frozen)))
+    assert len(report.trace) == 2  # chunk 1 does not improve on chunk 0
+    assert all(t.discrimination == expected for t in report.trace)
 
 
 def test_debias_empty_dataset_raises(toy):
@@ -212,3 +251,6 @@ def test_end_to_end_real_training_runs(toy):
     assert len(out) <= 7
     assert report.trace  # at least the baseline measurement happened
     assert report.stop_index <= 5
+    # the report's models are the ones a caller would otherwise retrain
+    assert report.full_model.theta.tobytes() == train(toy, cfg.hp).theta.tobytes()
+    assert report.model.theta.tobytes() == train(out, cfg.hp).theta.tobytes()

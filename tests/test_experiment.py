@@ -164,6 +164,25 @@ def test_full_scale_spec_dimensions():
     assert len(spec.permutation_seeds) == 20
 
 
+def test_grid_trains_each_model_once(small, monkeypatch):
+    import fairtrim.debias
+    import fairtrim.experiment
+    from fairtrim.model import train
+
+    seen = []
+
+    def spy(d, hp):
+        # width tells the sensitive-dropped sr training from the full one
+        seen.append((tuple(d.row_ids.tolist()), d.width, hp))
+        return train(d, hp)
+
+    monkeypatch.setattr(fairtrim.debias, "train", spy)
+    monkeypatch.setattr(fairtrim.experiment, "train", spy)
+    run_grid(small, tiny_spec())
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
 def test_workers_do_not_change_results(small):
     seq = run_grid(small, tiny_spec())
     par = run_grid(small, tiny_spec(workers=2))

@@ -13,6 +13,7 @@ from fairtrim.fairness import (
     build_influence_set,
     discriminatory_pairs,
     estimate_discrim,
+    flip_mask,
     generate_similar_pairs,
     metrics_report,
     parity_from_predictions,
@@ -128,13 +129,6 @@ def test_pair_invariants_property(toy, lam, seed):
     pair_invariants(toy, pool, lam)
 
 
-def test_pair_views(toy):
-    pool = generate_similar_pairs(toy, SimilarityConfig(pool_multiplier=1))
-    p = pool.pair(0)
-    np.testing.assert_array_equal(p.first, pool.first[0])
-    assert len(pool.pairs()) == len(pool)
-
-
 # --- discrimination ----------------------------------------------------------
 
 def test_discriminatory_pairs_subset_semantics(toy, trained):
@@ -154,6 +148,7 @@ def test_estimate_discrim_matches_manual_count(toy, trained):
     pool = generate_similar_pairs(toy, cfg, call_index=4)
     l1, _ = predict_batch(trained, pool.first)
     l2, _ = predict_batch(trained, pool.second)
+    np.testing.assert_array_equal(flip_mask(trained, pool), l1 != l2)
     assert estimate_discrim(trained, toy, cfg, call_index=4) == pytest.approx(
         float(np.mean(l1 != l2))
     )
