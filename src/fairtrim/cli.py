@@ -33,7 +33,7 @@ from .fairness import (
     generate_similar_pairs,
     metrics_report,
 )
-from .influence import CG, LISSA, SolverConfig, rank_by_influence
+from .influence import SolverConfig, rank_by_influence
 from .model import Hyperparameters, load_model, save_model, train
 
 
@@ -52,7 +52,6 @@ def _shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--damping", type=float, default=0.01)
     p.add_argument("--cg-tol", type=float, default=1e-6)
-    p.add_argument("--solver", choices=(CG, LISSA), default=CG)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--freeze-pool", action="store_true")
@@ -103,9 +102,7 @@ def _sim(args) -> SimilarityConfig:
 
 
 def _solver(args) -> SolverConfig:
-    return SolverConfig(
-        method=args.solver, damping=args.damping, cg_tol=args.cg_tol, seed=args.seed
-    )
+    return SolverConfig(damping=args.damping, cg_tol=args.cg_tol)
 
 
 def _load(args):
@@ -172,13 +169,14 @@ def cmd_discrim(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    solver = _solver(args)  # reject a bad solver flag before training
     d = _load(args)
     m = _get_model(args, d)
     sim = _sim(args)
     pool = generate_similar_pairs(d, sim, call_index=None)
     discm = discriminatory_pairs(m, pool)
     iset = build_influence_set(m, discm)
-    ranking = rank_by_influence(iset, d, m, _solver(args))
+    ranking = rank_by_influence(iset, d, m, solver)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ranking.to_csv(out / "ranking.csv")

@@ -49,6 +49,10 @@ class RangeError(FairtrimError):
     """A chunk index or fraction is outside its legal range."""
 
 
+class NotPositiveDefinite(FairtrimError):
+    """Conjugate gradients met non-positive curvature: the operator is not PD."""
+
+
 class EmptyAfterFilter(FairtrimError):
     """Removing unfair points left the evaluation set empty."""
 

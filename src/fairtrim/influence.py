@@ -1,14 +1,24 @@
-"""Influence of training points on test losses via damped inverse-HVP solves.
+"""Influence of training points on test losses via damped inverse solves.
 
-For a trained model with mean training loss Hessian H, the influence of
-training point z on test point z_test is
+For a trained model, the influence of training point z on test point z_test
+is
 
-    score(z, z_test) = -grad L(z_test)^T (H + damping*I)^{-1} grad L(z)
+    score(z, z_test) = -grad L(z_test)^T (G + damping*I)^{-1} grad L(z)
+
+where G is the Gauss-Newton matrix of the mean training loss. It replaces
+the loss Hessian H, which at the models trained here often has curvature
+below -damping, so that conjugate gradients break down on H + damping*I.
+G is positive semi-definite by construction (Schraudolph 2002; Martens
+2010), so conjugate gradients, the one solver, converge on G + damping*I
+for any damping > 0. For this two-class softmax net
+
+    G = (1/n) sum_i p0_i p1_i j_i j_i^T,   j_i = grad_theta (z1 - z0)_i,
+
+applied matrix-free through J, the per-example Jacobian of the logit gap.
 
 Negative scores mark points whose removal would *reduce* the test loss
 (harmful points); rankings therefore sort ascending so the most harmful come
-first. Two solvers are provided for the damped system: conjugate gradients
-(default) and the stochastic truncated-Neumann recursion ("lissa").
+first.
 """
 
 from __future__ import annotations
@@ -21,64 +31,51 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch, EmptyDataset, EmptyInfluenceSet, RangeError
-from .model import Model, grad_loss, hvp, mean_grad, per_example_grads
+from .errors import (
+    DimensionMismatch,
+    EmptyDataset,
+    EmptyInfluenceSet,
+    NotPositiveDefinite,
+    RangeError,
+)
+from .model import Model, grad_loss, logit_gap_jacobian, mean_grad, per_example_grads
 
 CG = "cg"
-LISSA = "lissa"
-_LISSA_STREAM = 2
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the damped inverse-HVP solve (H + damping*I)x = v."""
+    """Knobs for the damped Gauss-Newton solve (G + damping*I)x = v by CG."""
 
-    method: str = CG
-    damping: float = 0.01
+    method: str = CG  # conjugate gradients is the only solver
+    damping: float = 0.01  # > 0 makes G + damping*I positive definite
     cg_tol: float = 1e-6  # converged when ||r|| <= cg_tol * ||v||
     cg_max_iter: int = 200
-    # the recursion contracts only if lissa_scale > eigmax(H + damping*I);
-    # cross-entropy Hessians here have small spectra, so 5.0 is conservative
-    lissa_depth: int = 5000
-    lissa_samples: int = 1
-    lissa_scale: float = 5.0
-    lissa_batch: int = 0  # 0 means use the full training batch each step
-    seed: int = 0
 
     def __post_init__(self):
-        if self.method not in (CG, LISSA):
+        if self.method != CG:
             raise RangeError(f"unknown solver method {self.method!r}")
-        if self.damping < 0:
-            raise RangeError("damping must be >= 0")
+        if not self.damping > 0:
+            raise RangeError("damping must be > 0")
         if self.cg_tol <= 0 or self.cg_max_iter < 1:
             raise RangeError("cg_tol must be > 0 and cg_max_iter >= 1")
-        if self.lissa_depth < 1 or self.lissa_samples < 1 or self.lissa_scale <= 0:
-            raise RangeError("lissa depth/samples must be >= 1 and scale > 0")
 
 
 @dataclass(frozen=True)
 class SolveInfo:
-    method: str
     iterations: int
-    residual_norm: float  # ||(H + damping*I)x - v|| on the full batch
+    residual_norm: float  # CG's residual ||v - (G + damping*I)x||
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-        }
 
 
 def conjugate_gradient(matvec, b: np.ndarray, tol: float, max_iter: int):
     """Solve A x = b for symmetric positive definite A given as a matvec.
 
     Returns (x, iterations, residual_norm, converged) with the convergence
-    contract ||b - A x|| <= tol * ||b||. A zero right-hand side returns the
-    zero vector immediately. If a direction of non-positive curvature is met
-    (A not PD), the current iterate is returned unconverged.
+    contract ||b - A x|| <= tol * ||b||; hitting ``max_iter`` first returns
+    the last iterate unconverged. A zero right-hand side returns the zero
+    vector immediately. A direction of non-positive curvature (A not PD)
+    raises NotPositiveDefinite.
     """
     b = np.asarray(b, dtype=np.float64)
     bnorm = float(np.linalg.norm(b))
@@ -93,7 +90,9 @@ def conjugate_gradient(matvec, b: np.ndarray, tol: float, max_iter: int):
         Ap = matvec(p)
         curv = float(p @ Ap)
         if curv <= 0.0:
-            return x, k, float(np.sqrt(rs)), False
+            raise NotPositiveDefinite(
+                f"curvature {curv:.3g} <= 0 at CG iteration {k}: the operator is not PD"
+            )
         alpha = rs / curv
         x += alpha * p
         r -= alpha * Ap
@@ -105,52 +104,21 @@ def conjugate_gradient(matvec, b: np.ndarray, tol: float, max_iter: int):
     return x, max_iter, float(np.sqrt(rs)), False
 
 
-def _damped_matvec(m: Model, X, y, damping):
-    return lambda w: hvp(m, w, (X, y)) + damping * w
-
-
-def _lissa_solve(m: Model, v, X, y, cfg: SolverConfig):
-    """Average of stochastic truncated-Neumann estimates of (H+dI)^{-1} v.
-
-    Recursion per sample: x_0 = v; x_j = v + (I - (H+dI)/scale) x_{j-1};
-    estimate = x_depth / scale. Minibatches for the HVP inside the recursion
-    are drawn from a stream derived from (cfg.seed,).
-    """
-    n = X.shape[0]
-    batch = cfg.lissa_batch if 0 < cfg.lissa_batch < n else n
-    rng = np.random.default_rng([cfg.seed, _LISSA_STREAM])
-    acc = np.zeros_like(v)
-    for _ in range(cfg.lissa_samples):
-        x = v.copy()
-        for _ in range(cfg.lissa_depth):
-            if batch < n:
-                idx = rng.choice(n, size=batch, replace=False)
-                hx = hvp(m, x, (X[idx], y[idx])) + cfg.damping * x
-            else:
-                hx = hvp(m, x, (X, y)) + cfg.damping * x
-            x = v + x - hx / cfg.lissa_scale
-        acc += x / cfg.lissa_scale
-    return acc / cfg.lissa_samples, cfg.lissa_depth * cfg.lissa_samples
-
-
 def inverse_hvp_detailed(
     m: Model, v: np.ndarray, train: Dataset, cfg: SolverConfig
 ) -> tuple[np.ndarray, SolveInfo]:
-    """Solve (H + damping*I) x = v; H is the mean-loss Hessian over ``train``."""
+    """Solve (G + damping*I) x = v by CG; G is the Gauss-Newton matrix over ``train``."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n_params,):
         raise DimensionMismatch(f"v has shape {v.shape}, expected ({m.n_params},)")
     if len(train) == 0:
         raise EmptyDataset("inverse HVP needs a non-empty training set")
-    X, y = train.encoded, train.labels
-    matvec = _damped_matvec(m, X, y, cfg.damping)
-    if cfg.method == CG:
-        x, iters, res, ok = conjugate_gradient(matvec, v, cfg.cg_tol, cfg.cg_max_iter)
-    else:
-        x, iters = _lissa_solve(m, v, X, y, cfg)
-        res = float(np.linalg.norm(matvec(x) - v))
-        ok = True  # no residual-based stop; reported residual is diagnostic
-    return x, SolveInfo(cfg.method, iters, res, ok)
+    J, p = logit_gap_jacobian(m, train.encoded)
+    w = p[:, 0] * p[:, 1] / len(train)
+    x, iters, res, ok = conjugate_gradient(
+        lambda u: J.T @ (w * (J @ u)) + cfg.damping * u, v, cfg.cg_tol, cfg.cg_max_iter
+    )
+    return x, SolveInfo(iters, res, ok)
 
 
 def inverse_hvp(m: Model, v: np.ndarray, train: Dataset, cfg: SolverConfig) -> np.ndarray:
@@ -215,14 +183,7 @@ class InfluenceRanking:
         }
 
     def diagnostics_json(self) -> dict:
-        return {
-            "method": self.method,
-            "damping": self.damping,
-            "n_solves": len(self.solves),
-            "converged": int(sum(s.converged for s in self.solves)),
-            "max_residual_norm": max((s.residual_norm for s in self.solves), default=0.0),
-            "solves": [s.to_json() for s in self.solves],
-        }
+        return {"method": self.method, "damping": self.damping, **self.solve_health()}
 
     def save_diagnostics(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -243,11 +204,11 @@ def rank_by_influence(
     """Aggregate influence of every training row on the set, ascending.
 
     A row's aggregate score is the mean of its per-entry scores. Influence is
-    linear in the test gradient, mean_i(-G (H+dI)^{-1} g_i) =
-    -G (H+dI)^{-1} mean_i(g_i), so one damped inverse-HVP solve against the
-    mean loss gradient over the set gives every aggregate score (Koh & Liang
-    compute s_test this way for a summed test loss). Ascending scores put the
-    most harmful rows first; ties break toward the smaller row_id.
+    linear in the test gradient, mean_i(-g_z^T (G+dI)^{-1} g_i) =
+    -g_z^T (G+dI)^{-1} mean_i(g_i), so one damped Gauss-Newton solve against
+    the mean loss gradient over the set gives every aggregate score (Koh &
+    Liang compute s_test this way for a summed test loss). Ascending scores
+    put the most harmful rows first; ties break toward the smaller row_id.
     """
     if len(iset) == 0:
         raise EmptyInfluenceSet("cannot rank against an empty influence set")
@@ -261,8 +222,8 @@ def rank_by_influence(
     g = mean_grad(m, iset.features, iset.labels)
     s_test, info = inverse_hvp_detailed(m, g, train, cfg)
 
-    G = per_example_grads(m, train.encoded, train.labels)  # (n, p)
-    scores = -(G @ s_test)  # (n,)
+    grads = per_example_grads(m, train.encoded, train.labels)  # (n, p)
+    scores = -(grads @ s_test)  # (n,)
 
     order = np.lexsort((train.row_ids, scores))  # score asc, then row_id asc
     entries = tuple(

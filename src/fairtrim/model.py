@@ -6,8 +6,9 @@ of (dataset bytes, hyperparameters); both the init stream and the per-epoch
 shuffle stream are derived from ``weight_init_seed``.
 
 The Hessian-vector product uses the forward-over-reverse (Pearlmutter)
-construction and never materializes the Hessian. Gradients and HVPs are
-checked against central finite differences in the test suite.
+construction and never materializes the Hessian. Gradients, HVPs and the
+logit-gap Jacobian are checked against central finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -239,11 +240,31 @@ def per_example_grads(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     if n == 0:
         raise EmptyDataset("gradients over an empty batch are undefined")
-    W1, b1, W2, b2, W3, b3 = m.unpack()
     a1, a2, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
-    p = np.exp(logp)
-    dz3 = p
+    dz3 = np.exp(logp)
     dz3[np.arange(n), y] -= 1.0
+    return _per_example_backward(m, X, a1, a2, dz3)
+
+
+def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of J is grad_theta (z1 - z0) of example i's logits.
+
+    Returns J, shape (n, n_params), and the (n, 2) class probabilities. The
+    loss gradient of example i is (p1_i - y_i) * J[i].
+    """
+    X = _check_features(m, X)
+    n = X.shape[0]
+    if n == 0:
+        raise EmptyDataset("a Jacobian over an empty batch is undefined")
+    a1, a2, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
+    dz3 = np.tile([-1.0, 1.0], (n, 1))
+    return _per_example_backward(m, X, a1, a2, dz3), np.exp(logp)
+
+
+def _per_example_backward(m: Model, X, a1, a2, dz3) -> np.ndarray:
+    """Row i is grad_theta of dz3[i] . z3[i] (z3: logits; a1, a2: activations)."""
+    n = X.shape[0]
+    W1, b1, W2, b2, W3, b3 = m.unpack()
     da2 = dz3 @ W3.T
     dz2 = da2 * (1.0 - a2 * a2)
     da1 = dz2 @ W2.T

@@ -29,8 +29,6 @@ from fairtrim.fairness import (
     generate_similar_pairs,
 )
 from fairtrim.influence import (
-    CG,
-    LISSA,
     SolverConfig,
     conjugate_gradient,
     inverse_hvp,
@@ -41,6 +39,7 @@ from fairtrim.model import (
     Model,
     grad_loss,
     hvp,
+    logit_gap_jacobian,
     mask_sensitive,
     mean_grad,
     mean_loss,
@@ -180,16 +179,18 @@ def test_criterion_04_inverse_hvp_solvers(toy):
     assert ok
     assert np.max(np.abs(x - exact)) < 1e-10
 
-    # CG vs LiSSA on a trained network; training must reach a minimum so the
-    # damped Hessian is positive definite (both solvers assume that)
+    # CG vs a dense solve of the damped Gauss-Newton system on a trained network
     hp = Hyperparameters(8, 4, batch_size=len(toy), epochs=4000, learning_rate=0.5)
     m = train(toy, hp)
     b = mean_grad(m, toy.encoded, toy.labels)
-    x_cg = inverse_hvp(m, b, toy, SolverConfig(method=CG, damping=0.01, cg_tol=1e-12, cg_max_iter=400))
-    x_ls = inverse_hvp(m, b, toy, SolverConfig(method=LISSA, damping=0.01))
-    rel = np.linalg.norm(x_cg - x_ls) / np.linalg.norm(x_cg)
-    assert rel < 0.05
-    _pass(4, f"2x2 exact to {np.max(np.abs(x - exact)):.1e}, CG vs LiSSA {rel:.2%}")
+    cfg = SolverConfig(damping=0.01, cg_tol=1e-12, cg_max_iter=400)
+    x_cg = inverse_hvp(m, b, toy, cfg)
+    J, p = logit_gap_jacobian(m, toy.encoded)
+    w = p[:, 0] * p[:, 1] / len(toy)
+    x_dense = np.linalg.solve(J.T @ (w[:, None] * J) + cfg.damping * np.eye(m.n_params), b)
+    rel = np.linalg.norm(x_cg - x_dense) / np.linalg.norm(x_dense)
+    assert rel < 1e-8
+    _pass(4, f"2x2 exact to {np.max(np.abs(x - exact)):.1e}, CG vs dense GN solve {rel:.1e}")
 
 
 def test_criterion_05_influence_tracks_leave_one_out(tmp_path):

@@ -19,6 +19,7 @@ from fairtrim.model import (
     grad_loss,
     hvp,
     load_model,
+    logit_gap_jacobian,
     mask_sensitive,
     mean_grad,
     mean_loss,
@@ -157,6 +158,16 @@ def test_per_example_grads_average_to_mean_grad():
     G = per_example_grads(m, X, y)
     assert G.shape == (9, m.n_params)
     np.testing.assert_allclose(G.mean(axis=0), mean_grad(m, X, y), atol=1e-12)
+
+
+def test_logit_gap_jacobian_scales_to_per_example_grads():
+    # dloss/dz = p - onehot(y) = (p1 - y) * (-1, +1) for two classes
+    m, X, y = random_problem(6, n=9)
+    J, p = logit_gap_jacobian(m, X)
+    np.testing.assert_allclose(p, predict_proba(m, X), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        (p[:, 1] - y)[:, None] * J, per_example_grads(m, X, y), rtol=0, atol=1e-12
+    )
 
 
 # --- HVP oracle -------------------------------------------------------------
