@@ -31,17 +31,13 @@ from .influence import (
     InfluenceRanking,
     InfluenceSet,
     SolverConfig,
-    inverse_hvp,
     rank_by_influence,
 )
 from .model import (
     FeatureMaskedModel,
     Hyperparameters,
     Model,
-    grad_loss,
-    hvp,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -73,13 +69,9 @@ __all__ = [
     "emit_reports",
     "estimate_discrim",
     "generate_similar_pairs",
-    "grad_loss",
-    "hvp",
-    "inverse_hvp",
     "load_dataset",
     "load_model",
     "load_schema",
-    "predict",
     "predict_batch",
     "rank_by_influence",
     "run_grid",

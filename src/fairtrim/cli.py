@@ -3,6 +3,15 @@
 Every subcommand prints a JSON object on stdout and exits 0 on success.
 Expected failures print one JSON object {"error": <type>, "message": ...} on
 stderr and exit 2 (domain errors) or 1 (file/OS errors).
+
+Each subcommand accepts only the flags it reads, drawn from the groups in
+``_FLAG_GROUPS``. All but report take the dataset and --schema. train adds
+the hyperparameters (--seed, --hidden1, --hidden2, --batch-size, --epochs,
+--lr) and --out-dir; discrim the hyperparameters, the pool (--lambda,
+--pool-multiplier) and --model; rank discrim's plus the solver (--damping,
+--cg-tol) and --out-dir; debias rank's less --model plus the loop
+(--chunk-percent, --freeze-pool); grid debias's plus --workers. report
+takes only --out-dir.
 """
 
 from __future__ import annotations
@@ -37,24 +46,37 @@ from .influence import SolverConfig, rank_by_influence
 from .model import Hyperparameters, load_model, save_model, train
 
 
-def _shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schema", required=True, help="path to the schema JSON sidecar")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="numeric similarity radius in [0, 1]")
-    p.add_argument("--pool-multiplier", type=int, default=100)
-    p.add_argument("--chunk-percent", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden1", type=int, default=16)
-    p.add_argument("--hidden2", type=int, default=8)
-    p.add_argument("--batch-size", type=int, default=0,
-                   help="0 derives the nearest power of two to rows/10")
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--damping", type=float, default=0.01)
-    p.add_argument("--cg-tol", type=float, default=1e-6)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--freeze-pool", action="store_true")
+# Flag groups, each declared once; a subcommand gets exactly the groups it reads.
+_FLAG_GROUPS = {
+    "dataset": (("dataset", dict(help="path to the CSV file")),),
+    "schema": (("--schema", dict(required=True, help="path to the schema JSON sidecar")),),
+    "hyperparameters": (
+        ("--seed", dict(type=int, default=0,
+                        help="weight init seed; also seeds the pair pool where one is drawn")),
+        ("--hidden1", dict(type=int, default=16)),
+        ("--hidden2", dict(type=int, default=8)),
+        ("--batch-size", dict(type=int, default=0,
+                              help="0 derives the nearest power of two to rows/10")),
+        ("--epochs", dict(type=int, default=1000)),
+        ("--lr", dict(type=float, default=0.01)),
+    ),
+    "pool": (
+        ("--lambda", dict(dest="lam", type=float, default=0.0,
+                          help="numeric similarity radius in [0, 1]")),
+        ("--pool-multiplier", dict(type=int, default=100)),
+    ),
+    "solver": (
+        ("--damping", dict(type=float, default=0.01)),
+        ("--cg-tol", dict(type=float, default=1e-6)),
+    ),
+    "loop": (
+        ("--chunk-percent", dict(type=float, default=1.0)),
+        ("--freeze-pool", dict(action="store_true")),
+    ),
+    "out-dir": (("--out-dir", dict(default=".")),),
+    "model": (("--model", dict(help="trained model JSON (trains one when omitted)")),),
+    "workers": (("--workers", dict(type=int, default=1)),),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,26 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_text, needs_model_flag=False):
+    for name, (_, help_text, groups) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("dataset", help="path to the CSV file")
-        _shared_flags(p)
-        if needs_model_flag:
-            p.add_argument("--model", default=None,
-                           help="trained model JSON (trains one when omitted)")
-        return p
-
-    cmd("load-check", "validate a CSV against its schema and summarize it")
-    cmd("train", "train a model on the full dataset and save it")
-    cmd("discrim", "measure individual discrimination of a model",
-        needs_model_flag=True)
-    cmd("rank", "rank training rows by influence on discriminatory pairs",
-        needs_model_flag=True)
-    cmd("debias", "iteratively remove harmful rows until discrimination stops improving")
-    cmd("grid", "run the hyperparameter grid comparing full/sr/ours")
-    rep = sub.add_parser("report", help="summarize grid output files")
-    rep.add_argument("--out-dir", default=".")
+        for group in groups:
+            for flag, kwargs in _FLAG_GROUPS[group]:
+                p.add_argument(flag, **kwargs)
     return ap
 
 
@@ -115,7 +122,7 @@ def _emit(obj) -> None:
 
 
 def _get_model(args, d):
-    if getattr(args, "model", None):
+    if args.model:
         return load_model(args.model)
     return train(d, _hp(args, len(d)))
 
@@ -268,21 +275,30 @@ def cmd_report(args) -> int:
     return 0
 
 
+# command -> (handler, help, flag groups); the commands that train share _TRAINING
+_TRAINING = ("dataset", "schema", "hyperparameters")
 _COMMANDS = {
-    "load-check": cmd_load_check,
-    "train": cmd_train,
-    "discrim": cmd_discrim,
-    "rank": cmd_rank,
-    "debias": cmd_debias,
-    "grid": cmd_grid,
-    "report": cmd_report,
+    "load-check": (cmd_load_check, "validate a CSV against its schema and summarize it",
+                   ("dataset", "schema")),
+    "train": (cmd_train, "train a model on the full dataset and save it",
+              _TRAINING + ("out-dir",)),
+    "discrim": (cmd_discrim, "measure individual discrimination of a model",
+                _TRAINING + ("pool", "model")),
+    "rank": (cmd_rank, "rank training rows by influence on discriminatory pairs",
+             _TRAINING + ("pool", "solver", "out-dir", "model")),
+    "debias": (cmd_debias,
+               "iteratively remove harmful rows until discrimination stops improving",
+               _TRAINING + ("pool", "solver", "loop", "out-dir")),
+    "grid": (cmd_grid, "run the hyperparameter grid comparing full/sr/ours",
+             _TRAINING + ("pool", "solver", "loop", "out-dir", "workers")),
+    "report": (cmd_report, "summarize grid output files", ("out-dir",)),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except FairtrimError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

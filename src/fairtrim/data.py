@@ -270,10 +270,6 @@ class Dataset:
         keep = np.flatnonzero(~np.isin(self.row_ids, drop_arr))
         return self.subset(keep)
 
-    def reencode(self) -> np.ndarray:
-        """Re-run the frozen encoding over this subset's raw rows."""
-        return self.encoding.encode_rows(self.raw_header, list(self.raw_rows))
-
     def to_csv(self, path: str | Path) -> None:
         """Write raw rows with original values, prefixed by row_id."""
         with open(path, "w", newline="") as fh:
@@ -385,7 +381,6 @@ def drop_sensitive(d: Dataset) -> Dataset:
     if d.schema.sensitive is None:
         raise SensitiveAbsent("dataset schema declares no sensitive column")
     name = d.schema.sensitive
-    block = d.sensitive_block
 
     new_schema = FeatureSchema(
         columns=tuple(c for c in d.schema.columns if c[0] != name),
@@ -400,12 +395,11 @@ def drop_sensitive(d: Dataset) -> Dataset:
             continue
         codecs.append(replace(c, start=offset, stop=offset + c.width))
         offset += c.width
-    keep = np.r_[0 : block.start, block.stop : d.width]
     return replace(
         d,
         schema=new_schema,
         encoding=EncodingSpec(tuple(codecs)),
-        encoded=d.encoded[:, keep].copy(),
+        encoded=d.encoded[:, kept_columns_after_drop(d)].copy(),
     )
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import Dataset, SplitSpec, drop_sensitive, split
 from .debias import DebiasConfig, debias_data
-from .errors import EmptyAfterFilter, EmptyResult, RangeError
+from .errors import EmptyAfterFilter, EmptyResult, MissingGroup, RangeError
 from .fairness import (
     SimilarityConfig,
     accuracy,
@@ -136,7 +136,8 @@ class ExperimentResult:
         accuracy, then lexicographic config_id; highest accuracy prefers
         lower discrimination, then config_id; least parity prefers higher
         accuracy, then config_id. Configs with no surviving test rows are
-        skipped for accuracy/parity picks.
+        skipped for accuracy/parity picks, and configs whose test rows lack a
+        group (parity None) for the parity pick.
         """
         if not self.records:
             raise EmptyResult("no experiment records to aggregate")
@@ -145,6 +146,7 @@ class ExperimentResult:
             return r.metrics["ours"]
 
         scored = [r for r in self.records if ours(r).accuracy is not None]
+        with_parity = [r for r in scored if ours(r).parity is not None]
         least_discm = min(
             self.records,
             key=lambda r: (
@@ -153,20 +155,22 @@ class ExperimentResult:
                 r.config_id,
             ),
         )
-        out = {"least_discrimination": _pick_view(least_discm)}
+        out = {
+            "least_discrimination": _pick_view(least_discm),
+            "highest_accuracy": None,
+            "least_parity": None,
+        }
         if scored:
             best_acc = min(
                 scored,
                 key=lambda r: (-ours(r).accuracy, ours(r).discrimination, r.config_id),
             )
-            least_parity = min(
-                scored, key=lambda r: (ours(r).parity, -ours(r).accuracy, r.config_id)
-            )
             out["highest_accuracy"] = _pick_view(best_acc)
+        if with_parity:
+            least_parity = min(
+                with_parity, key=lambda r: (ours(r).parity, -ours(r).accuracy, r.config_id)
+            )
             out["least_parity"] = _pick_view(least_parity)
-        else:
-            out["highest_accuracy"] = None
-            out["least_parity"] = None
         return out
 
 
@@ -264,6 +268,14 @@ def _phase_one(args):
     }
 
 
+def _parity(m, test: Dataset) -> float | None:
+    """Statistical parity on ``test``, or None when one group has no rows."""
+    try:
+        return statistical_parity_difference(m, test)
+    except MissingGroup:
+        return None
+
+
 def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
     configs = _enumerate_configs(d, spec)
     jobs = [(d, spec, c) for c in configs]
@@ -288,7 +300,7 @@ def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
             metrics[tech] = TechniqueMetrics(
                 discrimination=p["discrimination"][tech],
                 accuracy=None if dtest is None else accuracy(m, dtest),
-                parity=None if dtest is None else statistical_parity_difference(m, dtest),
+                parity=None if dtest is None else _parity(m, dtest),
             )
         records.append(
             ConfigRecord(

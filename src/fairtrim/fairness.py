@@ -43,7 +43,6 @@ _POOL_STREAM_ESTIMATE = 1
 class SimilarityConfig:
     lam: float = 0.0  # numeric similarity radius in normalized units
     pool_multiplier: int = 100  # seeds per dataset row
-    companions_per_seed: int | None = None  # default: 1 if lam == 0 else 2
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -51,13 +50,10 @@ class SimilarityConfig:
             raise RangeError(f"lam must lie in [0, 1], got {self.lam}")
         if self.pool_multiplier < 1:
             raise RangeError("pool_multiplier must be >= 1")
-        if self.companions_per_seed is not None and self.companions_per_seed < 1:
-            raise RangeError("companions_per_seed must be >= 1")
 
     @property
     def companions(self) -> int:
-        if self.companions_per_seed is not None:
-            return self.companions_per_seed
+        """Pairs per seed point: 1 at lam == 0, 2 otherwise."""
         return 1 if self.lam == 0.0 else 2
 
 

@@ -38,7 +38,7 @@ from .errors import (
     NotPositiveDefinite,
     RangeError,
 )
-from .model import Model, grad_loss, logit_gap_jacobian, mean_grad, per_example_grads
+from .model import Model, logit_gap_jacobian, mean_grad, per_example_grads
 
 CG = "cg"
 
@@ -121,11 +121,6 @@ def inverse_hvp_detailed(
     return x, SolveInfo(iters, res, ok)
 
 
-def inverse_hvp(m: Model, v: np.ndarray, train: Dataset, cfg: SolverConfig) -> np.ndarray:
-    x, _ = inverse_hvp_detailed(m, v, train, cfg)
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class InfluenceSet:
     """Test points whose loss the ranking aggregates.
@@ -188,14 +183,6 @@ class InfluenceRanking:
     def save_diagnostics(self, path: str | Path) -> None:
         with open(path, "w") as fh:
             json.dump(self.diagnostics_json(), fh, indent=2)
-
-
-def influence_score(
-    m: Model, train_point: tuple[np.ndarray, int], s_test: np.ndarray
-) -> float:
-    """-s_test^T grad L(z) for one training point z = (x, y)."""
-    x, y = train_point
-    return float(-(s_test @ grad_loss(m, x, y)))
 
 
 def rank_by_influence(

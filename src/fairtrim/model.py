@@ -176,11 +176,6 @@ def predict_batch(m, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, conf
 
 
-def predict(m, x: np.ndarray) -> tuple[int, float]:
-    labels, conf = predict_batch(m, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return int(labels[0]), float(conf[0])
-
-
 def mean_loss(m: Model, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of the batch."""
     X = _check_features(m, X)

@@ -1,7 +1,8 @@
 """End-to-end acceptance checks for the whole pipeline.
 
 Ten criteria, one test each, covering the numerical kernels (gradients,
-Hessian-vector products, inverse solves), the leave-one-out ground truth for
+the logit-gap Jacobian and the Gauss-Newton operator the influence solve
+runs on, inverse solves), the leave-one-out ground truth for
 the influence ranking, the synthetic-pair generator contracts, the committed
 7-row golden fixture, the 1000-row grid direction check, determinism of grid
 reports, and the removal-loop stopping contract. ``pytest -v`` prints one
@@ -28,23 +29,24 @@ from fairtrim.fairness import (
     estimate_discrim,
     generate_similar_pairs,
 )
+from fairtrim import influence
 from fairtrim.influence import (
     SolverConfig,
     conjugate_gradient,
-    inverse_hvp,
+    inverse_hvp_detailed,
     rank_by_influence,
 )
 from fairtrim.model import (
     Hyperparameters,
     Model,
     grad_loss,
-    hvp,
     logit_gap_jacobian,
     mask_sensitive,
     mean_grad,
     mean_loss,
     param_count,
     predict_batch,
+    predict_proba,
     train,
 )
 from fairtrim.synthetic import loans_schema, write_loans
@@ -142,32 +144,52 @@ def test_criterion_02_gradient_matches_finite_differences():
     _pass(2, f"max relative error {worst:.2e} over 20 models")
 
 
-def test_criterion_03_hvp_matches_finite_differences():
+def fd_logit_gap_jacobian(m, X, h=1e-5):
+    """Central differences of log(p1/p0) = z1 - z0 through predict_proba, (n, p)."""
+    def gap(theta):
+        p = predict_proba(m.with_theta(theta), X)
+        return np.log(p[:, 1] / p[:, 0])
+
+    return np.column_stack(
+        [(gap(m.theta + h * e) - gap(m.theta - h * e)) / (2 * h) for e in np.eye(m.n_params)]
+    )
+
+
+def test_criterion_03_gauss_newton_operator(toy, monkeypatch):
+    # capture the matvec inverse_hvp_detailed hands to conjugate gradients
+    operators = []
+    solve = influence.conjugate_gradient
+
+    def capture(matvec, b, tol, max_iter):
+        operators.append(matvec)
+        return solve(matvec, b, tol, max_iter)
+
+    monkeypatch.setattr(influence, "conjugate_gradient", capture)
     rng = np.random.default_rng(8)
-    worst_fd = worst_lin = worst_sym = 0.0
+    cfg = SolverConfig(damping=0.01)
+    worst_jac = worst_dense = worst_sym = 0.0
+    least_eig = np.inf
     for _ in range(5):
-        m, X, y = random_problem(rng)
-        p = m.n_params
-        v, w, u = rng.normal(size=(3, p))
-        h = 1e-5
+        m = Model(toy.width, 4, 3, rng.normal(0.0, 0.6, size=param_count(toy.width, 4, 3)))
+        J, _ = logit_gap_jacobian(m, toy.encoded)
+        J_fd = fd_logit_gap_jacobian(m, toy.encoded)
+        worst_jac = max(worst_jac, np.linalg.norm(J - J_fd) / np.linalg.norm(J_fd))
 
-        hv = hvp(m, v, (X, y))
-        up = mean_grad(m.with_theta(m.theta + h * v), X, y)
-        dn = mean_grad(m.with_theta(m.theta - h * v), X, y)
-        fd = (up - dn) / (2 * h)
-        worst_fd = max(worst_fd, np.linalg.norm(hv - fd) / np.linalg.norm(fd))
+        inverse_hvp_detailed(m, rng.normal(size=m.n_params), toy, cfg)
+        A = np.column_stack([operators[-1](e) for e in np.eye(m.n_params)])
+        p = predict_proba(m, toy.encoded)
+        w = p[:, 0] * p[:, 1] / len(toy)
+        dense = J_fd.T @ (w[:, None] * J_fd) + cfg.damping * np.eye(m.n_params)
+        worst_dense = max(worst_dense, np.linalg.norm(A - dense) / np.linalg.norm(dense))
+        worst_sym = max(worst_sym, np.linalg.norm(A - A.T) / np.linalg.norm(A))
+        least_eig = min(least_eig, float(np.linalg.eigvalsh((A + A.T) / 2).min()))
 
-        a, b = 1.7, -0.4
-        lin = hvp(m, a * v + b * w, (X, y)) - (a * hv + b * hvp(m, w, (X, y)))
-        worst_lin = max(worst_lin, np.linalg.norm(lin) / np.linalg.norm(hv))
-
-        uhv, vhu = u @ hv, v @ hvp(m, u, (X, y))
-        worst_sym = max(worst_sym, abs(uhv - vhu) / max(abs(uhv), abs(vhu)))
-
-    assert worst_fd < 1e-4
-    assert worst_lin < 1e-8
-    assert worst_sym < 1e-8
-    _pass(3, f"fd {worst_fd:.2e}, linearity {worst_lin:.2e}, symmetry {worst_sym:.2e}")
+    assert worst_jac < 1e-8
+    assert worst_dense < 1e-8
+    assert worst_sym < 1e-12
+    assert least_eig >= cfg.damping * (1 - 1e-8)  # G is PSD, so G + dI is PD
+    _pass(3, f"J vs fd {worst_jac:.2e}, operator vs dense {worst_dense:.2e}, "
+             f"symmetry {worst_sym:.2e}, least eigenvalue {least_eig:.4g}")
 
 
 def test_criterion_04_inverse_hvp_solvers(toy):
@@ -184,7 +206,7 @@ def test_criterion_04_inverse_hvp_solvers(toy):
     m = train(toy, hp)
     b = mean_grad(m, toy.encoded, toy.labels)
     cfg = SolverConfig(damping=0.01, cg_tol=1e-12, cg_max_iter=400)
-    x_cg = inverse_hvp(m, b, toy, cfg)
+    x_cg, _ = inverse_hvp_detailed(m, b, toy, cfg)
     J, p = logit_gap_jacobian(m, toy.encoded)
     w = p[:, 0] * p[:, 1] / len(toy)
     x_dense = np.linalg.solve(J.T @ (w[:, None] * J) + cfg.damping * np.eye(m.n_params), b)

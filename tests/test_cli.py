@@ -1,6 +1,7 @@
 """End-to-end coverage of every CLI subcommand and the error surface."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,7 +41,38 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
-FAST = ["--epochs", "80", "--lr", "0.5", "--pool-multiplier", "5"]
+TRAIN_FAST = ["--epochs", "80", "--lr", "0.5"]
+FAST = TRAIN_FAST + ["--pool-multiplier", "5"]
+
+HYPERPARAMETERS = {"--seed", "--hidden1", "--hidden2", "--batch-size", "--epochs", "--lr"}
+POOL = {"--lambda", "--pool-multiplier"}
+SOLVER = {"--damping", "--cg-tol"}
+LOOP = {"--chunk-percent", "--freeze-pool"}
+COMMAND_FLAGS = {
+    "load-check": {"--schema"},
+    "train": {"--schema", "--out-dir"} | HYPERPARAMETERS,
+    "discrim": {"--schema", "--model"} | HYPERPARAMETERS | POOL,
+    "rank": {"--schema", "--out-dir", "--model"} | HYPERPARAMETERS | POOL | SOLVER,
+    "debias": {"--schema", "--out-dir"} | HYPERPARAMETERS | POOL | SOLVER | LOOP,
+    "grid": {"--schema", "--out-dir", "--workers"} | HYPERPARAMETERS | POOL | SOLVER | LOOP,
+    "report": {"--out-dir"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_accepts_only_the_flags_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert flags - {"--help"} == COMMAND_FLAGS[command]
+
+
+def test_flag_of_another_command_is_rejected(toy_files):
+    csv_path, schema_path = toy_files
+    with pytest.raises(SystemExit) as exc:
+        main(["train", csv_path, "--schema", schema_path, "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_load_check(capsys, toy_files):
@@ -85,7 +117,7 @@ def test_train_writes_model(capsys, toy_files, tmp_path):
     obj = run_json(
         capsys,
         ["train", csv_path, "--schema", schema_path, "--out-dir", str(tmp_path)]
-        + FAST + ["--batch-size", "7"],
+        + TRAIN_FAST + ["--batch-size", "7"],
     )
     m = load_model(obj["model_path"])
     assert m.n_params == obj["n_params"]
@@ -98,7 +130,7 @@ def test_discrim_with_saved_model(capsys, toy_files, tmp_path):
     trained = run_json(
         capsys,
         ["train", csv_path, "--schema", schema_path, "--out-dir", str(tmp_path)]
-        + FAST + ["--batch-size", "7"],
+        + TRAIN_FAST + ["--batch-size", "7"],
     )
     obj = run_json(
         capsys,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairtrim.data import load_dataset
+from fairtrim.data import load_dataset, load_schema
 from fairtrim.errors import EmptyAfterFilter, EmptyResult, RangeError
 from fairtrim.experiment import (
     ExperimentResult,
@@ -147,6 +147,28 @@ def test_picks_structure(grid_result):
 def test_picks_empty_raises():
     with pytest.raises(EmptyResult):
         ExperimentResult(records=(), unfair_union=()).picks()
+
+
+def test_grid_records_no_parity_where_a_test_set_lacks_a_group(tmp_path):
+    # 7-row fixture, 5/2 splits: permutation seed 1 puts two 'black' rows in
+    # the test split, so parity there is undefined; seed 0 tests one of each
+    data = Path(__file__).resolve().parent / "data"
+    d = load_dataset(data / "loans.csv", load_schema(data / "loans.schema.json"))
+    spec = dict(hidden1_choices=(6,), hidden2_choices=(3,), batch_sizes=(5,),
+                epochs=200, learning_rate=0.3, pool_multiplier=20)
+    result = run_grid(d, GridSpec(permutation_seeds=(0, 1), **spec))
+    both, one_group = result.records
+    for tech in TECHNIQUES:
+        assert both.metrics[tech].parity is not None
+        assert one_group.metrics[tech].parity is None
+        assert one_group.metrics[tech].accuracy is not None
+    picks = result.picks()
+    assert picks["least_parity"]["config_id"] == both.config_id
+    emit_reports(result, tmp_path)
+
+    alone = run_grid(d, GridSpec(permutation_seeds=(1,), **spec)).picks()
+    assert alone["least_parity"] is None
+    assert alone["highest_accuracy"]["config_id"] == one_group.config_id
 
 
 def test_grid_spec_validation():

@@ -80,11 +80,6 @@ def test_pool_size_lambda_positive(toy):
     pair_invariants(toy, pool, 0.05)
 
 
-def test_companion_override(toy):
-    cfg = SimilarityConfig(lam=0.1, pool_multiplier=10, companions_per_seed=3)
-    assert len(generate_similar_pairs(toy, cfg)) == 30 * len(toy)
-
-
 def test_lambda_zero_companions_copy_numerics_bitwise(toy):
     pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.0, pool_multiplier=50))
     assert pool.first[:, 0].tobytes() == pool.second[:, 0].tobytes()

@@ -16,8 +16,6 @@ from fairtrim.influence import (
     InfluenceSet,
     SolverConfig,
     conjugate_gradient,
-    influence_score,
-    inverse_hvp,
     inverse_hvp_detailed,
     rank_by_influence,
 )
@@ -115,7 +113,7 @@ def test_inverse_hvp_residual_bound(trained, toy):
 
 def test_inverse_hvp_rejects_bad_width(trained, toy):
     with pytest.raises(DimensionMismatch):
-        inverse_hvp(trained, np.zeros(3), toy, SolverConfig())
+        inverse_hvp_detailed(trained, np.zeros(3), toy, SolverConfig())
 
 
 def test_solver_config_needs_positive_damping_and_cg():
@@ -147,23 +145,13 @@ def test_ranking_solve_converges_where_damped_hessian_is_indefinite(tmp_path):
 
 def test_self_influence_is_negative(trained, toy):
     # a point identical to the test point can only help it: removal raises
-    # its loss, so the score -g^T (G+dI)^{-1} g must be negative
-    for i in range(len(toy)):
-        g = grad_loss(trained, toy.encoded[i], int(toy.labels[i]))
+    # its loss, so the score -g^T (G+dI)^{-1} g must be negative (G + dI is PD)
+    cfg = SolverConfig(damping=0.1, cg_tol=1e-10)
+    for g in per_example_grads(trained, toy.encoded, toy.labels):
         if np.linalg.norm(g) < 1e-12:
             continue
-        s = inverse_hvp(trained, g, toy, SolverConfig(damping=0.1, cg_tol=1e-10))
-        assert float(g @ s) > 0  # G + dI is PD
-        score = influence_score(trained, (toy.encoded[i], int(toy.labels[i])), s)
-        assert score < 0
-
-
-def test_influence_score_matches_formula(trained, toy):
-    g_test = grad_loss(trained, toy.encoded[2], int(toy.labels[2]))
-    s = inverse_hvp(trained, g_test, toy, SolverConfig())
-    z = (toy.encoded[4], int(toy.labels[4]))
-    expected = -float(s @ grad_loss(trained, *z))
-    assert influence_score(trained, z, s) == pytest.approx(expected, rel=1e-12)
+        s, _ = inverse_hvp_detailed(trained, g, toy, cfg)
+        assert -float(s @ g) < 0
 
 
 # --- ranking ----------------------------------------------------------------
@@ -193,12 +181,11 @@ def test_ranking_mean_aggregation_against_manual(trained, toy):
     # recompute the aggregate for one row by the one-solve-per-entry definition
     rid = rk.entries[0].row_id
     i = int(np.flatnonzero(toy.row_ids == rid)[0])
-    z = (toy.encoded[i], int(toy.labels[i]))
+    g_z = per_example_grads(trained, toy.encoded[i : i + 1], toy.labels[i : i + 1])[0]
     scores = []
-    for k in range(len(iset)):
-        g = grad_loss(trained, iset.features[k], int(iset.labels[k]))
-        s = inverse_hvp(trained, g, toy, cfg)
-        scores.append(influence_score(trained, z, s))
+    for g in per_example_grads(trained, iset.features, iset.labels):
+        s, _ = inverse_hvp_detailed(trained, g, toy, cfg)
+        scores.append(-float(s @ g_z))
     assert rk.entries[0].score == pytest.approx(float(np.mean(scores)), rel=1e-6)
 
 

@@ -25,7 +25,6 @@ from fairtrim.model import (
     mean_loss,
     param_count,
     per_example_grads,
-    predict,
     predict_batch,
     predict_proba,
     save_model,
@@ -115,8 +114,9 @@ def test_probabilities_sum_to_one_and_confidence_majority():
     labels, conf = predict_batch(m, X)
     assert np.all(conf >= 0.5)
     assert np.all((labels == 0) | (labels == 1))
-    lab0, conf0 = predict(m, X[0])
-    assert lab0 == labels[0] and conf0 == pytest.approx(conf[0])
+    np.testing.assert_array_equal(conf, p[np.arange(len(X)), labels])
+    lab0, conf0 = predict_batch(m, X[:1])  # a one-row batch agrees with the full one
+    assert lab0[0] == labels[0] and conf0[0] == pytest.approx(conf[0])
 
 
 def test_extreme_logits_are_stable():
