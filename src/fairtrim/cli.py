@@ -27,14 +27,8 @@ import numpy as np
 from . import __version__
 from .data import load_dataset, load_schema
 from .debias import DebiasConfig, debias_data
-from .errors import FairtrimError
-from .experiment import (
-    GridSpec,
-    derived_batch_sizes,
-    emit_reports,
-    nearest_power_of_two,
-    run_grid,
-)
+from .errors import FairtrimError, MalformedReport
+from .experiment import GridSpec, derived_batch_sizes, emit_reports, run_grid
 from .fairness import (
     SimilarityConfig,
     build_influence_set,
@@ -51,31 +45,31 @@ _FLAG_GROUPS = {
     "dataset": (("dataset", dict(help="path to the CSV file")),),
     "schema": (("--schema", dict(required=True, help="path to the schema JSON sidecar")),),
     "hyperparameters": (
-        ("--seed", dict(type=int, default=0,
+        ("--seed", dict(type=int, default=Hyperparameters.weight_init_seed,
                         help="weight init seed; also seeds the pair pool where one is drawn")),
         ("--hidden1", dict(type=int, default=16)),
         ("--hidden2", dict(type=int, default=8)),
         ("--batch-size", dict(type=int, default=0,
                               help="0 derives the nearest power of two to rows/10")),
-        ("--epochs", dict(type=int, default=1000)),
-        ("--lr", dict(type=float, default=0.01)),
+        ("--epochs", dict(type=int, default=Hyperparameters.epochs)),
+        ("--lr", dict(type=float, default=Hyperparameters.learning_rate)),
     ),
     "pool": (
-        ("--lambda", dict(dest="lam", type=float, default=0.0,
+        ("--lambda", dict(dest="lam", type=float, default=SimilarityConfig.lam,
                           help="numeric similarity radius in [0, 1]")),
-        ("--pool-multiplier", dict(type=int, default=100)),
+        ("--pool-multiplier", dict(type=int, default=SimilarityConfig.pool_multiplier)),
     ),
     "solver": (
-        ("--damping", dict(type=float, default=0.01)),
-        ("--cg-tol", dict(type=float, default=1e-6)),
+        ("--damping", dict(type=float, default=SolverConfig.damping)),
+        ("--cg-tol", dict(type=float, default=SolverConfig.cg_tol)),
     ),
     "loop": (
-        ("--chunk-percent", dict(type=float, default=1.0)),
+        ("--chunk-percent", dict(type=float, default=DebiasConfig.chunk_percent)),
         ("--freeze-pool", dict(action="store_true")),
     ),
     "out-dir": (("--out-dir", dict(default=".")),),
     "model": (("--model", dict(help="trained model JSON (trains one when omitted)")),),
-    "workers": (("--workers", dict(type=int, default=1)),),
+    "workers": (("--workers", dict(type=int, default=GridSpec.workers)),),
 }
 
 
@@ -95,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _hp(args, n_rows: int) -> Hyperparameters:
-    bs = args.batch_size if args.batch_size > 0 else nearest_power_of_two(n_rows / 10)
+    bs = args.batch_size if args.batch_size > 0 else derived_batch_sizes(n_rows)[0]
     return Hyperparameters(
         hidden1=args.hidden1, hidden2=args.hidden2, batch_size=bs,
         epochs=args.epochs, learning_rate=args.lr, weight_init_seed=args.seed,
@@ -259,9 +253,14 @@ def cmd_report(args) -> int:
         raise FileNotFoundError(f"no grid reports found under {out}")
     with open(summary_path) as fh:
         summary = json.load(fh)
+    if not (isinstance(summary, dict) and {"picks", "unfair_union"} <= summary.keys()):
+        raise MalformedReport(f"{summary_path} needs the fields picks and unfair_union")
     by_technique: dict[str, list[float]] = {}
     with open(configs_path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        rows = csv.DictReader(fh)
+        if not {"technique", "discrimination"} <= set(rows.fieldnames or ()):
+            raise MalformedReport(f"{configs_path} needs the columns technique and discrimination")
+        for row in rows:
             by_technique.setdefault(row["technique"], []).append(
                 float(row["discrimination"])
             )

@@ -6,6 +6,8 @@ Feature space convention used by the whole package:
   dataset at load time (a constant column encodes to 0.0);
 * categorical columns are one-hot encoded over the categories observed at
   load, in sorted order;
+* the encoding is fitted and applied in one pass over each column, so the
+  fitted codecs and the encoded matrix cannot disagree on the layout;
 * the fitted EncodingSpec is frozen into the Dataset and inherited by every
   subset, so train/test/debiased subsets and synthetic points all live in one
   feature space.
@@ -135,10 +137,6 @@ class ColumnCodec:
 class EncodingSpec:
     codecs: tuple[ColumnCodec, ...]
 
-    @property
-    def width(self) -> int:
-        return self.codecs[-1].stop if self.codecs else 0
-
     def codec(self, name: str) -> ColumnCodec:
         for c in self.codecs:
             if c.name == name:
@@ -148,37 +146,6 @@ class EncodingSpec:
     def block(self, name: str) -> slice:
         c = self.codec(name)
         return slice(c.start, c.stop)
-
-    def encode_column(self, codec: ColumnCodec, values: list[str]) -> np.ndarray:
-        n = len(values)
-        out = np.zeros((n, codec.width), dtype=np.float64)
-        if codec.kind == NUMERIC:
-            parsed = _parse_numeric(codec.name, values)
-            span = codec.hi - codec.lo
-            if span > 0.0:
-                out[:, 0] = (parsed - codec.lo) / span
-            # constant column: leave zeros
-        else:
-            index = {cat: i for i, cat in enumerate(codec.categories)}
-            for r, v in enumerate(values):
-                if v not in index:
-                    raise SchemaMismatch(
-                        f"column {codec.name!r}: value {v!r} not among fitted "
-                        f"categories {codec.categories}"
-                    )
-                out[r, index[v]] = 1.0
-        return out
-
-    def encode_rows(self, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> np.ndarray:
-        """Encode raw string rows (given in ``header`` column order)."""
-        col_idx = {name: i for i, name in enumerate(header)}
-        blocks = []
-        for codec in self.codecs:
-            values = [row[col_idx[codec.name]] for row in rows]
-            blocks.append(self.encode_column(codec, values))
-        if not blocks:
-            return np.zeros((len(rows), 0), dtype=np.float64)
-        return np.hstack(blocks)
 
 
 def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
@@ -195,24 +162,30 @@ def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
     return out
 
 
-def fit_encoding(schema: FeatureSchema, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> EncodingSpec:
+def _encode_columns(
+    schema: FeatureSchema, header: tuple[str, ...], rows: list[tuple[str, ...]]
+) -> tuple[EncodingSpec, np.ndarray]:
+    """Fit each column's codec and encode its values in the same pass."""
     col_idx = {name: i for i, name in enumerate(header)}
-    codecs = []
+    codecs, blocks = [], []
     offset = 0
     for name, kind in schema.columns:
         values = [row[col_idx[name]] for row in rows]
         if kind == NUMERIC:
             parsed = _parse_numeric(name, values)
-            codec = ColumnCodec(
-                name, kind, offset, offset + 1,
-                lo=float(parsed.min()), hi=float(parsed.max()),
-            )
+            lo, hi = float(parsed.min()), float(parsed.max())
+            codec = ColumnCodec(name, kind, offset, offset + 1, lo=lo, hi=hi)
+            span = hi - lo
+            scaled = (parsed - lo) / span if span > 0.0 else np.zeros_like(parsed)
+            blocks.append(scaled[:, None])
         else:
             cats = tuple(sorted(set(values)))
             codec = ColumnCodec(name, kind, offset, offset + len(cats), categories=cats)
+            index = {cat: i for i, cat in enumerate(cats)}
+            blocks.append(np.eye(len(cats))[[index[v] for v in values]])
         codecs.append(codec)
         offset = codec.stop
-    return EncodingSpec(tuple(codecs))
+    return EncodingSpec(tuple(codecs)), np.hstack(blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +293,7 @@ def load_dataset(path: str | Path, schema: FeatureSchema) -> Dataset:
         dtype=np.int64, count=len(raw_labels),
     )
 
-    encoding = fit_encoding(schema, header, rows)
-    encoded = encoding.encode_rows(header, rows)
+    encoding, encoded = _encode_columns(schema, header, rows)
 
     group_values = None
     sensitive_categories = None

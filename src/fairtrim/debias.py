@@ -137,13 +137,15 @@ def debias_data(
     """Iteratively remove ranked chunks until discrimination stops improving.
 
     Chunk i keeps all but the top ceil(i * chunk_percent/100 * |d|) ranked
-    rows; a model is retrained on each candidate and its discrimination
-    measured on a fresh pool (or a frozen one when cfg.freeze_pool). The
-    first measurement that fails to improve on the best seen ends the loop,
-    returning the previous candidate. If the initial model discriminates on
-    no pair at all, ``d`` is returned unchanged with already_fair set. The
-    report carries the model trained on ``d`` (``full_model``) and the one
-    trained on the returned subset (``model``), so callers need not retrain.
+    rows; a model is retrained on each candidate (a chunk that removes as
+    many rows as the one before reuses its subset and model) and its
+    discrimination measured on a fresh pool (or a frozen one when
+    cfg.freeze_pool). The first measurement that fails to improve on the
+    best seen ends the loop, returning the previous candidate. If the
+    initial model discriminates on no pair at all, ``d`` is returned
+    unchanged with already_fair set. The report carries the model trained on
+    ``d`` (``full_model``) and the one trained on the returned subset
+    (``model``), so callers need not retrain.
 
     ``train_fn(subset) -> model`` and ``discrim_fn(model, chunk_index) ->
     float`` default to real training and fresh-pool estimation; they exist so
@@ -171,15 +173,17 @@ def debias_data(
         ranking = None
     else:
         least = math.inf
+        candidate, candidate_model, candidate_k = d, full_model, 0
         for i in range(cfg.max_chunks + 1):
             k = removal_count(i, cfg.chunk_percent, len(d))
             if k >= len(d):  # would leave nothing to train on
                 exhausted = True
                 break
-            candidate, candidate_model = d, full_model
-            if i > 0:
+            # an unchanged k keeps the same rows, and training is deterministic
+            if k != candidate_k:
                 candidate = drop_first(ranking, d, i, cfg.chunk_percent)
                 candidate_model = train_fn(candidate)
+                candidate_k = k
             discm = float(discrim_fn(candidate_model, i))
             trace.append(ChunkMeasurement(i, k, discm))
             if discm >= least:

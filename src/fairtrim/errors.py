@@ -53,9 +53,9 @@ class NotPositiveDefinite(FairtrimError):
     """Conjugate gradients met non-positive curvature: the operator is not PD."""
 
 
-class EmptyAfterFilter(FairtrimError):
-    """Removing unfair points left the evaluation set empty."""
-
-
 class EmptyResult(FairtrimError):
     """An aggregate view was requested over zero experiment records."""
+
+
+class MalformedReport(FairtrimError):
+    """A grid report file lacks a field that fairtrim writes into it."""

@@ -23,7 +23,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import Dataset, SplitSpec, drop_sensitive, split
 from .debias import DebiasConfig, debias_data
-from .errors import EmptyAfterFilter, EmptyResult, MissingGroup, RangeError
+from .errors import EmptyResult, MissingGroup, RangeError
 from .fairness import (
     SimilarityConfig,
     accuracy,
@@ -65,19 +65,27 @@ def derived_batch_sizes(n_rows: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Axes and shared settings of a grid run.
+
+    Every setting a config passes on takes the library's default from the
+    class that owns it (SplitSpec, Hyperparameters, SimilarityConfig,
+    SolverConfig, DebiasConfig), so a grid run and a single ``debias`` run
+    agree unless told otherwise.
+    """
+
     hidden1_choices: tuple[int, ...] = (16, 24)
     hidden2_choices: tuple[int, ...] = (8,)
     batch_sizes: tuple[int, ...] | None = None  # None: derive from dataset size
     permutation_seeds: tuple[int, ...] = (0, 1)
-    train_fraction: float = 0.8
-    epochs: int = 1000
-    learning_rate: float = 0.01
-    lam: float = 0.0
-    pool_multiplier: int = 100
-    chunk_percent: float = 1.0
-    max_chunks: int = 100
+    train_fraction: float = SplitSpec.train_fraction
+    epochs: int = Hyperparameters.epochs
+    learning_rate: float = Hyperparameters.learning_rate
+    lam: float = SimilarityConfig.lam
+    pool_multiplier: int = SimilarityConfig.pool_multiplier
+    chunk_percent: float = DebiasConfig.chunk_percent
+    max_chunks: int = DebiasConfig.max_chunks
     solver: SolverConfig = SolverConfig()
-    freeze_pool: bool = False
+    freeze_pool: bool = DebiasConfig.freeze_pool
     base_seed: int = 0
     workers: int = 1
 
@@ -196,13 +204,10 @@ def unfair_points_union(removals: list[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def debiased_test_set(test: Dataset, unfair: tuple[int, ...]) -> Dataset:
+def debiased_test_set(test: Dataset, unfair: tuple[int, ...]) -> Dataset | None:
+    """``test`` without the ``unfair`` rows, or None when no row is left."""
     out = test.without_row_ids(set(unfair))
-    if len(out) == 0:
-        raise EmptyAfterFilter(
-            f"all {len(test)} test rows were flagged unfair by some config"
-        )
-    return out
+    return out if len(out) else None
 
 
 def _config_seed(base_seed: int, index: int) -> int:
@@ -221,9 +226,11 @@ def _enumerate_configs(d: Dataset, spec: GridSpec):
 
 
 def _phase_one(args):
-    """Train sr and debias one config; returns a picklable payload.
+    """Train sr and debias one config.
 
-    full and ours are the report's models from ``debias_data``.
+    Returns the config's record, with accuracy and parity still None, its
+    test split and its models by technique; full and ours are the report's
+    models from ``debias_data``.
     """
     d, spec, (index, config_id, h1, h2, bs, ps) = args
     tr, te = split(d, SplitSpec(permutation_seed=ps, train_fraction=spec.train_fraction))
@@ -249,23 +256,27 @@ def _phase_one(args):
 
     # final pools: call indices past anything the removal loop used
     models = {"full": report.full_model, "sr": sr, "ours": report.model}
-    discm = {
-        tech: estimate_discrim(models[tech], tr, sim, call_index=spec.max_chunks + 1 + j)
+    metrics = {
+        tech: TechniqueMetrics(
+            discrimination=estimate_discrim(
+                models[tech], tr, sim, call_index=spec.max_chunks + 1 + j
+            ),
+            accuracy=None,
+            parity=None,
+        )
         for j, tech in enumerate(TECHNIQUES)
     }
-    return {
-        "index": index,
-        "config_id": config_id,
-        "h1": h1, "h2": h2, "bs": bs, "ps": ps,
-        "train_rows": len(tr),
-        "test": te,
-        "models": models,
-        "discrimination": discm,
-        "removed": report.removed_row_ids,
-        "stop_index": report.stop_index,
-        "already_fair": report.already_fair,
-        "loop_exhausted": report.loop_exhausted,
-    }
+    record = ConfigRecord(
+        config_id=config_id,
+        hidden1=h1, hidden2=h2, batch_size=bs, permutation_seed=ps,
+        train_rows=len(tr), test_rows=len(te), debiased_test_rows=None,
+        removed_row_ids=report.removed_row_ids,
+        stop_index=report.stop_index,
+        already_fair=report.already_fair,
+        loop_exhausted=report.loop_exhausted,
+        metrics=metrics,
+    )
+    return record, te, models
 
 
 def _parity(m, test: Dataset) -> float | None:
@@ -281,41 +292,29 @@ def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
     jobs = [(d, spec, c) for c in configs]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            payloads = list(pool.map(_phase_one, jobs))
+            results = list(pool.map(_phase_one, jobs))
     else:
-        payloads = [_phase_one(j) for j in jobs]
-    payloads.sort(key=lambda p: p["index"])
+        results = [_phase_one(j) for j in jobs]
 
-    union = unfair_points_union([p["removed"] for p in payloads])
+    union = unfair_points_union([r.removed_row_ids for r, _, _ in results])
 
     records = []
-    for p in payloads:
-        try:
-            dtest = debiased_test_set(p["test"], union)
-        except EmptyAfterFilter:
-            dtest = None
-        metrics = {}
-        for tech in TECHNIQUES:
-            m = p["models"][tech]
-            metrics[tech] = TechniqueMetrics(
-                discrimination=p["discrimination"][tech],
-                accuracy=None if dtest is None else accuracy(m, dtest),
-                parity=None if dtest is None else _parity(m, dtest),
+    for record, test, models in results:
+        dtest = debiased_test_set(test, union)
+        if dtest is not None:
+            record = replace(
+                record,
+                debiased_test_rows=len(dtest),
+                metrics={
+                    tech: replace(
+                        m,
+                        accuracy=accuracy(models[tech], dtest),
+                        parity=_parity(models[tech], dtest),
+                    )
+                    for tech, m in record.metrics.items()
+                },
             )
-        records.append(
-            ConfigRecord(
-                config_id=p["config_id"],
-                hidden1=p["h1"], hidden2=p["h2"],
-                batch_size=p["bs"], permutation_seed=p["ps"],
-                train_rows=p["train_rows"], test_rows=len(p["test"]),
-                debiased_test_rows=None if dtest is None else len(dtest),
-                removed_row_ids=p["removed"],
-                stop_index=p["stop_index"],
-                already_fair=p["already_fair"],
-                loop_exhausted=p["loop_exhausted"],
-                metrics=metrics,
-            )
-        )
+        records.append(record)
     return ExperimentResult(records=tuple(records), unfair_union=union)
 
 

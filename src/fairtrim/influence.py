@@ -177,12 +177,10 @@ class InfluenceRanking:
             "residual_norm": s.residual_norm,
         }
 
-    def diagnostics_json(self) -> dict:
-        return {"method": self.method, "damping": self.damping, **self.solve_health()}
-
     def save_diagnostics(self, path: str | Path) -> None:
+        obj = {"method": self.method, "damping": self.damping, **self.solve_health()}
         with open(path, "w") as fh:
-            json.dump(self.diagnostics_json(), fh, indent=2)
+            json.dump(obj, fh, indent=2)
 
 
 def rank_by_influence(

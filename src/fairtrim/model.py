@@ -23,7 +23,6 @@ from .data import Dataset, kept_columns_after_drop
 from .errors import DimensionMismatch, EmptyDataset, RangeError
 
 N_CLASSES = 2
-ACTIVATION = "tanh"
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 MODEL_FORMAT = "fairtrim-model"
@@ -82,12 +81,9 @@ class Model:
     hidden1: int
     hidden2: int
     theta: np.ndarray  # flat float64, see _unpack for layout
-    activation: str = ACTIVATION
     final_train_loss: float | None = None
 
     def __post_init__(self):
-        if self.activation != ACTIVATION:
-            raise RangeError(f"unsupported activation {self.activation!r}")
         expected = param_count(self.input_dim, self.hidden1, self.hidden2)
         if self.theta.shape != (expected,):
             raise DimensionMismatch(
@@ -101,9 +97,6 @@ class Model:
 
     def unpack(self):
         return _unpack(self.theta, self.input_dim, self.hidden1, self.hidden2)
-
-    def with_theta(self, theta: np.ndarray) -> "Model":
-        return replace(self, theta=np.array(theta, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,7 +387,7 @@ def save_model(m: Model, path: str | Path) -> None:
         "input_dim": m.input_dim,
         "hidden1": m.hidden1,
         "hidden2": m.hidden2,
-        "activation": m.activation,
+        "activation": "tanh",
         "final_train_loss": m.final_train_loss,
         "theta": m.theta.tolist(),  # repr-exact floats, round-trips bitwise
     }
@@ -405,15 +398,23 @@ def save_model(m: Model, path: str | Path) -> None:
 def load_model(path: str | Path) -> Model:
     with open(path) as fh:
         obj = json.load(fh)
-    if obj.get("format") != MODEL_FORMAT or obj.get("version") != MODEL_FORMAT_VERSION:
+    if not (
+        isinstance(obj, dict)
+        and obj.get("format") == MODEL_FORMAT
+        and obj.get("version") == MODEL_FORMAT_VERSION
+    ):
         raise DimensionMismatch(
             f"{path} is not a version-{MODEL_FORMAT_VERSION} {MODEL_FORMAT} file"
         )
-    return Model(
-        input_dim=int(obj["input_dim"]),
-        hidden1=int(obj["hidden1"]),
-        hidden2=int(obj["hidden2"]),
-        theta=np.asarray(obj["theta"], dtype=np.float64),
-        activation=obj["activation"],
-        final_train_loss=obj["final_train_loss"],
-    )
+    if obj.get("activation") != "tanh":
+        raise RangeError(f"unsupported activation {obj.get('activation')!r}")
+    try:
+        return Model(
+            input_dim=int(obj["input_dim"]),
+            hidden1=int(obj["hidden1"]),
+            hidden2=int(obj["hidden2"]),
+            theta=np.asarray(obj["theta"], dtype=np.float64),
+            final_train_loss=obj["final_train_loss"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise DimensionMismatch(f"{path} has a missing or malformed field: {exc}") from exc

@@ -12,6 +12,7 @@ change to training or pool internals.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,9 @@ def fd_grad(m, X, y, h=1e-5):
         up, dn = m.theta.copy(), m.theta.copy()
         up[i] += h
         dn[i] -= h
-        out[i] = (mean_loss(m.with_theta(up), X, y) - mean_loss(m.with_theta(dn), X, y)) / (2 * h)
+        out[i] = (
+            mean_loss(replace(m, theta=up), X, y) - mean_loss(replace(m, theta=dn), X, y)
+        ) / (2 * h)
     return out
 
 
@@ -147,7 +150,7 @@ def test_criterion_02_gradient_matches_finite_differences():
 def fd_logit_gap_jacobian(m, X, h=1e-5):
     """Central differences of log(p1/p0) = z1 - z0 through predict_proba, (n, p)."""
     def gap(theta):
-        p = predict_proba(m.with_theta(theta), X)
+        p = predict_proba(replace(m, theta=theta), X)
         return np.log(p[:, 1] / p[:, 0])
 
     return np.column_stack(

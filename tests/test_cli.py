@@ -210,6 +210,36 @@ def test_report_without_grid_files(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "command, files, error",
+    [
+        ("discrim", {"model.json": "[1, 2]"}, "DimensionMismatch"),
+        ("discrim", {"model.json": '{"format": "fairtrim-model", "version": 1, '
+                                   '"activation": "tanh"}'}, "DimensionMismatch"),
+        ("discrim", {"model.json": '{"format": "fairtrim-model", "version": 1, '
+                                   '"activation": "relu"}'}, "RangeError"),
+        ("report", {"summary.json": '{"unfair_union": []}',
+                    "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
+        ("report", {"summary.json": '{"picks": {}, "unfair_union": []}',
+                    "configs.csv": "config_id\n"}, "MalformedReport"),
+    ],
+    ids=["model-list", "model-no-input-dim", "model-relu", "summary-no-picks",
+         "configs-no-columns"],
+)
+def test_malformed_file_is_domain_error(capsys, toy_files, tmp_path, command, files, error):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    csv_path, schema_path = toy_files
+    argv = {
+        "discrim": ["discrim", csv_path, "--schema", schema_path,
+                    "--model", str(tmp_path / "model.json")],
+        "report": ["report", "--out-dir", str(tmp_path)],
+    }[command]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert json.loads(err)["error"] == error
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -184,9 +184,12 @@ def test_without_row_ids(toy):
 
 
 def test_subset_reencodes_identically(toy):
-    sub = toy.subset(np.array([0, 2, 5]))
-    reencoded = sub.encoding.encode_rows(sub.raw_header, list(sub.raw_rows))
-    np.testing.assert_array_equal(reencoded, sub.encoded)
+    idx = np.array([0, 2, 5])
+    sub = toy.subset(idx)
+    np.testing.assert_array_equal(sub.encoded, toy.encoded[idx])
+    np.testing.assert_array_equal(sub.labels, toy.labels[idx])
+    assert sub.raw_rows == tuple(toy.raw_rows[i] for i in idx)
+    assert sub.encoding is toy.encoding
 
 
 def test_to_csv_round_trips_raw_values(toy, tmp_path):

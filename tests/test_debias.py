@@ -129,6 +129,17 @@ def test_loop_stops_at_first_non_improvement(toy, trained):
     assert len(calls) == 4  # the full data and chunks 1-3, each trained once
 
 
+def test_repeated_removal_count_reuses_the_previous_model(toy, trained):
+    # 1 % of 7 rows: chunks 1-3 all remove one row, so they share one training
+    seq = {0: 0.3, 1: 0.2, 2: 0.1, 3: 0.1}
+    out, report, calls = run_stubbed(toy, trained, seq, chunk_percent=1.0)
+    assert [t.rows_removed for t in report.trace] == [0, 1, 1, 1]
+    assert [t.discrimination for t in report.trace] == [0.3, 0.2, 0.1, 0.1]
+    assert report.stop_index == 2 and len(out) == 6
+    assert len(calls) == 2  # the full data and the one-row-removed subset
+    assert report.model is trained_on(calls, out)
+
+
 def test_loop_immediate_stop_returns_input_unchanged(toy, trained):
     seq = {0: 0.05, 1: 0.05}
     out, report, calls = run_stubbed(toy, trained, seq)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairtrim.data import load_dataset, load_schema
-from fairtrim.errors import EmptyAfterFilter, EmptyResult, RangeError
+from fairtrim.errors import EmptyResult, RangeError
 from fairtrim.experiment import (
     ExperimentResult,
     GridSpec,
@@ -84,8 +84,7 @@ def test_debiased_test_set_filters(small):
     ids = sub.row_ids.tolist()
     out = debiased_test_set(sub, tuple(ids[:3]))
     assert out.row_ids.tolist() == ids[3:]
-    with pytest.raises(EmptyAfterFilter):
-        debiased_test_set(sub, tuple(ids))
+    assert debiased_test_set(sub, tuple(ids)) is None
 
 
 # --- grid run -------------------------------------------------------------------

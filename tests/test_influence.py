@@ -1,5 +1,7 @@
 """Solver correctness (closed forms first) and ranking contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,7 @@ def fd_logit_gap_jacobian(m, X, h=1e-5):
     """Central differences of log(p1/p0) = z1 - z0 through predict_proba."""
 
     def gap(theta):
-        p = predict_proba(m.with_theta(theta), X)
+        p = predict_proba(replace(m, theta=theta), X)
         return np.log(p[:, 1]) - np.log(p[:, 0])
 
     return np.column_stack([

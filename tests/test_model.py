@@ -5,6 +5,8 @@ analytic backward pass and the forward-over-reverse Hessian-vector product;
 they recompute everything from the loss alone.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,8 +52,8 @@ def fd_grad(m, X, y, h=1e-5):
         e = np.zeros_like(base)
         e[i] = h
         out[i] = (
-            mean_loss(m.with_theta(base + e), X, y)
-            - mean_loss(m.with_theta(base - e), X, y)
+            mean_loss(replace(m, theta=base + e), X, y)
+            - mean_loss(replace(m, theta=base - e), X, y)
         ) / (2 * h)
     return out
 
@@ -59,8 +61,8 @@ def fd_grad(m, X, y, h=1e-5):
 def fd_hvp(m, v, X, y, h=1e-5):
     """Central finite differences of the gradient along direction v."""
     base = m.theta.copy()
-    gp = mean_grad(m.with_theta(base + h * v), X, y)
-    gm = mean_grad(m.with_theta(base - h * v), X, y)
+    gp = mean_grad(replace(m, theta=base + h * v), X, y)
+    gm = mean_grad(replace(m, theta=base - h * v), X, y)
     return (gp - gm) / (2 * h)
 
 
@@ -127,7 +129,7 @@ def test_extreme_logits_are_stable():
     W1, b1, W2, b2, W3, b3 = m.unpack()
     t = m.theta.copy()
     t[-2:] = [-10.0, 10.0]  # b3
-    m = m.with_theta(t)
+    m = replace(m, theta=t)
     p = predict_proba(m, np.zeros((1, dim)))
     assert p[0, 1] == pytest.approx(1.0 - 2.061153622438558e-09, rel=1e-6)
     assert np.isfinite(p).all()
