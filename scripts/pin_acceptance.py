@@ -33,14 +33,10 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from fairtrim.data import load_dataset
+from fairtrim.debias import sort_dataset
 from fairtrim.experiment import GridSpec, run_grid
-from fairtrim.fairness import (
-    SimilarityConfig,
-    build_influence_set,
-    discriminatory_pairs,
-    generate_similar_pairs,
-)
-from fairtrim.influence import SolverConfig, rank_by_influence
+from fairtrim.fairness import SimilarityConfig
+from fairtrim.influence import SolverConfig
 from fairtrim.model import Hyperparameters, mean_loss, train
 from fairtrim.synthetic import loans_schema, write_loans
 
@@ -55,12 +51,11 @@ def loo_spearman(d, model_seed: int, pool_seed: int, multiplier: int = 40) -> fl
     hp = Hyperparameters(8, 4, batch_size=len(d), epochs=10000, learning_rate=0.3,
                          weight_init_seed=model_seed)
     m = train(d, hp)
-    pool = generate_similar_pairs(
-        d, SimilarityConfig(lam=0.0, pool_multiplier=multiplier, rng_seed=pool_seed),
-        call_index=None,
+    ranking = sort_dataset(
+        d, m, SimilarityConfig(lam=0.0, pool_multiplier=multiplier, rng_seed=pool_seed),
+        SolverConfig(damping=0.01),
     )
-    iset = build_influence_set(m, discriminatory_pairs(m, pool))
-    ranking = rank_by_influence(iset, d, m, SolverConfig(damping=0.01))
+    iset = ranking.influence_set
     score_by_row = {e.row_id: e.score for e in ranking.entries}
 
     base = mean_loss(m, iset.features, iset.labels)

@@ -39,20 +39,19 @@ def main() -> int:
                 n=args.rows, seed=args.data_seed, flip_rate=args.flip_rate)
     d = load_dataset(csv_path, loans_schema())
 
+    # settings both grids share; only the axes differ
+    shared = dict(
+        epochs=400, learning_rate=0.3, pool_multiplier=5,
+        chunk_percent=10.0, max_chunks=20,
+        solver=SolverConfig(cg_max_iter=100),
+        freeze_pool=True, workers=args.workers,
+    )
     if args.full_scale:
-        spec = GridSpec.full_scale(
-            epochs=400, learning_rate=0.3, pool_multiplier=5,
-            chunk_percent=10.0, max_chunks=20,
-            solver=SolverConfig(cg_max_iter=100),
-            freeze_pool=True, workers=args.workers,
-        )
+        spec = GridSpec.full_scale(**shared)
     else:
         spec = GridSpec(
             hidden1_choices=(16,), hidden2_choices=(8,), batch_sizes=None,
-            permutation_seeds=(0, 3), epochs=400, learning_rate=0.3,
-            pool_multiplier=5, chunk_percent=10.0, max_chunks=20,
-            solver=SolverConfig(cg_max_iter=100),
-            freeze_pool=True, workers=args.workers,
+            permutation_seeds=(0, 3), **shared,
         )
 
     t0 = time.time()

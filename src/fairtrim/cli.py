@@ -12,6 +12,11 @@ the hyperparameters (--seed, --hidden1, --hidden2, --batch-size, --epochs,
 --cg-tol) and --out-dir; debias rank's less --model plus the loop
 (--chunk-percent, --freeze-pool); grid debias's plus --workers. report
 takes only --out-dir.
+
+rank and debias rank the rows through the same ``debias.sort_dataset``, so
+with the same flags they produce the same order. On a model that already
+discriminates on no pair, debias reports ``already_fair`` and rank exits 2
+with ``AlreadyFair``.
 """
 
 from __future__ import annotations
@@ -26,17 +31,11 @@ import numpy as np
 
 from . import __version__
 from .data import load_dataset, load_schema
-from .debias import DebiasConfig, debias_data
+from .debias import DebiasConfig, debias_data, sort_dataset
 from .errors import FairtrimError, MalformedReport
 from .experiment import GridSpec, derived_batch_sizes, emit_reports, run_grid
-from .fairness import (
-    SimilarityConfig,
-    build_influence_set,
-    discriminatory_pairs,
-    generate_similar_pairs,
-    metrics_report,
-)
-from .influence import SolverConfig, rank_by_influence
+from .fairness import SimilarityConfig, metrics_report
+from .influence import SolverConfig
 from .model import Hyperparameters, load_model, save_model, train
 
 
@@ -172,19 +171,14 @@ def cmd_discrim(args) -> int:
 def cmd_rank(args) -> int:
     solver = _solver(args)  # reject a bad solver flag before training
     d = _load(args)
-    m = _get_model(args, d)
-    sim = _sim(args)
-    pool = generate_similar_pairs(d, sim, call_index=None)
-    discm = discriminatory_pairs(m, pool)
-    iset = build_influence_set(m, discm)
-    ranking = rank_by_influence(iset, d, m, solver)
+    ranking = sort_dataset(d, _get_model(args, d), _sim(args), solver)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ranking.to_csv(out / "ranking.csv")
     ranking.save_diagnostics(out / "ranking_diagnostics.json")
     _emit({
-        "pool_pairs": len(pool),
-        "discriminatory_pairs": len(discm),
+        "pool_pairs": ranking.influence_set.pool_pairs,
+        "discriminatory_pairs": len(ranking.influence_set),
         "ranking_path": str(out / "ranking.csv"),
         "most_harmful": list(ranking.row_ids[:10]),
         "ranking_solve": ranking.solve_health(),

@@ -20,7 +20,6 @@ from .errors import AlreadyFair, EmptyDataset, RangeError
 from .fairness import (
     SimilarityConfig,
     build_influence_set,
-    discriminatory_pairs,
     estimate_discrim,
     flip_mask,
     generate_similar_pairs,
@@ -99,16 +98,15 @@ def sort_dataset(
     """Rank the rows of ``d`` most-harmful-first for model ``m``.
 
     Harm is measured against the lower-confidence members of the model's
-    discriminatory pairs on a synthetic pool. Raises AlreadyFair when the
-    model discriminates on no pair (there is nothing to rank against).
+    discriminatory pairs on the sort pool; the ranking keeps that influence
+    set. Raises AlreadyFair when the model discriminates on no pair (there
+    is nothing to rank against).
     """
-    pool = generate_similar_pairs(d, similarity, call_index=None)
-    discm = discriminatory_pairs(m, pool)
-    if len(discm) == 0:
+    iset = build_influence_set(m, generate_similar_pairs(d, similarity, call_index=None))
+    if len(iset) == 0:
         raise AlreadyFair(
-            f"model discriminates on none of the {len(pool)} synthetic pairs"
+            f"model discriminates on none of the {iset.pool_pairs} synthetic pairs"
         )
-    iset = build_influence_set(m, discm)
     return rank_by_influence(iset, d, m, solver)
 
 

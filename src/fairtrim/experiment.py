@@ -31,13 +31,8 @@ import numpy as np
 
 from .data import Dataset, SplitSpec, drop_sensitive, split
 from .debias import DebiasConfig, debias_data
-from .errors import EmptyResult, MissingGroup, RangeError
-from .fairness import (
-    SimilarityConfig,
-    accuracy,
-    estimate_discrim,
-    statistical_parity_difference,
-)
+from .errors import EmptyResult, RangeError
+from .fairness import SimilarityConfig, accuracy, estimate_discrim, parity_or_none
 from .influence import SolverConfig
 from .model import Hyperparameters, mask_sensitive, train
 
@@ -279,14 +274,6 @@ def _phase_one(args):
     return record, te, models
 
 
-def _parity(m, test: Dataset) -> float | None:
-    """Statistical parity on ``test``, or None when one group has no rows."""
-    try:
-        return statistical_parity_difference(m, test)
-    except MissingGroup:
-        return None
-
-
 def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
     configs = _enumerate_configs(d, spec)
     jobs = [(d, spec, c) for c in configs]
@@ -309,7 +296,7 @@ def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
                     tech: replace(
                         m,
                         accuracy=accuracy(models[tech], dtest),
-                        parity=_parity(models[tech], dtest),
+                        parity=parity_or_none(models[tech], dtest),
                     )
                     for tech, m in record.metrics.items()
                 },

@@ -136,19 +136,20 @@ def discriminatory_pairs(m, pool: PairPool) -> PairPool:
     return pool.select(flip_mask(m, pool))
 
 
-def build_influence_set(m, discm: PairPool) -> InfluenceSet:
-    """Lower-confidence member of each discriminatory pair, with its predicted
-    label as tentative ground truth. Confidence ties take the first member."""
-    if len(discm) == 0:
-        return InfluenceSet(
-            features=np.zeros((0, discm.first.shape[1])), labels=np.zeros(0, dtype=np.int64)
-        )
+def build_influence_set(m, pool: PairPool) -> InfluenceSet:
+    """Lower-confidence member of each pair of ``pool`` on which ``m``
+    discriminates, with its predicted label as tentative ground truth.
+    Confidence ties take the first member. The set is empty when ``m``
+    discriminates on no pair."""
+    discm = discriminatory_pairs(m, pool)
     l1, c1 = predict_batch(m, discm.first)
     l2, c2 = predict_batch(m, discm.second)
     take_first = c1 <= c2
-    features = np.where(take_first[:, None], discm.first, discm.second)
-    labels = np.where(take_first, l1, l2).astype(np.int64)
-    return InfluenceSet(features=features, labels=labels)
+    return InfluenceSet(
+        features=np.where(take_first[:, None], discm.first, discm.second),
+        labels=np.where(take_first, l1, l2).astype(np.int64),
+        pool_pairs=len(pool),
+    )
 
 
 def estimate_discrim(
@@ -196,18 +197,23 @@ def statistical_parity_difference(m, d: Dataset) -> float:
     return parity_from_predictions(labels, d.group_values, d.sensitive_categories)
 
 
+def parity_or_none(m, d: Dataset) -> float | None:
+    """Statistical parity of ``m`` on ``d``, or None when ``d`` has no group
+    metadata or no rows of one group."""
+    try:
+        return statistical_parity_difference(m, d)
+    except (SensitiveAbsent, MissingGroup):
+        return None
+
+
 def metrics_report(m, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) -> dict:
     """Discrimination, accuracy, and (when group metadata exists) parity."""
     pool = generate_similar_pairs(d, cfg, call_index=call_index)
     flips = flip_mask(m, pool)
-    out = {
+    return {
         "individual_discrimination": float(np.mean(flips)),
         "pool_pairs": int(len(pool)),
         "discriminatory_pairs": int(np.sum(flips)),
         "accuracy": accuracy(m, d),
+        "statistical_parity_difference": parity_or_none(m, d),
     }
-    try:
-        out["statistical_parity_difference"] = statistical_parity_difference(m, d)
-    except (SensitiveAbsent, MissingGroup):
-        out["statistical_parity_difference"] = None
-    return out

@@ -131,6 +131,7 @@ class InfluenceSet:
 
     features: np.ndarray  # (k, width)
     labels: np.ndarray  # (k,)
+    pool_pairs: int  # size of the similar-pair pool the set was drawn from
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
@@ -156,6 +157,7 @@ class InfluenceRanking:
     method: str
     damping: float
     solves: tuple[SolveInfo, ...]
+    influence_set: InfluenceSet  # the set the rows were ranked against
 
     @property
     def row_ids(self) -> tuple[int, ...]:
@@ -215,5 +217,6 @@ def rank_by_influence(
         RankedPoint(int(train.row_ids[i]), float(scores[i])) for i in order
     )
     return InfluenceRanking(
-        entries=entries, method=cfg.method, damping=cfg.damping, solves=(info,)
+        entries=entries, method=cfg.method, damping=cfg.damping, solves=(info,),
+        influence_set=iset,
     )

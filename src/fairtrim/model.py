@@ -169,50 +169,59 @@ def predict_batch(m, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, conf
 
 
+def _batch(m: Model, X: np.ndarray, y: np.ndarray | None = None):
+    """Checked float features and int labels of a non-empty batch for ``m``."""
+    X = _check_features(m, X)
+    if y is not None:
+        y = np.asarray(y, dtype=np.int64)
+        if y.shape != (X.shape[0],):
+            raise DimensionMismatch(f"labels shape {y.shape} does not match {X.shape[0]} rows")
+    if X.shape[0] == 0:
+        raise EmptyDataset("losses and derivatives over an empty batch are undefined")
+    return X, y
+
+
 def mean_loss(m: Model, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of the batch."""
-    X = _check_features(m, X)
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatch(f"labels shape {y.shape} does not match {X.shape[0]} rows")
-    if X.shape[0] == 0:
-        raise EmptyDataset("loss over an empty batch is undefined")
+    X, y = _batch(m, X, y)
     _, _, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
     return float(-logp[np.arange(X.shape[0]), y].mean())
 
 
 # --- gradients --------------------------------------------------------------
 
-def _backward(theta, d, h1, h2, X, y, scale):
-    """Gradient of sum_i scale_i * loss_i. ``scale`` is (n,) weights."""
-    W1, b1, W2, b2, W3, b3 = _unpack(theta, d, h1, h2)
-    a1, a2, logp = _forward(theta, d, h1, h2, X)
-    p = np.exp(logp)
-    dz3 = p.copy()
-    dz3[np.arange(X.shape[0]), y] -= 1.0
-    dz3 *= scale[:, None]
-    gW3 = a2.T @ dz3
-    gb3 = dz3.sum(axis=0)
+def _loss_delta(logp, y):
+    """Gradient of each row's cross-entropy in its logits: p - onehot(y)."""
+    dz3 = np.exp(logp)
+    dz3[np.arange(y.size), y] -= 1.0
+    return dz3
+
+
+def _hidden_deltas(dz3, a1, a2, W2, W3):
+    """Backpropagate the logit delta through both tanh layers: da2, dz2, da1, dz1."""
     da2 = dz3 @ W3.T
     dz2 = da2 * (1.0 - a2 * a2)
-    gW2 = a1.T @ dz2
-    gb2 = dz2.sum(axis=0)
     da1 = dz2 @ W2.T
     dz1 = da1 * (1.0 - a1 * a1)
-    gW1 = X.T @ dz1
-    gb1 = dz1.sum(axis=0)
-    return _pack(gW1, gb1, gW2, gb2, gW3, gb3)
+    return da2, dz2, da1, dz1
+
+
+def _backward(theta, d, h1, h2, X, y):
+    """Gradient of the mean loss over the rows of X."""
+    W1, b1, W2, b2, W3, b3 = _unpack(theta, d, h1, h2)
+    a1, a2, logp = _forward(theta, d, h1, h2, X)
+    dz3 = _loss_delta(logp, y)
+    dz3 *= 1.0 / X.shape[0]  # times 1/n, not / n: trained weights depend on the rounding
+    _, dz2, _, dz1 = _hidden_deltas(dz3, a1, a2, W2, W3)
+    return _pack(
+        X.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0)
+    )
 
 
 def mean_grad(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross-entropy over the batch, shape (n_params,)."""
-    X = _check_features(m, X)
-    y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
-    if n == 0:
-        raise EmptyDataset("gradient over an empty batch is undefined")
-    scale = np.full(n, 1.0 / n)
-    return _backward(m.theta, m.input_dim, m.hidden1, m.hidden2, X, y, scale)
+    X, y = _batch(m, X, y)
+    return _backward(m.theta, m.input_dim, m.hidden1, m.hidden2, X, y)
 
 
 def grad_loss(m: Model, x: np.ndarray, y: int) -> np.ndarray:
@@ -223,15 +232,9 @@ def grad_loss(m: Model, x: np.ndarray, y: int) -> np.ndarray:
 
 def per_example_grads(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row i is grad_theta of example i's own loss; shape (n, n_params)."""
-    X = _check_features(m, X)
-    y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
-    if n == 0:
-        raise EmptyDataset("gradients over an empty batch are undefined")
+    X, y = _batch(m, X, y)
     a1, a2, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
-    dz3 = np.exp(logp)
-    dz3[np.arange(n), y] -= 1.0
-    return _per_example_backward(m, X, a1, a2, dz3)
+    return _per_example_backward(m, X, a1, a2, _loss_delta(logp, y))
 
 
 def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,12 +243,9 @@ def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Returns J, shape (n, n_params), and the (n, 2) class probabilities. The
     loss gradient of example i is (p1_i - y_i) * J[i].
     """
-    X = _check_features(m, X)
-    n = X.shape[0]
-    if n == 0:
-        raise EmptyDataset("a Jacobian over an empty batch is undefined")
+    X, _ = _batch(m, X)
     a1, a2, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
-    dz3 = np.tile([-1.0, 1.0], (n, 1))
+    dz3 = np.tile([-1.0, 1.0], (X.shape[0], 1))
     return _per_example_backward(m, X, a1, a2, dz3), np.exp(logp)
 
 
@@ -253,10 +253,7 @@ def _per_example_backward(m: Model, X, a1, a2, dz3) -> np.ndarray:
     """Row i is grad_theta of dz3[i] . z3[i] (z3: logits; a1, a2: activations)."""
     n = X.shape[0]
     W1, b1, W2, b2, W3, b3 = m.unpack()
-    da2 = dz3 @ W3.T
-    dz2 = da2 * (1.0 - a2 * a2)
-    da1 = dz2 @ W2.T
-    dz1 = da1 * (1.0 - a1 * a1)
+    _, dz2, _, dz1 = _hidden_deltas(dz3, a1, a2, W2, W3)
     blocks = [
         np.einsum("ni,nj->nij", X, dz1).reshape(n, -1),
         dz1,
@@ -277,12 +274,8 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
     intermediate, then the tangent of every backward intermediate. Exact up
     to float64 rounding.
     """
-    X, y = batch
-    X = _check_features(m, X)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = _batch(m, *batch)
     n = X.shape[0]
-    if n == 0:
-        raise EmptyDataset("HVP over an empty batch is undefined")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n_params,):
         raise DimensionMismatch(f"v has shape {v.shape}, expected ({m.n_params},)")
@@ -304,13 +297,8 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
     Rp = p * (Rz3 - (p * Rz3).sum(axis=1, keepdims=True))
 
     # backward pass and its tangent (mean loss: 1/n on the top delta)
-    dz3 = p.copy()
-    dz3[np.arange(n), y] -= 1.0
-    dz3 /= n
-    da2 = dz3 @ W3.T
-    dz2 = da2 * s2
-    da1 = dz2 @ W2.T
-    dz1 = da1 * s1
+    dz3 = _loss_delta(logp, y) / n
+    da2, dz2, da1, _ = _hidden_deltas(dz3, a1, a2, W2, W3)
 
     Rdz3 = Rp / n
     RgW3 = Ra2.T @ dz3 + a2.T @ Rdz3
@@ -370,8 +358,7 @@ def train(d: Dataset, hp: Hyperparameters, init: Model | None = None) -> Model:
         perm = shuffle.permutation(n)
         for start in range(0, n, hp.batch_size):
             idx = perm[start : start + hp.batch_size]
-            scale = np.full(idx.size, 1.0 / idx.size)
-            g = _backward(theta, dim, h1, h2, X[idx], y[idx], scale)
+            g = _backward(theta, dim, h1, h2, X[idx], y[idx])
             theta -= hp.learning_rate * g
 
     m = Model(input_dim=dim, hidden1=h1, hidden2=h2, theta=theta)

@@ -20,13 +20,11 @@ import pytest
 from scipy.stats import spearmanr
 
 from fairtrim.data import load_dataset, load_schema, drop_sensitive
-from fairtrim.debias import DebiasConfig, debias_data, drop_first
+from fairtrim.debias import DebiasConfig, debias_data, drop_first, sort_dataset
 from fairtrim.experiment import GridSpec, emit_reports, run_grid
 from fairtrim.fairness import (
     SimilarityConfig,
     accuracy,
-    build_influence_set,
-    discriminatory_pairs,
     estimate_discrim,
     generate_similar_pairs,
 )
@@ -35,7 +33,6 @@ from fairtrim.influence import (
     SolverConfig,
     conjugate_gradient,
     inverse_hvp_detailed,
-    rank_by_influence,
 )
 from fairtrim.model import (
     Hyperparameters,
@@ -228,11 +225,11 @@ def test_criterion_05_influence_tracks_leave_one_out(tmp_path):
         hp = Hyperparameters(8, 4, batch_size=n, epochs=10000, learning_rate=0.3,
                              weight_init_seed=model_seed)
         m = train(d, hp)
-        pool = generate_similar_pairs(
-            d, SimilarityConfig(lam=0.0, pool_multiplier=40, rng_seed=pool_seed), call_index=None
+        ranking = sort_dataset(
+            d, m, SimilarityConfig(lam=0.0, pool_multiplier=40, rng_seed=pool_seed),
+            SolverConfig(damping=0.01),
         )
-        iset = build_influence_set(m, discriminatory_pairs(m, pool))
-        ranking = rank_by_influence(iset, d, m, SolverConfig(damping=0.01))
+        iset = ranking.influence_set
         score_by_row = {e.row_id: e.score for e in ranking.entries}
 
         # oracle: retrain without each row (warm start keeps the same basin)

@@ -6,11 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairtrim.cli import main
-from fairtrim.model import load_model
+from fairtrim.data import load_dataset, load_schema
+from fairtrim.model import Model, load_model, param_count, save_model
 from fairtrim.synthetic import write_loans, write_toy_loans
+
+DATA = Path(__file__).resolve().parent / "data"
+FIXTURE = [str(DATA / "loans.csv"), "--schema", str(DATA / "loans.schema.json")]
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +172,31 @@ def test_rank_outputs(capsys, toy_files, tmp_path):
     assert (tmp_path / "ranking_diagnostics.json").exists()
     assert obj["most_harmful"][0] == int(rows[0].split(",")[1])
     assert set(obj["ranking_solve"]) == {"converged", "iterations", "residual_norm"}
+
+
+def test_rank_on_already_fair_model_is_domain_error(capsys, tmp_path):
+    # all-zero weights predict one class everywhere, so no pair flips
+    d = load_dataset(DATA / "loans.csv", load_schema(DATA / "loans.schema.json"))
+    save_model(
+        Model(d.width, 16, 8, theta=np.zeros(param_count(d.width, 16, 8))),
+        tmp_path / "model.json",
+    )
+    code, out, err = run(
+        capsys,
+        ["rank", *FIXTURE, "--model", str(tmp_path / "model.json"),
+         "--out-dir", str(tmp_path)],
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "AlreadyFair"
+
+
+def test_rank_and_debias_rank_the_same_way(capsys, tmp_path):
+    flags = ["--seed", "3", "--pool-multiplier", "20"]
+    run_json(capsys, ["rank", *FIXTURE, *flags, "--out-dir", str(tmp_path / "rank")])
+    run_json(capsys, ["debias", *FIXTURE, *flags, "--out-dir", str(tmp_path / "debias")])
+    _, *rows = (tmp_path / "rank" / "ranking.csv").read_text().strip().splitlines()
+    report = json.loads((tmp_path / "debias" / "debias_report.json").read_text())
+    assert [int(r.split(",")[1]) for r in rows] == report["ranking_row_ids"]
 
 
 def test_debias_outputs(capsys, toy_files, tmp_path):

@@ -152,8 +152,9 @@ def test_estimate_discrim_matches_manual_count(toy, trained):
 def test_influence_set_members_are_lower_confidence(toy, trained):
     pool = generate_similar_pairs(toy, SimilarityConfig(pool_multiplier=30))
     discm = discriminatory_pairs(trained, pool)
-    iset = build_influence_set(trained, discm)
+    iset = build_influence_set(trained, pool)
     assert len(iset) == len(discm)
+    assert iset.pool_pairs == len(pool)
     _, c1 = predict_batch(trained, discm.first)
     _, c2 = predict_batch(trained, discm.second)
     _, c_sel = predict_batch(trained, iset.features)

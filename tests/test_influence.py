@@ -7,12 +7,8 @@ import pytest
 
 from fairtrim.data import load_dataset
 from fairtrim.errors import DimensionMismatch, EmptyInfluenceSet, NotPositiveDefinite, RangeError
-from fairtrim.fairness import (
-    SimilarityConfig,
-    build_influence_set,
-    discriminatory_pairs,
-    generate_similar_pairs,
-)
+from fairtrim.debias import sort_dataset
+from fairtrim.fairness import SimilarityConfig
 import fairtrim.influence
 from fairtrim.influence import (
     InfluenceSet,
@@ -160,9 +156,7 @@ def test_self_influence_is_negative(trained, toy):
 
 def make_iset(trained, toy, multiplier=20, seed=0):
     sim = SimilarityConfig(lam=0.0, pool_multiplier=multiplier, rng_seed=seed)
-    pool = generate_similar_pairs(toy, sim)
-    discm = discriminatory_pairs(trained, pool)
-    return build_influence_set(trained, discm)
+    return sort_dataset(toy, trained, sim, SolverConfig()).influence_set
 
 
 def test_ranking_sorted_ascending_with_diagnostics(trained, toy):
@@ -204,13 +198,17 @@ def test_ranking_tie_breaks_by_row_id(trained, toy):
 
 
 def test_empty_influence_set_raises(trained, toy):
-    empty = InfluenceSet(features=np.zeros((0, toy.width)), labels=np.zeros(0, dtype=np.int64))
+    empty = InfluenceSet(
+        features=np.zeros((0, toy.width)), labels=np.zeros(0, dtype=np.int64), pool_pairs=0
+    )
     with pytest.raises(EmptyInfluenceSet):
         rank_by_influence(empty, toy, trained, SolverConfig())
 
 
 def test_ranking_width_mismatch(trained, toy):
-    iset = InfluenceSet(features=np.zeros((2, 3)), labels=np.zeros(2, dtype=np.int64))
+    iset = InfluenceSet(
+        features=np.zeros((2, 3)), labels=np.zeros(2, dtype=np.int64), pool_pairs=2
+    )
     with pytest.raises(DimensionMismatch):
         rank_by_influence(iset, toy, trained, SolverConfig())
 

@@ -107,6 +107,22 @@ def test_loss_rejects_empty_batch():
         mean_loss(m, X[:0], y[:0])
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        mean_loss,
+        mean_grad,
+        per_example_grads,
+        lambda m, X, y: hvp(m, np.zeros(m.n_params), (X, y)),
+    ],
+    ids=["mean_loss", "mean_grad", "per_example_grads", "hvp"],
+)
+def test_label_count_must_match_rows(fn):
+    m, X, y = random_problem(2)
+    with pytest.raises(DimensionMismatch):
+        fn(m, X, y[:-1])
+
+
 # --- prediction basics ------------------------------------------------------
 
 def test_probabilities_sum_to_one_and_confidence_majority():
