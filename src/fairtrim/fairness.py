@@ -13,6 +13,11 @@ from the encoded feature space; each seed gets 1 companion when lam == 0
 lam > 0. With the default multiplier of 100 that yields 100x|d| pairs at
 lam == 0 and 200x|d| pairs otherwise.
 
+Memory contract: a pool of N pairs at encoded width w holds 2*N*w*8 bytes.
+Drawing it and scoring it (``flip_mask``, ``build_influence_set``) add only
+a transient set by model.PREDICT_BLOCK_ROWS, not by N, beyond per-pair
+labels and probabilities.
+
 Determinism: draws happen per column in encoding-layout order (seeds first,
 then companion perturbations), from a generator keyed on (rng_seed, stream,
 call_index), so any pool is reproducible from its config and call index.
@@ -33,7 +38,7 @@ from .errors import (
     SensitiveAbsent,
 )
 from .influence import InfluenceSet
-from .model import predict_batch
+from .model import PREDICT_BLOCK_ROWS, predict_batch
 
 _POOL_STREAM_SORT = 0
 _POOL_STREAM_ESTIMATE = 1
@@ -74,7 +79,7 @@ class PairPool:
         return int(self.first.shape[0])
 
     def select(self, mask: np.ndarray) -> "PairPool":
-        return PairPool(self.first[mask].copy(), self.second[mask].copy())
+        return PairPool(self.first[mask], self.second[mask])  # boolean indexing copies
 
 
 def _pool_rng(cfg: SimilarityConfig, call_index: int | None) -> np.random.Generator:
@@ -95,18 +100,17 @@ def generate_similar_pairs(
 
     n_seeds = cfg.pool_multiplier * len(d)
     k = cfg.companions
-    width = d.width
-    seeds = np.empty((n_seeds, width), dtype=np.float64)
+    # each seed is drawn into its first companion's row and copied to the rest
+    first = np.empty((n_seeds, k, d.width), dtype=np.float64)
+    seeds = first[:, 0]
     for codec in d.encoding.codecs:
         if codec.kind == NUMERIC:
             seeds[:, codec.start] = rng.random(n_seeds)
         else:
             choice = rng.integers(codec.width, size=n_seeds)
-            block = np.zeros((n_seeds, codec.width))
-            block[np.arange(n_seeds), choice] = 1.0
-            seeds[:, codec.start : codec.stop] = block
-
-    first = np.repeat(seeds, k, axis=0)
+            seeds[:, codec.start : codec.stop] = choice[:, None] == np.arange(codec.width)
+    first[:, 1:] = first[:, :1]
+    first = first.reshape(n_seeds * k, d.width)
     second = first.copy()
     sens = d.sensitive_block
     second[:, sens] = first[:, sens][:, ::-1]  # flip the 2-wide one-hot
@@ -116,19 +120,21 @@ def generate_similar_pairs(
         for codec in d.encoding.codecs:
             if codec.kind != NUMERIC:
                 continue
-            v = first[:, codec.start]
-            lo = np.maximum(0.0, v - cfg.lam)
-            hi = np.minimum(1.0, v + cfg.lam)
-            second[:, codec.start] = lo + rng.random(n_total) * (hi - lo)
+            # consecutive blocks continue the column's single draw sequence
+            for start in range(0, n_total, PREDICT_BLOCK_ROWS):
+                v = first[start : start + PREDICT_BLOCK_ROWS, codec.start]
+                lo = np.maximum(0.0, v - cfg.lam)
+                hi = np.minimum(1.0, v + cfg.lam)
+                second[start : start + PREDICT_BLOCK_ROWS, codec.start] = (
+                    lo + rng.random(v.size) * (hi - lo)
+                )
 
     return PairPool(first, second)
 
 
 def flip_mask(m, pool: PairPool) -> np.ndarray:
     """True for each pair of ``pool`` on which ``m`` predicts different labels."""
-    l1, _ = predict_batch(m, pool.first)
-    l2, _ = predict_batch(m, pool.second)
-    return l1 != l2
+    return predict_batch(m, pool.first)[0] != predict_batch(m, pool.second)[0]
 
 
 def discriminatory_pairs(m, pool: PairPool) -> PairPool:
@@ -141,13 +147,13 @@ def build_influence_set(m, pool: PairPool) -> InfluenceSet:
     discriminates, with its predicted label as tentative ground truth.
     Confidence ties take the first member. The set is empty when ``m``
     discriminates on no pair."""
-    discm = discriminatory_pairs(m, pool)
-    l1, c1 = predict_batch(m, discm.first)
-    l2, c2 = predict_batch(m, discm.second)
-    take_first = c1 <= c2
+    l1, c1 = predict_batch(m, pool.first)
+    l2, c2 = predict_batch(m, pool.second)
+    flips = l1 != l2
+    take_first = (c1 <= c2)[flips]
     return InfluenceSet(
-        features=np.where(take_first[:, None], discm.first, discm.second),
-        labels=np.where(take_first, l1, l2).astype(np.int64),
+        features=np.where(take_first[:, None], pool.first[flips], pool.second[flips]),
+        labels=np.where(take_first, l1[flips], l2[flips]).astype(np.int64),
         pool_pairs=len(pool),
     )
 

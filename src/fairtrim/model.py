@@ -27,6 +27,9 @@ _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 MODEL_FORMAT = "fairtrim-model"
 MODEL_FORMAT_VERSION = 1
+# rows per forward pass in predict_proba: scoring memory beyond its input and
+# output is set by this, not by the number of rows
+PREDICT_BLOCK_ROWS = 32768
 
 
 @dataclass(frozen=True)
@@ -152,21 +155,23 @@ def _forward(theta, d, h1, h2, X):
 
 
 def predict_proba(m, X: np.ndarray) -> np.ndarray:
-    """(n, 2) class probabilities."""
-    if isinstance(m, FeatureMaskedModel):
-        X = _check_features(m, X)
-        return predict_proba(m.inner, X[:, m.keep])
+    """(n, 2) class probabilities, computed PREDICT_BLOCK_ROWS rows at a time."""
     X = _check_features(m, X)
-    _, _, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
-    return np.exp(logp)
+    inner, keep = (m.inner, m.keep) if isinstance(m, FeatureMaskedModel) else (m, None)
+    p = np.empty((X.shape[0], N_CLASSES))
+    for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
+        block = X[start : start + PREDICT_BLOCK_ROWS]
+        if keep is not None:
+            block = block[:, keep]
+        _, _, logp = _forward(inner.theta, inner.input_dim, inner.hidden1, inner.hidden2, block)
+        np.exp(logp, out=p[start : start + PREDICT_BLOCK_ROWS])
+    return p
 
 
 def predict_batch(m, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predicted labels and winning-class probabilities (confidence >= 0.5)."""
     p = predict_proba(m, X)
-    labels = np.argmax(p, axis=1).astype(np.int64)
-    conf = p[np.arange(p.shape[0]), labels]
-    return labels, conf
+    return np.argmax(p, axis=1), p.max(axis=1)
 
 
 def _batch(m: Model, X: np.ndarray, y: np.ndarray | None = None):

@@ -1,10 +1,14 @@
 """Pair-pool contracts, discrimination estimates, and group metrics."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairtrim import fairness, model
 from fairtrim.data import drop_sensitive, load_dataset
 from fairtrim.errors import MissingGroup, RangeError, SensitiveAbsent
 from fairtrim.fairness import (
@@ -19,8 +23,16 @@ from fairtrim.fairness import (
     parity_from_predictions,
     statistical_parity_difference,
 )
-from fairtrim.model import Hyperparameters, mask_sensitive, predict_batch, train
-from fairtrim.synthetic import toy_schema, write_toy_loans
+from fairtrim.model import (
+    Hyperparameters,
+    Model,
+    mask_sensitive,
+    param_count,
+    predict_batch,
+    predict_proba,
+    train,
+)
+from fairtrim.synthetic import loans_schema, toy_schema, write_loans, write_toy_loans
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +46,13 @@ def toy(tmp_path_factory):
 def trained(toy):
     hp = Hyperparameters(8, 4, 7, epochs=2000, learning_rate=0.3, weight_init_seed=1)
     return train(toy, hp)
+
+
+@pytest.fixture(scope="module")
+def loans(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("loans")
+    write_loans(tmp / "d.csv", tmp / "s.json", n=100, seed=3)
+    return load_dataset(tmp / "d.csv", loans_schema())
 
 
 def pair_invariants(d, pool, lam):
@@ -95,6 +114,40 @@ def test_pool_deterministic_per_call_index(toy):
     assert a.first.tobytes() != c.first.tobytes()
     d_ = generate_similar_pairs(toy, cfg, call_index=None)
     assert d_.first.tobytes() != a.first.tobytes()
+
+
+# sha256 of (first, second) for pool_multiplier=5, rng_seed=7: any change to
+# the draw order changes them
+POOL_DIGESTS = {
+    ("toy", 0.0, None): ("8b4da7adea7dd18602e3930c0f1b94f1522843582e7ec94d9a2755cfc345be8f",
+                         "b11a2ad915ee131f2ce9ecf935ce8fbda2da27e912c8dede17996a5f607b196d"),
+    ("toy", 0.0, 0): ("423d283f1e2e91ed40c0c6c186e54efa2a355d11f7ce932912545b8574b7d0b4",
+                      "c5a3f6c584d31d059c642f0ced0600553bace86748858c9751eb9d1a127acbaf"),
+    ("toy", 0.3, None): ("4756d0033ed9c5f2279c4b11a35001e41b84259fed8ff766b281158d5d915939",
+                         "6640de42407b47b19ecb6534ff79623a2b6ee755c67cff771c1b04df1bc22806"),
+    ("toy", 0.3, 0): ("bf3d5879c654bb769719996410ec6b28c80befc72292f0fe8546e6de1b63a2f1",
+                      "764290f9590ea0541f1aa37e0cf5c39225e25352b4e0f20eb5e1292fc9006484"),
+    ("loans", 0.0, None): ("2d3efba67ad2e0acc2f91ffe5408f530f9e456de250c04f93330f04b3abeacdf",
+                           "92f24643a721df85ac6cda7c36923a24259747f352dba1f1495e70743e72894a"),
+    ("loans", 0.0, 0): ("3eda996a782a3bc05a557e576913ad29eeef7b2f49ca2ff81a3b1791030153da",
+                        "9edd2ea335ab7de40a0069fb632bde1d73e0d715b3fd33026d8b36c8d01314f0"),
+    ("loans", 0.3, None): ("7a36ee4c3d6cd5583a06c9b2f56416d71c1c017c7e03cba4b11980f27c455904",
+                           "9c065c4be9b8409b33731864c941132c85da9ad57506bc7fcd16ff6b901aef4d"),
+    ("loans", 0.3, 0): ("172649bb09460aa24582ffcf8176a02fbc5f3baca9e8500c7a55f19936ef2650",
+                        "6d075fb9a8809cb68d43935d62d8518aa1bd63951a3be7e282905b80e48a50d4"),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_pool_bytes_are_pinned(toy, loans, monkeypatch, block):
+    if block is not None:  # drift drawn in blocks that do not divide the pool
+        monkeypatch.setattr(fairness, "PREDICT_BLOCK_ROWS", block)
+    sets = {"toy": toy, "loans": loans}
+    for (name, lam, call), expected in POOL_DIGESTS.items():
+        cfg = SimilarityConfig(lam=lam, pool_multiplier=5, rng_seed=7)
+        pool = generate_similar_pairs(sets[name], cfg, call_index=call)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (pool.first, pool.second))
+        assert digests == expected, (name, lam, call)
 
 
 def test_pool_requires_sensitive(toy):
@@ -222,3 +275,59 @@ def test_metrics_report_keys(toy, trained):
     }
     assert rep["pool_pairs"] == 5 * len(toy)
     assert rep["statistical_parity_difference"] is not None
+
+
+# --- blocked scoring ---------------------------------------------------------
+
+def _scores(m, pool):
+    """Every pool score, as bytes: probabilities, flips and the influence set."""
+    iset = build_influence_set(m, pool)
+    out = [predict_proba(m, pool.first), predict_proba(m, pool.second), flip_mask(m, pool)]
+    return [a.tobytes() for a in out + [iset.features, iset.labels]]
+
+
+def test_blocked_scoring_is_bitwise_one_block_scoring(loans, monkeypatch):
+    hp = Hyperparameters(8, 4, 32, epochs=100, learning_rate=0.3, weight_init_seed=2)
+    plain = train(loans, hp)
+    masked = mask_sensitive(train(drop_sensitive(loans), hp), loans)
+    pool = generate_similar_pairs(loans, SimilarityConfig(lam=0.1, pool_multiplier=5))
+    assert len(pool) % 7 != 0
+    empty = pool.select(np.zeros(len(pool), dtype=bool))
+    for m in (plain, masked):
+        assert flip_mask(m, pool).any()
+        scores = {}
+        for block in (7, len(pool) + 1):
+            monkeypatch.setattr(model, "PREDICT_BLOCK_ROWS", block)
+            scores[block] = _scores(m, pool), _scores(m, empty)
+        assert scores[7] == scores[len(pool) + 1]
+        assert len(build_influence_set(m, empty)) == 0
+        assert predict_proba(m, empty.first).shape == (0, 2)
+
+
+def _peak_and_pool_bytes(m, d, cfg) -> tuple[int, int]:
+    """Peak bytes numpy allocates in one estimate_discrim, and its pool's bytes."""
+    tracemalloc.start()
+    try:
+        estimate_discrim(m, d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, 2 * cfg.pool_multiplier * cfg.companions * len(d) * d.width * 8
+
+
+def test_pool_memory_is_bounded_by_the_block(tmp_path):
+    write_loans(tmp_path / "d.csv", tmp_path / "s.json", n=2000, seed=0)
+    d = load_dataset(tmp_path / "d.csv", loans_schema())
+    theta = np.random.default_rng(0).normal(0.0, 1.0, param_count(d.width, 16, 8))
+    m = Model(input_dim=d.width, hidden1=16, hidden2=8, theta=theta)
+    cfg = SimilarityConfig(lam=0.1, rng_seed=1)
+    # 100k and 400k pairs
+    (peak_s, pool_s), (peak_l, pool_l) = (
+        _peak_and_pool_bytes(m, sub, cfg) for sub in (d.subset(np.arange(500)), d)
+    )
+    over_s, over_l = peak_s - pool_s, peak_l - pool_l
+    # a block's activations are about 15 MB at 16/8 hidden units; the rest is
+    # per-pair labels and probabilities, a small fraction of the pool
+    bound = model.PREDICT_BLOCK_ROWS * 1024
+    assert over_s < bound and over_l < bound, (over_s, over_l)
+    assert over_l - over_s < (pool_l - pool_s) / 4, (over_s, over_l)
