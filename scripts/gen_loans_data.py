@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from fairtrim.synthetic import make_loans_rows, write_loans
+from fairtrim.synthetic import write_loans
 
 
 def main() -> int:
@@ -27,9 +27,8 @@ def main() -> int:
 
     csv_path = Path(args.out)
     schema_path = csv_path.with_suffix(".schema.json")
-    write_loans(csv_path, schema_path, n=args.rows, seed=args.seed,
-                flip_rate=args.flip_rate)
-    _, _, flipped = make_loans_rows(args.rows, seed=args.seed, flip_rate=args.flip_rate)
+    flipped = write_loans(csv_path, schema_path, n=args.rows, seed=args.seed,
+                          flip_rate=args.flip_rate)
     print(f"wrote {args.rows} rows to {csv_path} (schema: {schema_path}), "
           f"{len(flipped)} labels flipped")
     if args.list_flipped:

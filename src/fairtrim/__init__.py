@@ -18,7 +18,7 @@ from .data import (
 )
 from .debias import DebiasConfig, DebiasReport, debias_data, drop_first, sort_dataset
 from .errors import FairtrimError
-from .experiment import ExperimentResult, GridSpec, emit_reports, run_grid
+from .experiment import ExperimentResult, GridSpec, emit_reports, run_grid, summarize_reports
 from .fairness import (
     SimilarityConfig,
     build_influence_set,
@@ -79,6 +79,7 @@ __all__ = [
     "sort_dataset",
     "split",
     "statistical_parity_difference",
+    "summarize_reports",
     "train",
     "__version__",
 ]

@@ -22,18 +22,15 @@ with ``AlreadyFair``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import load_dataset, load_schema
 from .debias import DebiasConfig, debias_data, sort_dataset
-from .errors import FairtrimError, MalformedReport
-from .experiment import GridSpec, derived_batch_sizes, emit_reports, run_grid
+from .errors import FairtrimError
+from .experiment import GridSpec, derived_batch_sizes, emit_reports, run_grid, summarize_reports
 from .fairness import SimilarityConfig, metrics_report
 from .influence import SolverConfig
 from .model import Hyperparameters, load_model, save_model, train
@@ -240,31 +237,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = Path(args.out_dir)
-    summary_path = out / "summary.json"
-    configs_path = out / "configs.csv"
-    if not summary_path.exists() or not configs_path.exists():
-        raise FileNotFoundError(f"no grid reports found under {out}")
-    with open(summary_path) as fh:
-        summary = json.load(fh)
-    if not (isinstance(summary, dict) and {"picks", "unfair_union"} <= summary.keys()):
-        raise MalformedReport(f"{summary_path} needs the fields picks and unfair_union")
-    by_technique: dict[str, list[float]] = {}
-    with open(configs_path, newline="") as fh:
-        rows = csv.DictReader(fh)
-        if not {"technique", "discrimination"} <= set(rows.fieldnames or ()):
-            raise MalformedReport(f"{configs_path} needs the columns technique and discrimination")
-        for row in rows:
-            by_technique.setdefault(row["technique"], []).append(
-                float(row["discrimination"])
-            )
-    _emit({
-        "picks": summary["picks"],
-        "unfair_union_size": len(summary["unfair_union"]),
-        "mean_discrimination": {
-            tech: float(np.mean(v)) for tech, v in sorted(by_technique.items())
-        },
-    })
+    _emit(summarize_reports(args.out_dir))
     return 0
 
 

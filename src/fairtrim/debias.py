@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -111,10 +112,11 @@ def sort_dataset(
 
 
 def removal_count(i: int, chunk_percent: float, n: int) -> int:
-    """Rows removed by chunk i of an n-row dataset (ceil of i*percent)."""
+    """Rows removed by chunk i of an n-row dataset: ceil(i * percent/100 * n),
+    in exact arithmetic (in floats, 7 * 1.0 / 100.0 * 100 is 7.000000000000001)."""
     if i < 0:
         raise RangeError(f"chunk index must be >= 0, got {i}")
-    return int(math.ceil(i * chunk_percent / 100.0 * n))
+    return math.ceil(Fraction(str(float(chunk_percent))) * i * n / 100)
 
 
 def drop_first(ranking: InfluenceRanking, d: Dataset, i: int, chunk_percent: float) -> Dataset:

@@ -10,11 +10,14 @@ Per grid config (hidden sizes x batch size x split permutation seed):
 ``full`` and ``ours`` are the models ``debias_data`` trained while removing
 rows, so each config trains them once.
 
-Phase two pools the unfair rows found across configs, filters them out of
-every test split, and scores accuracy and statistical parity for all three
-models per config on that shared debiased test set. Individual
-discrimination is measured on synthetic pools from each config's train
-split. Report files are byte-stable across reruns of the same spec.
+Phase one measures each model's individual discrimination on synthetic
+pools from the config's train split. Phase two pools the unfair rows found
+across configs, filters them out of every test split, scores accuracy and
+statistical parity on that shared debiased test set, and builds each
+config's record once. The metric names are the fields of TechniqueMetrics.
+
+``emit_reports`` writes the files named in ``REPORT_FILES``, byte-stable
+across reruns of the same spec; ``summarize_reports`` reads them back.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .data import Dataset, SplitSpec, drop_sensitive, split
 from .debias import DebiasConfig, debias_data
-from .errors import EmptyResult, RangeError
+from .errors import EmptyResult, MalformedReport, RangeError
 from .fairness import SimilarityConfig, accuracy, estimate_discrim, parity_or_none
 from .influence import SolverConfig
 from .model import Hyperparameters, mask_sensitive, train
@@ -110,6 +113,9 @@ class TechniqueMetrics:
     parity: float | None
 
 
+METRICS = tuple(f.name for f in fields(TechniqueMetrics))
+
+
 @dataclass(frozen=True)
 class ConfigRecord:
     config_id: str
@@ -180,14 +186,7 @@ class ExperimentResult:
 def _pick_view(r: ConfigRecord) -> dict:
     return {
         "config_id": r.config_id,
-        "metrics": {
-            tech: {
-                "discrimination": m.discrimination,
-                "accuracy": m.accuracy,
-                "parity": m.parity,
-            }
-            for tech, m in r.metrics.items()
-        },
+        "metrics": {tech: asdict(m) for tech, m in r.metrics.items()},
     }
 
 
@@ -220,14 +219,17 @@ def _enumerate_configs(d: Dataset, spec: GridSpec):
     ]
 
 
-def _phase_one(args):
-    """Train sr and debias one config.
+# DebiasReport fields a ConfigRecord carries under the same names
+_OUTCOME = ("removed_row_ids", "stop_index", "already_fair", "loop_exhausted")
 
-    Returns the config's record, with accuracy and parity still None, its
-    test split and its models by technique; full and ours are the report's
-    models from ``debias_data``.
+
+def _phase_one(args):
+    """Train sr and debias one config; full and ours are the report's models.
+
+    Returns the report's ``_OUTCOME`` fields, the train-split size, the test
+    split, the models and their discrimination by technique.
     """
-    d, spec, (index, config_id, h1, h2, bs, ps) = args
+    d, spec, (index, _, h1, h2, bs, ps) = args
     tr, te = split(d, SplitSpec(permutation_seed=ps, train_fraction=spec.train_fraction))
     hp = Hyperparameters(
         hidden1=h1, hidden2=h2, batch_size=bs,
@@ -249,29 +251,20 @@ def _phase_one(args):
         ),
     )
 
-    # final pools: call indices past anything the removal loop used
     models = {"full": report.full_model, "sr": sr, "ours": report.model}
-    metrics = {
-        tech: TechniqueMetrics(
-            discrimination=estimate_discrim(
-                models[tech], tr, sim, call_index=spec.max_chunks + 1 + j
-            ),
-            accuracy=None,
-            parity=None,
-        )
+    # final pools: call indices past anything the removal loop used
+    discrimination = {
+        tech: estimate_discrim(models[tech], tr, sim, call_index=spec.max_chunks + 1 + j)
         for j, tech in enumerate(TECHNIQUES)
     }
-    record = ConfigRecord(
-        config_id=config_id,
-        hidden1=h1, hidden2=h2, batch_size=bs, permutation_seed=ps,
-        train_rows=len(tr), test_rows=len(te), debiased_test_rows=None,
-        removed_row_ids=report.removed_row_ids,
-        stop_index=report.stop_index,
-        already_fair=report.already_fair,
-        loop_exhausted=report.loop_exhausted,
-        metrics=metrics,
-    )
-    return record, te, models
+    outcome = {name: getattr(report, name) for name in _OUTCOME}
+    return outcome, len(tr), te, models, discrimination
+
+
+def _technique_metrics(model, discrimination: float, dtest: Dataset | None) -> TechniqueMetrics:
+    if dtest is None:
+        return TechniqueMetrics(discrimination, None, None)
+    return TechniqueMetrics(discrimination, accuracy(model, dtest), parity_or_none(model, dtest))
 
 
 def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
@@ -283,67 +276,61 @@ def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
     else:
         results = [_phase_one(j) for j in jobs]
 
-    union = unfair_points_union([r.removed_row_ids for r, _, _ in results])
+    union = unfair_points_union([outcome["removed_row_ids"] for outcome, *_ in results])
 
     records = []
-    for record, test, models in results:
+    for config, (outcome, train_rows, test, models, discm) in zip(configs, results):
+        _, config_id, h1, h2, bs, ps = config
         dtest = debiased_test_set(test, union)
-        if dtest is not None:
-            record = replace(
-                record,
-                debiased_test_rows=len(dtest),
-                metrics={
-                    tech: replace(
-                        m,
-                        accuracy=accuracy(models[tech], dtest),
-                        parity=parity_or_none(models[tech], dtest),
-                    )
-                    for tech, m in record.metrics.items()
-                },
-            )
-        records.append(record)
+        records.append(ConfigRecord(
+            config_id=config_id, hidden1=h1, hidden2=h2, batch_size=bs, permutation_seed=ps,
+            train_rows=train_rows, test_rows=len(test),
+            debiased_test_rows=None if dtest is None else len(dtest),
+            metrics={t: _technique_metrics(models[t], discm[t], dtest) for t in TECHNIQUES},
+            **outcome,
+        ))
     return ExperimentResult(records=tuple(records), unfair_union=union)
 
 
 # --- report files -----------------------------------------------------------
 
+REPORT_FILES = {"configs": "configs.csv", "boxplot": "boxplot.csv", "summary": "summary.json"}
+
+_CONFIG_COLUMNS = (
+    "config_id", "hidden1", "hidden2", "batch_size", "permutation_seed",
+    "technique", *METRICS,
+    "train_rows", "test_rows", "debiased_test_rows",
+    "removed_count", "stop_index", "already_fair", "loop_exhausted",
+)
+
+
 def _cell(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, bool):
+        return str(int(v))
     if isinstance(v, float):
         return repr(v)  # shortest round-trip form keeps files byte-stable
     return str(v)
 
 
 def write_config_csv(result: ExperimentResult, path: str | Path) -> None:
-    """One row per (config, technique)."""
-    cols = (
-        "config_id", "hidden1", "hidden2", "batch_size", "permutation_seed",
-        "technique", "discrimination", "accuracy", "parity",
-        "train_rows", "test_rows", "debiased_test_rows",
-        "removed_count", "stop_index", "already_fair", "loop_exhausted",
-    )
+    """One row per (config, technique), each from one field mapping."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
+        w.writerow(_CONFIG_COLUMNS)
         for r in result.records:
+            config_fields = dict(asdict(r), removed_count=len(r.removed_row_ids))
             for tech in TECHNIQUES:
-                m = r.metrics[tech]
-                w.writerow([
-                    r.config_id, r.hidden1, r.hidden2, r.batch_size,
-                    r.permutation_seed, tech,
-                    _cell(m.discrimination), _cell(m.accuracy), _cell(m.parity),
-                    r.train_rows, r.test_rows, _cell(r.debiased_test_rows),
-                    len(r.removed_row_ids), r.stop_index,
-                    int(r.already_fair), int(r.loop_exhausted),
-                ])
+                row = dict(config_fields, technique=tech, **asdict(r.metrics[tech]))
+                w.writerow([_cell(row[c]) for c in _CONFIG_COLUMNS])
 
 
 def write_boxplot_csv(result: ExperimentResult, path: str | Path) -> None:
     """Five-number summaries per technique and metric across configs."""
     rows = []
     for tech in TECHNIQUES:
-        for metric in ("discrimination", "accuracy", "parity"):
+        for metric in METRICS:
             vals = [
                 getattr(r.metrics[tech], metric)
                 for r in result.records
@@ -372,12 +359,37 @@ def write_summary_json(result: ExperimentResult, path: str | Path) -> None:
 def emit_reports(result: ExperimentResult, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "configs": out / "configs.csv",
-        "boxplot": out / "boxplot.csv",
-        "summary": out / "summary.json",
-    }
+    paths = {key: out / name for key, name in REPORT_FILES.items()}
     write_config_csv(result, paths["configs"])
     write_boxplot_csv(result, paths["boxplot"])
     write_summary_json(result, paths["summary"])
     return {k: str(v) for k, v in paths.items()}
+
+
+def summarize_reports(out_dir: str | Path) -> dict:
+    """Picks, union size and mean discrimination per technique, read back
+    from the reports under ``out_dir``. Raises FileNotFoundError when a file
+    is missing and MalformedReport when one lacks a field this reads."""
+    out = Path(out_dir)
+    summary_path = out / REPORT_FILES["summary"]
+    configs_path = out / REPORT_FILES["configs"]
+    if not summary_path.exists() or not configs_path.exists():
+        raise FileNotFoundError(f"no grid reports found under {out}")
+    with open(summary_path) as fh:
+        summary = json.load(fh)
+    if not (isinstance(summary, dict) and {"picks", "unfair_union"} <= summary.keys()):
+        raise MalformedReport(f"{summary_path} needs the fields picks and unfair_union")
+    by_technique: dict[str, list[float]] = {}
+    with open(configs_path, newline="") as fh:
+        rows = csv.DictReader(fh)
+        if not {"technique", "discrimination"} <= set(rows.fieldnames or ()):
+            raise MalformedReport(f"{configs_path} needs the columns technique and discrimination")
+        for row in rows:
+            by_technique.setdefault(row["technique"], []).append(float(row["discrimination"]))
+    return {
+        "picks": summary["picks"],
+        "unfair_union_size": len(summary["unfair_union"]),
+        "mean_discrimination": {
+            tech: float(np.mean(v)) for tech, v in sorted(by_technique.items())
+        },
+    }

@@ -1,14 +1,9 @@
-"""Synthetic datasets: a 7-row toy fixture and a biased loans generator.
+"""Synthetic biased loans.
 
-The toy fixture is small enough to reason about by hand: approvals track
-income except that one high-income, high-wealth applicant from the
-disadvantaged group is denied (row 2). That single row is what a debiasing
-run is expected to find and remove.
-
-The large generator plants the same pathology at scale: labels follow a
-group-blind credit score, then a fixed fraction of positive-label rows in
-one group get flipped to denials. The flipped row ids are returned so tests
-can check recall-style properties.
+Labels follow a group-blind credit score, then a fixed fraction of
+positive-label rows in one group get flipped to denials. The flipped row ids
+are returned so tests can check recall-style properties. (The 7-row toy
+fixture with the same pathology is committed under ``tests/data``.)
 """
 
 from __future__ import annotations
@@ -20,35 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureSchema
-
-TOY_HEADER = ("income", "wealth", "race", "decision")
-TOY_ROWS = (
-    ("1.0", "0.1", "white", "approved"),
-    ("0.9", "0.7", "black", "denied"),
-    ("0.8", "0.3", "white", "approved"),
-    ("0.1", "0.7", "black", "denied"),
-    ("0.1", "0.5", "white", "denied"),
-    ("0.5", "0.9", "black", "denied"),
-    ("1.0", "0.8", "black", "approved"),
-)
-
-
-def toy_schema() -> FeatureSchema:
-    return FeatureSchema(
-        columns=(("income", "numeric"), ("wealth", "numeric"), ("race", "categorical")),
-        sensitive="race",
-        label="decision",
-        positive_label="approved",
-    )
-
-
-def write_toy_loans(csv_path: str | Path, schema_path: str | Path) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TOY_HEADER)
-        w.writerows(TOY_ROWS)
-    with open(schema_path, "w") as fh:
-        json.dump(toy_schema().to_json(), fh, indent=2)
 
 
 def loans_schema() -> FeatureSchema:

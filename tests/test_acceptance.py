@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from fairtrim.data import load_dataset, load_schema, drop_sensitive
+from fairtrim.data import load_dataset, drop_sensitive
 from fairtrim.debias import DebiasConfig, debias_data, drop_first, sort_dataset
 from fairtrim.experiment import GridSpec, emit_reports, run_grid
 from fairtrim.fairness import (
@@ -49,8 +49,6 @@ from fairtrim.model import (
 )
 from fairtrim.synthetic import loans_schema, write_loans
 
-DATA = Path(__file__).resolve().parent / "data"
-
 # pinned by scripts/scan_seeds.py: the one seed in 0..299 whose (16, 8) init
 # both discriminates heavily with the sensitive column and drops below 2%
 # without it, with a healthy (non-collapsed) retrain
@@ -66,11 +64,6 @@ LOO_FIXTURES = (
 
 def _pass(k: int, msg: str) -> None:
     print(f"criterion {k:02d}: PASS ({msg})")
-
-
-@pytest.fixture(scope="module")
-def toy():
-    return load_dataset(DATA / "loans.csv", load_schema(DATA / "loans.schema.json"))
 
 
 @pytest.fixture(scope="module")

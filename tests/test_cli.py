@@ -1,6 +1,7 @@
 """End-to-end coverage of every CLI subcommand and the error surface."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,21 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fairtrim
 from fairtrim.cli import main
-from fairtrim.data import load_dataset, load_schema
 from fairtrim.model import Model, load_model, param_count, save_model
-from fairtrim.synthetic import write_loans, write_toy_loans
-
-DATA = Path(__file__).resolve().parent / "data"
-FIXTURE = [str(DATA / "loans.csv"), "--schema", str(DATA / "loans.schema.json")]
-
-
-@pytest.fixture(scope="module")
-def toy_files(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("toy")
-    csv_path, schema_path = tmp / "toy.csv", tmp / "toy.schema.json"
-    write_toy_loans(csv_path, schema_path)
-    return str(csv_path), str(schema_path)
+from fairtrim.synthetic import write_loans
 
 
 @pytest.fixture(scope="module")
@@ -174,26 +164,27 @@ def test_rank_outputs(capsys, toy_files, tmp_path):
     assert set(obj["ranking_solve"]) == {"converged", "iterations", "residual_norm"}
 
 
-def test_rank_on_already_fair_model_is_domain_error(capsys, tmp_path):
+def test_rank_on_already_fair_model_is_domain_error(capsys, toy, toy_files, tmp_path):
     # all-zero weights predict one class everywhere, so no pair flips
-    d = load_dataset(DATA / "loans.csv", load_schema(DATA / "loans.schema.json"))
     save_model(
-        Model(d.width, 16, 8, theta=np.zeros(param_count(d.width, 16, 8))),
+        Model(toy.width, 16, 8, theta=np.zeros(param_count(toy.width, 16, 8))),
         tmp_path / "model.json",
     )
+    csv_path, schema_path = toy_files
     code, out, err = run(
         capsys,
-        ["rank", *FIXTURE, "--model", str(tmp_path / "model.json"),
+        ["rank", csv_path, "--schema", schema_path, "--model", str(tmp_path / "model.json"),
          "--out-dir", str(tmp_path)],
     )
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "AlreadyFair"
 
 
-def test_rank_and_debias_rank_the_same_way(capsys, tmp_path):
-    flags = ["--seed", "3", "--pool-multiplier", "20"]
-    run_json(capsys, ["rank", *FIXTURE, *flags, "--out-dir", str(tmp_path / "rank")])
-    run_json(capsys, ["debias", *FIXTURE, *flags, "--out-dir", str(tmp_path / "debias")])
+def test_rank_and_debias_rank_the_same_way(capsys, toy_files, tmp_path):
+    csv_path, schema_path = toy_files
+    flags = [csv_path, "--schema", schema_path, "--seed", "3", "--pool-multiplier", "20"]
+    run_json(capsys, ["rank", *flags, "--out-dir", str(tmp_path / "rank")])
+    run_json(capsys, ["debias", *flags, "--out-dir", str(tmp_path / "debias")])
     _, *rows = (tmp_path / "rank" / "ranking.csv").read_text().strip().splitlines()
     report = json.loads((tmp_path / "debias" / "debias_report.json").read_text())
     assert [int(r.split(",")[1]) for r in rows] == report["ranking_row_ids"]
@@ -284,10 +275,13 @@ def test_unknown_command_rejected():
 
 def test_module_invocation_subprocess(toy_files):
     csv_path, schema_path = toy_files
+    # the child finds the package where this process imported it from
+    src = str(Path(fairtrim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fairtrim.cli", "load-check", csv_path,
          "--schema", schema_path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"] == 7

@@ -26,15 +26,6 @@ from fairtrim.errors import (
     SchemaMismatch,
     SensitiveAbsent,
 )
-from fairtrim.synthetic import toy_schema, write_toy_loans
-
-
-@pytest.fixture()
-def toy(tmp_path):
-    csv_path = tmp_path / "loans.csv"
-    schema_path = tmp_path / "loans.schema.json"
-    write_toy_loans(csv_path, schema_path)
-    return load_dataset(csv_path, load_schema(schema_path))
 
 
 def write_csv(path, header, rows):
@@ -46,8 +37,8 @@ def write_csv(path, header, rows):
 
 # --- schema -----------------------------------------------------------------
 
-def test_schema_round_trip():
-    s = toy_schema()
+def test_schema_round_trip(toy_schema):
+    s = toy_schema
     assert FeatureSchema.from_json(s.to_json()) == s
 
 
@@ -93,79 +84,79 @@ def test_one_hot_blocks_sum_to_one(toy):
     np.testing.assert_allclose(block.sum(axis=1), 1.0)
 
 
-def test_header_order_is_flexible(tmp_path, toy):
+def test_header_order_is_flexible(tmp_path, toy_schema):
     write_csv(
         tmp_path / "r.csv",
         ("decision", "race", "wealth", "income"),
         [("approved", "white", "0.1", "1.0"), ("denied", "black", "0.7", "0.9")],
     )
-    d = load_dataset(tmp_path / "r.csv", toy_schema())
+    d = load_dataset(tmp_path / "r.csv", toy_schema)
     assert d.labels.tolist() == [1, 0]
     assert d.encoded[0, 0] == 1.0  # income still first feature column
 
 
-def test_missing_column_raises(tmp_path):
+def test_missing_column_raises(tmp_path, toy_schema):
     write_csv(tmp_path / "r.csv", ("income", "wealth", "decision"),
               [("1.0", "0.1", "approved")])
     with pytest.raises(SchemaMismatch):
-        load_dataset(tmp_path / "r.csv", toy_schema())
+        load_dataset(tmp_path / "r.csv", toy_schema)
 
 
-def test_extra_column_raises(tmp_path):
+def test_extra_column_raises(tmp_path, toy_schema):
     write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "zip", "decision"),
               [("1.0", "0.1", "white", "02139", "approved")])
     with pytest.raises(SchemaMismatch):
-        load_dataset(tmp_path / "r.csv", toy_schema())
+        load_dataset(tmp_path / "r.csv", toy_schema)
 
 
-def test_non_numeric_cell_raises(tmp_path):
+def test_non_numeric_cell_raises(tmp_path, toy_schema):
     write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "decision"),
               [("lots", "0.1", "white", "approved")])
     with pytest.raises(ParseError):
-        load_dataset(tmp_path / "r.csv", toy_schema())
+        load_dataset(tmp_path / "r.csv", toy_schema)
 
 
-def test_three_label_values_raise(tmp_path):
+def test_three_label_values_raise(tmp_path, toy_schema):
     write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "decision"),
               [("1", "1", "white", "approved"), ("2", "1", "black", "denied"),
                ("3", "1", "white", "deferred")])
     with pytest.raises(LabelError):
-        load_dataset(tmp_path / "r.csv", toy_schema())
+        load_dataset(tmp_path / "r.csv", toy_schema)
 
 
-def test_missing_positive_label_raises(tmp_path):
+def test_missing_positive_label_raises(tmp_path, toy_schema):
     write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "decision"),
               [("1", "1", "white", "denied"), ("2", "1", "black", "deferred")])
     with pytest.raises(LabelError):
-        load_dataset(tmp_path / "r.csv", toy_schema())
+        load_dataset(tmp_path / "r.csv", toy_schema)
 
 
-def test_empty_csv_raises(tmp_path):
+def test_empty_csv_raises(tmp_path, toy_schema):
     write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "decision"), [])
     with pytest.raises(EmptyDataset):
-        load_dataset(tmp_path / "r.csv", toy_schema())
+        load_dataset(tmp_path / "r.csv", toy_schema)
 
 
-def test_sensitive_with_three_values_raises(tmp_path):
+def test_sensitive_with_three_values_raises(tmp_path, toy_schema):
     write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "decision"),
               [("1", "1", "white", "approved"), ("2", "1", "black", "denied"),
                ("3", "1", "other", "denied")])
     with pytest.raises(SchemaMismatch):
-        load_dataset(tmp_path / "r.csv", toy_schema())
+        load_dataset(tmp_path / "r.csv", toy_schema)
 
 
-def test_constant_numeric_column_encodes_to_zero(tmp_path):
+def test_constant_numeric_column_encodes_to_zero(tmp_path, toy_schema):
     write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "decision"),
               [("5", "1", "white", "approved"), ("5", "2", "black", "denied")])
-    d = load_dataset(tmp_path / "r.csv", toy_schema())
+    d = load_dataset(tmp_path / "r.csv", toy_schema)
     assert d.encoded[:, 0].tolist() == [0.0, 0.0]
 
 
-def test_schema_file_round_trip(tmp_path):
+def test_schema_file_round_trip(tmp_path, toy_schema):
     p = tmp_path / "s.json"
     with open(p, "w") as fh:
-        json.dump(toy_schema().to_json(), fh)
-    assert load_schema(p) == toy_schema()
+        json.dump(toy_schema.to_json(), fh)
+    assert load_schema(p) == toy_schema
 
 
 # --- subsets and row ids ----------------------------------------------------
@@ -233,8 +224,7 @@ def test_split_rejects_bad_fraction():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), frac=st.floats(0.1, 0.9))
-def test_split_is_always_a_partition(seed, frac):
-    schema = toy_schema()
+def test_split_is_always_a_partition(toy_schema, seed, frac):
     rng = np.random.default_rng(0)
     n = 23
     header = ("income", "wealth", "race", "decision")
@@ -255,7 +245,7 @@ def test_split_is_always_a_partition(seed, frac):
         fh.write(buf.getvalue())
         path = fh.name
     try:
-        d = load_dataset(path, schema)
+        d = load_dataset(path, toy_schema)
     finally:
         os.unlink(path)
     tr, te = split(d, SplitSpec(seed, train_fraction=frac))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairtrim.data import load_dataset, load_schema
+from fairtrim.data import load_dataset
 from fairtrim.errors import EmptyResult, RangeError
 from fairtrim.experiment import (
     ExperimentResult,
@@ -18,6 +18,7 @@ from fairtrim.experiment import (
     emit_reports,
     nearest_power_of_two,
     run_grid,
+    summarize_reports,
     unfair_points_union,
 )
 from fairtrim.influence import SolverConfig
@@ -148,14 +149,12 @@ def test_picks_empty_raises():
         ExperimentResult(records=(), unfair_union=()).picks()
 
 
-def test_grid_records_no_parity_where_a_test_set_lacks_a_group(tmp_path):
+def test_grid_records_no_parity_where_a_test_set_lacks_a_group(toy, tmp_path):
     # 7-row fixture, 5/2 splits: permutation seed 1 puts two 'black' rows in
     # the test split, so parity there is undefined; seed 0 tests one of each
-    data = Path(__file__).resolve().parent / "data"
-    d = load_dataset(data / "loans.csv", load_schema(data / "loans.schema.json"))
     spec = dict(hidden1_choices=(6,), hidden2_choices=(3,), batch_sizes=(5,),
                 epochs=200, learning_rate=0.3, pool_multiplier=20)
-    result = run_grid(d, GridSpec(permutation_seeds=(0, 1), **spec))
+    result = run_grid(toy, GridSpec(permutation_seeds=(0, 1), **spec))
     both, one_group = result.records
     for tech in TECHNIQUES:
         assert both.metrics[tech].parity is not None
@@ -165,7 +164,7 @@ def test_grid_records_no_parity_where_a_test_set_lacks_a_group(tmp_path):
     assert picks["least_parity"]["config_id"] == both.config_id
     emit_reports(result, tmp_path)
 
-    alone = run_grid(d, GridSpec(permutation_seeds=(1,), **spec)).picks()
+    alone = run_grid(toy, GridSpec(permutation_seeds=(1,), **spec)).picks()
     assert alone["least_parity"] is None
     assert alone["highest_accuracy"]["config_id"] == one_group.config_id
 
@@ -244,3 +243,15 @@ def test_emit_reports_byte_identical_on_rerun(grid_result, tmp_path):
     b = emit_reports(grid_result, tmp_path / "b")
     for key in a:
         assert Path(a[key]).read_bytes() == Path(b[key]).read_bytes()
+
+
+def test_summarize_reports_reads_back_what_emit_reports_wrote(grid_result, tmp_path):
+    emit_reports(grid_result, tmp_path)
+    summary = summarize_reports(tmp_path)
+    assert summary["picks"] == grid_result.picks()
+    assert summary["unfair_union_size"] == len(grid_result.unfair_union)
+    assert summary["mean_discrimination"] == {
+        tech: float(np.mean([r.metrics[tech].discrimination for r in grid_result.records]))
+        for tech in TECHNIQUES
+    }
+    assert list(summary["mean_discrimination"]) == sorted(TECHNIQUES)

@@ -27,14 +27,7 @@ from fairtrim.model import (
     predict_proba,
     train,
 )
-from fairtrim.synthetic import loans_schema, toy_schema, write_loans, write_toy_loans
-
-
-@pytest.fixture(scope="module")
-def toy(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("toy")
-    write_toy_loans(tmp / "d.csv", tmp / "s.json")
-    return load_dataset(tmp / "d.csv", toy_schema())
+from fairtrim.synthetic import loans_schema, write_loans
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtrim.data import load_dataset
 from fairtrim.errors import DimensionMismatch, EmptyDataset, RangeError
 from fairtrim.model import (
     Hyperparameters,
@@ -32,7 +31,6 @@ from fairtrim.model import (
     save_model,
     train,
 )
-from fairtrim.synthetic import toy_schema, write_toy_loans
 
 
 def random_problem(seed, n=6, dim=5, h1=4, h2=3):
@@ -64,12 +62,6 @@ def fd_hvp(m, v, X, y, h=1e-5):
     gp = mean_grad(replace(m, theta=base + h * v), X, y)
     gm = mean_grad(replace(m, theta=base - h * v), X, y)
     return (gp - gm) / (2 * h)
-
-
-@pytest.fixture()
-def toy(tmp_path):
-    write_toy_loans(tmp_path / "d.csv", tmp_path / "s.json")
-    return load_dataset(tmp_path / "d.csv", toy_schema())
 
 
 # --- shapes and validation --------------------------------------------------
