@@ -332,6 +332,8 @@ class SplitSpec:
             raise RangeError(
                 f"train_fraction must lie strictly in (0, 1), got {self.train_fraction}"
             )
+        if self.permutation_seed < 0:
+            raise RangeError(f"permutation_seed must be >= 0, got {self.permutation_seed}")
 
 
 def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -13,17 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import takewhile
 
 from .data import Dataset
 from .errors import AlreadyFair, EmptyDataset, RangeError
 from .fairness import (
-    SimilarityConfig,
-    build_influence_set,
-    estimate_discrim,
-    flip_mask,
-    generate_similar_pairs,
+    SimilarityConfig, build_influence_set, estimate_discrim, generate_similar_pairs
 )
 from .influence import InfluenceRanking, SolverConfig, rank_by_influence
 from .model import Hyperparameters, Model, train
@@ -65,10 +60,16 @@ class DebiasReport:
     stop_index: int  # chunk index of the returned dataset
     removed_row_ids: tuple[int, ...]  # in ranking order
     ranking: InfluenceRanking | None
-    already_fair: bool = False
-    loop_exhausted: bool = False
     full_model: Model | None = None
     model: Model | None = None
+
+    @property
+    def already_fair(self) -> bool:  # the full model flipped no pair: nothing ranked
+        return self.ranking is None
+
+    @property
+    def loop_exhausted(self) -> bool:  # the last chunk still improved
+        return self.ranking is not None and len(self.trace) == self.stop_index + 1
 
     def to_json(self) -> dict:
         return {
@@ -119,6 +120,19 @@ def removal_count(i: int, chunk_percent: float, n: int) -> int:
     return math.ceil(Fraction(str(float(chunk_percent))) * i * n / 100)
 
 
+def chunk_schedule(n: int, chunk_percent: float, max_chunks: int) -> list[int]:
+    """Removal counts of chunks 0..max_chunks of an n-row dataset, cut before
+    the first count that would leave no row to train on."""
+    counts = (removal_count(i, chunk_percent, n) for i in range(max_chunks + 1))
+    return list(takewhile(lambda k: k < n, counts))
+
+
+def improved(discrimination: list[float]) -> bool:
+    """The stop rule: the last measurement is below every one before it."""
+    *before, last = discrimination
+    return all(last < x for x in before)
+
+
 def drop_first(ranking: InfluenceRanking, d: Dataset, i: int, chunk_percent: float) -> Dataset:
     """Remove chunk i: the first ceil(i * chunk_percent/100 * |d|) ranked rows."""
     k = removal_count(i, chunk_percent, len(d))
@@ -136,19 +150,20 @@ def debias_data(
 ) -> tuple[Dataset, DebiasReport]:
     """Iteratively remove ranked chunks until discrimination stops improving.
 
-    Chunk i keeps all but the top ceil(i * chunk_percent/100 * |d|) ranked
-    rows; a model is retrained on each candidate (a chunk that removes as
-    many rows as the one before reuses its subset and model) and its
-    discrimination measured on a fresh pool (or a frozen one when
-    cfg.freeze_pool). The first measurement that fails to improve on the
-    best seen ends the loop, returning the previous candidate. If the
-    initial model discriminates on no pair at all, ``d`` is returned
-    unchanged with already_fair set. The report carries the model trained on
+    ``chunk_schedule`` gives the removal count of each chunk; chunk i keeps
+    all but the top ceil(i * chunk_percent/100 * |d|) ranked rows and is
+    measured on pool ``call_index=i`` (pool 0 for every chunk when
+    cfg.freeze_pool). A model is trained per distinct removal count, since
+    an equal count removes the same rows. The loop ends at the first
+    measurement for which ``improved`` fails, or when the schedule runs out,
+    and returns the last chunk that improved. If the initial model
+    discriminates on no pair at all, ``d`` is returned unchanged and the
+    report is ``already_fair``. The report carries the model trained on
     ``d`` (``full_model``) and the one trained on the returned subset
     (``model``), so callers need not retrain.
 
     ``train_fn(subset) -> model`` and ``discrim_fn(model, chunk_index) ->
-    float`` default to real training and fresh-pool estimation; they exist so
+    float`` default to real training and pool estimation; they exist so
     the stopping logic can be driven in isolation.
     """
     if len(d) == 0:
@@ -156,53 +171,34 @@ def debias_data(
     if train_fn is None:
         train_fn = lambda subset: train(subset, cfg.hp)
     if discrim_fn is None:
-        if cfg.freeze_pool:
-            frozen = generate_similar_pairs(d, cfg.similarity, call_index=0)
-            discrim_fn = lambda model, _i: float(np.mean(flip_mask(model, frozen)))
-        else:
-            discrim_fn = lambda model, i: estimate_discrim(
-                model, d, cfg.similarity, call_index=i
-            )
+        discrim_fn = lambda model, i: estimate_discrim(
+            model, d, cfg.similarity, call_index=0 if cfg.freeze_pool else i
+        )
 
     full_model = train_fn(d)
-    kept, model, stop, exhausted = d, full_model, 0, False
-    trace = []
     try:
         ranking = sort_dataset(d, full_model, cfg.similarity, cfg.solver)
     except AlreadyFair:
-        ranking = None
-    else:
-        least = math.inf
-        candidate, candidate_model, candidate_k = d, full_model, 0
-        for i in range(cfg.max_chunks + 1):
-            k = removal_count(i, cfg.chunk_percent, len(d))
-            if k >= len(d):  # would leave nothing to train on
-                exhausted = True
-                break
-            # an unchanged k keeps the same rows, and training is deterministic
-            if k != candidate_k:
-                candidate = drop_first(ranking, d, i, cfg.chunk_percent)
-                candidate_model = train_fn(candidate)
-                candidate_k = k
-            discm = float(discrim_fn(candidate_model, i))
-            trace.append(ChunkMeasurement(i, k, discm))
-            if discm >= least:
-                break
-            least = discm
-            kept, model, stop = candidate, candidate_model, i
-        else:  # strict improvement all the way to max_chunks
-            exhausted = True
+        return d, DebiasReport((), 0, (), None, full_model=full_model, model=full_model)
 
-    return kept, DebiasReport(
+    models = {0: full_model}  # by removal count: training is deterministic
+
+    def train_and_measure(i: int, k: int) -> ChunkMeasurement:
+        if k not in models:
+            models[k] = train_fn(drop_first(ranking, d, i, cfg.chunk_percent))
+        return ChunkMeasurement(i, k, float(discrim_fn(models[k], i)))
+
+    trace = []
+    for i, k in enumerate(chunk_schedule(len(d), cfg.chunk_percent, cfg.max_chunks)):
+        trace.append(train_and_measure(i, k))
+        if not improved([t.discrimination for t in trace]):
+            break
+    stop = trace[-1] if improved([t.discrimination for t in trace]) else trace[-2]
+    return drop_first(ranking, d, stop.chunk_index, cfg.chunk_percent), DebiasReport(
         trace=tuple(trace),
-        stop_index=stop,
-        removed_row_ids=(
-            () if ranking is None
-            else ranking.row_ids[: removal_count(stop, cfg.chunk_percent, len(d))]
-        ),
+        stop_index=stop.chunk_index,
+        removed_row_ids=ranking.row_ids[: stop.rows_removed],
         ranking=ranking,
-        already_fair=ranking is None,
-        loop_exhausted=exhausted,
         full_model=full_model,
-        model=model,
+        model=models[stop.rows_removed],
     )

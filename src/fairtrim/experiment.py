@@ -92,6 +92,8 @@ class GridSpec:
             raise RangeError("grid axes must be non-empty")
         if self.workers < 1:
             raise RangeError("workers must be >= 1")
+        if self.base_seed < 0:
+            raise RangeError(f"base_seed must be >= 0, got {self.base_seed}")
 
     @classmethod
     def full_scale(cls, **overrides) -> "GridSpec":
@@ -219,7 +221,7 @@ def _enumerate_configs(d: Dataset, spec: GridSpec):
     ]
 
 
-# DebiasReport fields a ConfigRecord carries under the same names
+# DebiasReport attributes a ConfigRecord carries under the same names
 _OUTCOME = ("removed_row_ids", "stop_index", "already_fair", "loop_exhausted")
 
 

@@ -55,6 +55,8 @@ class SimilarityConfig:
             raise RangeError(f"lam must lie in [0, 1], got {self.lam}")
         if self.pool_multiplier < 1:
             raise RangeError("pool_multiplier must be >= 1")
+        if self.rng_seed < 0:
+            raise RangeError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @property
     def companions(self) -> int:

@@ -55,10 +55,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method != CG:
             raise RangeError(f"unknown solver method {self.method!r}")
-        if not self.damping > 0:
-            raise RangeError("damping must be > 0")
-        if self.cg_tol <= 0 or self.cg_max_iter < 1:
-            raise RangeError("cg_tol must be > 0 and cg_max_iter >= 1")
+        if not (self.damping > 0 and np.isfinite(self.damping)):
+            raise RangeError(f"damping must be positive and finite, got {self.damping}")
+        if not (self.cg_tol > 0 and np.isfinite(self.cg_tol)):
+            raise RangeError(f"cg_tol must be positive and finite, got {self.cg_tol}")
+        if self.cg_max_iter < 1:
+            raise RangeError("cg_max_iter must be >= 1")
 
 
 @dataclass(frozen=True)

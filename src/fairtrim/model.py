@@ -50,6 +50,8 @@ class Hyperparameters:
             raise RangeError("epochs must be >= 0")
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise RangeError("learning_rate must be positive and finite")
+        if self.weight_init_seed < 0:
+            raise RangeError(f"weight_init_seed must be >= 0, got {self.weight_init_seed}")
 
 
 def param_count(input_dim: int, hidden1: int, hidden2: int) -> int:

@@ -107,6 +107,16 @@ def test_bad_flag_value_is_domain_error(capsys, toy_files):
     assert json.loads(err)["error"] == "RangeError"
 
 
+def test_negative_seed_is_domain_error(capsys, toy_files, tmp_path):
+    csv_path, schema_path = toy_files
+    code, _, err = run(
+        capsys,
+        ["train", csv_path, "--schema", schema_path, "--seed", "-1", "--out-dir", str(tmp_path)],
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "RangeError"
+
+
 def test_train_writes_model(capsys, toy_files, tmp_path):
     csv_path, schema_path = toy_files
     obj = run_json(
@@ -273,15 +283,30 @@ def test_unknown_command_rejected():
     assert exc.value.code == 2
 
 
-def test_module_invocation_subprocess(toy_files):
-    csv_path, schema_path = toy_files
-    # the child finds the package where this process imported it from
+def run_child(argv):
+    """Run ``argv`` under this interpreter; the child finds the package where
+    this process imported it from."""
     src = str(Path(fairtrim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairtrim.cli", "load-check", csv_path,
-         "--schema", schema_path],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_invocation_subprocess(toy_files):
+    csv_path, schema_path = toy_files
+    proc = run_child(["-m", "fairtrim.cli", "load-check", csv_path, "--schema", schema_path])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"] == 7
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+# importing a script checks every fairtrim name it uses, which no other test runs
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_script_help_runs(script):
+    proc = run_child([str(SCRIPTS / script), "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fairtrim.debias import (
     DebiasConfig,
+    chunk_schedule,
     debias_data,
     drop_first,
     removal_count,
@@ -65,6 +66,8 @@ def run_stubbed(toy, trained, sequence, chunk_percent=1.0, max_chunks=100):
     out, report = debias_data(
         toy, stub_cfg(chunk_percent, max_chunks), train_fn=train_fn, discrim_fn=discrim_fn
     )
+    assert report.loop_exhausted == (len(report.trace) == report.stop_index + 1)
+    assert report.already_fair == (report.ranking is None)
     return out, report, calls
 
 
@@ -102,6 +105,13 @@ def test_removal_count_matches_exact_arithmetic(i, halves, n):
     assert removal_count(i, halves / 2, n) == math.ceil(Fraction(halves, 200) * i * n)
 
 
+def test_chunk_schedule_stops_before_emptying_and_at_max_chunks():
+    assert chunk_schedule(7, 100.0, 100) == [0]  # chunk 1 would remove all 7 rows
+    assert chunk_schedule(7, 15.0, 100) == [0, 2, 3, 4, 5, 6]  # chunk 6 removes 7
+    assert chunk_schedule(700, 1.0, 3) == [0, 7, 14, 21]
+    assert chunk_schedule(7, 1.0, 3) == [0, 1, 1, 1]
+
+
 def test_drop_first_prefix_semantics(toy, trained):
     ranking = sort_dataset(
         toy, trained, SimilarityConfig(lam=0.0, pool_multiplier=10, rng_seed=0), SolverConfig()
@@ -127,6 +137,19 @@ def test_sort_dataset_already_fair_raises(toy):
 
 
 # --- scripted loop behaviour --------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seq=st.lists(st.floats(allow_nan=False), min_size=2, max_size=12))
+def test_stop_index_ends_the_strictly_decreasing_prefix(toy, trained, seq):
+    end = 0
+    while end + 1 < len(seq) and seq[end + 1] < seq[end]:
+        end += 1
+    # 1 % of 7 rows: every chunk up to max_chunks leaves rows to train on
+    _, report, _ = run_stubbed(toy, trained, seq, max_chunks=len(seq) - 1)
+    assert report.stop_index == end
+    assert [t.discrimination for t in report.trace] == seq[: end + 2]
+    assert report.loop_exhausted == (end == len(seq) - 1)
+
 
 def test_loop_stops_at_first_non_improvement(toy, trained):
     # improving at 1 and 2, flat at 3 -> returns the chunk-2 subset

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairtrim.data import load_dataset
+from fairtrim.data import SplitSpec, load_dataset
 from fairtrim.errors import EmptyResult, RangeError
 from fairtrim.experiment import (
     ExperimentResult,
@@ -21,7 +21,9 @@ from fairtrim.experiment import (
     summarize_reports,
     unfair_points_union,
 )
+from fairtrim.fairness import SimilarityConfig
 from fairtrim.influence import SolverConfig
+from fairtrim.model import Hyperparameters
 from fairtrim.synthetic import loans_schema, write_loans
 
 
@@ -174,6 +176,19 @@ def test_grid_spec_validation():
         GridSpec(hidden1_choices=())
     with pytest.raises(RangeError):
         GridSpec(workers=0)
+
+
+# every seed reaches numpy's SeedSequence, which takes only non-negative ints
+@pytest.mark.parametrize("make", [
+    lambda seed: Hyperparameters(4, 2, 7, weight_init_seed=seed),
+    lambda seed: SimilarityConfig(rng_seed=seed),
+    lambda seed: SplitSpec(permutation_seed=seed),
+    lambda seed: GridSpec(base_seed=seed),
+], ids=["weight_init_seed", "rng_seed", "permutation_seed", "base_seed"])
+def test_negative_seed_is_range_error(make):
+    make(0)
+    with pytest.raises(RangeError):
+        make(-1)
 
 
 def test_full_scale_spec_dimensions():

@@ -115,6 +115,15 @@ def test_solver_config_needs_positive_damping_and_cg():
         SolverConfig(method="lissa")
 
 
+@pytest.mark.parametrize("field", ["damping", "cg_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_solver_config_rejects_non_finite(field, value):
+    # a nan tolerance never converges, an infinite one converges at once,
+    # and infinite damping scores every row zero
+    with pytest.raises(RangeError):
+        SolverConfig(**{field: value})
+
+
 def test_ranking_solve_converges_where_damped_hessian_is_indefinite(tmp_path):
     write_loans(tmp_path / "l.csv", tmp_path / "l.json", n=60, seed=0, flip_rate=0.45)
     d = load_dataset(tmp_path / "l.csv", loans_schema())
