@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .data import load_dataset, load_schema
 from .debias import DebiasConfig, debias_data, sort_dataset
-from .errors import FairtrimError
+from .errors import FairtrimError, RangeError
 from .experiment import GridSpec, derived_batch_sizes, emit_reports, run_grid, summarize_reports
 from .fairness import SimilarityConfig, metrics_report
 from .influence import SolverConfig
@@ -84,8 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _batch_size(args) -> int | None:
+    """--batch-size, or None for 0, which asks for a size derived from the rows."""
+    if args.batch_size < 0:
+        raise RangeError(f"--batch-size must be >= 0 (0 derives one), got {args.batch_size}")
+    return args.batch_size or None
+
+
 def _hp(args, n_rows: int) -> Hyperparameters:
-    bs = args.batch_size if args.batch_size > 0 else derived_batch_sizes(n_rows)[0]
+    bs = _batch_size(args) or derived_batch_sizes(n_rows)[0]
     return Hyperparameters(
         hidden1=args.hidden1, hidden2=args.hidden2, batch_size=bs,
         epochs=args.epochs, learning_rate=args.lr, weight_init_seed=args.seed,
@@ -211,10 +218,11 @@ def cmd_debias(args) -> int:
 
 def cmd_grid(args) -> int:
     d = _load(args)
+    bs = _batch_size(args)
     spec = GridSpec(
         hidden1_choices=(args.hidden1,),
         hidden2_choices=(args.hidden2,),
-        batch_sizes=(args.batch_size,) if args.batch_size > 0 else None,
+        batch_sizes=None if bs is None else (bs,),
         epochs=args.epochs,
         learning_rate=args.lr,
         lam=args.lam,

@@ -5,23 +5,28 @@ the training rows by how much they raise loss on those pairs, then peel off
 chunks of the most harmful rows (retraining each time) until discrimination
 stops improving. The loop returns the best dataset seen, i.e. the subset one
 chunk *before* the first non-improving measurement.
+
+``debias_group`` runs that loop for several datasets of one shape at once,
+training their models together in stacked ``train_many`` calls;
+``debias_data`` is its one-member case.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 
 from .data import Dataset
-from .errors import AlreadyFair, EmptyDataset, RangeError
+from .errors import AlreadyFair, DimensionMismatch, EmptyDataset, RangeError
 from .fairness import (
     SimilarityConfig, build_influence_set, estimate_discrim, generate_similar_pairs
 )
 from .influence import InfluenceRanking, SolverConfig, rank_by_influence
-from .model import Hyperparameters, Model, train
+from .model import Hyperparameters, Model, train_many
 
 
 @dataclass(frozen=True)
@@ -162,43 +167,89 @@ def debias_data(
     ``d`` (``full_model``) and the one trained on the returned subset
     (``model``), so callers need not retrain.
 
-    ``train_fn(subset) -> model`` and ``discrim_fn(model, chunk_index) ->
-    float`` default to real training and pool estimation; they exist so
-    the stopping logic can be driven in isolation.
+    This is ``debias_group`` of one member. ``train_fn(subset) -> model``
+    and ``discrim_fn(model, chunk_index) -> float`` default to real training
+    and pool estimation; they exist so the stopping logic can be driven in
+    isolation.
     """
-    if len(d) == 0:
+    [result] = debias_group(
+        [(d, cfg)],
+        train_fn=None if train_fn is None else lambda subsets: [train_fn(s) for s in subsets],
+        discrim_fn=None if discrim_fn is None else lambda j, model, i: discrim_fn(model, i),
+    )
+    return result
+
+
+def debias_group(
+    members: Sequence[tuple[Dataset, DebiasConfig]],
+    train_fn=None,
+    discrim_fn=None,
+) -> list[tuple[Dataset, DebiasReport]]:
+    """Run the removal loop of ``debias_data`` on several members at once.
+
+    Each (dataset, config) member has its own pools, ranking, trace and stop,
+    and its result is the one ``debias_data`` gives it alone. The members
+    share the row count, ``hp``, ``chunk_percent`` and ``max_chunks``, so
+    chunk i removes the same number of rows k from each: the full models,
+    and at each chunk the models of every running member whose k is new,
+    are trained together in one ``train_many`` call. A member leaves the
+    group at its stop, or at once when it is already fair.
+
+    ``train_fn(subsets) -> models`` and ``discrim_fn(member, model,
+    chunk_index) -> float`` replace the training and the measurement.
+    """
+    if not members or any(len(d) == 0 for d, _ in members):
         raise EmptyDataset("cannot debias an empty dataset")
-    if train_fn is None:
-        train_fn = lambda subset: train(subset, cfg.hp)
-    if discrim_fn is None:
-        discrim_fn = lambda model, i: estimate_discrim(
-            model, d, cfg.similarity, call_index=0 if cfg.freeze_pool else i
+    n, cfg = len(members[0][0]), members[0][1]
+    shared = (n, cfg.hp, cfg.chunk_percent, cfg.max_chunks)
+    if any((len(d), c.hp, c.chunk_percent, c.max_chunks) != shared for d, c in members):
+        raise DimensionMismatch(
+            "a removal group's members must share row count, hp, chunk_percent and max_chunks"
         )
+    if train_fn is None:
+        train_fn = lambda subsets: train_many(subsets, cfg.hp)
+    if discrim_fn is None:
+        def discrim_fn(j: int, model: Model, i: int) -> float:
+            d, c = members[j]
+            return estimate_discrim(model, d, c.similarity, call_index=0 if c.freeze_pool else i)
 
-    full_model = train_fn(d)
-    try:
-        ranking = sort_dataset(d, full_model, cfg.similarity, cfg.solver)
-    except AlreadyFair:
-        return d, DebiasReport((), 0, (), None, full_model=full_model, model=full_model)
-
-    models = {0: full_model}  # by removal count: training is deterministic
-
-    def train_and_measure(i: int, k: int) -> ChunkMeasurement:
-        if k not in models:
-            models[k] = train_fn(drop_first(ranking, d, i, cfg.chunk_percent))
-        return ChunkMeasurement(i, k, float(discrim_fn(models[k], i)))
-
-    trace = []
-    for i, k in enumerate(chunk_schedule(len(d), cfg.chunk_percent, cfg.max_chunks)):
-        trace.append(train_and_measure(i, k))
-        if not improved([t.discrimination for t in trace]):
+    full_models = train_fn([d for d, _ in members])
+    rankings = []
+    for (d, c), full_model in zip(members, full_models):
+        try:
+            rankings.append(sort_dataset(d, full_model, c.similarity, c.solver))
+        except AlreadyFair:
+            rankings.append(None)
+    models = [{0: m} for m in full_models]  # by removal count: training is deterministic
+    traces = [[] for _ in members]
+    running = [j for j, ranking in enumerate(rankings) if ranking is not None]
+    for i, k in enumerate(chunk_schedule(n, cfg.chunk_percent, cfg.max_chunks)):
+        if not running:
             break
+        fresh = [j for j in running if k not in models[j]]
+        if fresh:
+            subsets = [drop_first(rankings[j], members[j][0], i, cfg.chunk_percent) for j in fresh]
+            for j, m in zip(fresh, train_fn(subsets)):
+                models[j][k] = m
+        for j in running:
+            traces[j].append(ChunkMeasurement(i, k, float(discrim_fn(j, models[j][k], i))))
+        running = [j for j in running if improved([t.discrimination for t in traces[j]])]
+    return [
+        _result(d, c.chunk_percent, ranking, trace, by_k)
+        for (d, c), ranking, trace, by_k in zip(members, rankings, traces, models)
+    ]
+
+
+def _result(d, chunk_percent, ranking, trace, models) -> tuple[Dataset, DebiasReport]:
+    """One member's returned subset and report, read off its trace."""
+    if ranking is None:
+        return d, DebiasReport((), 0, (), None, full_model=models[0], model=models[0])
     stop = trace[-1] if improved([t.discrimination for t in trace]) else trace[-2]
-    return drop_first(ranking, d, stop.chunk_index, cfg.chunk_percent), DebiasReport(
+    return drop_first(ranking, d, stop.chunk_index, chunk_percent), DebiasReport(
         trace=tuple(trace),
         stop_index=stop.chunk_index,
         removed_row_ids=ranking.row_ids[: stop.rows_removed],
         ranking=ranking,
-        full_model=full_model,
+        full_model=models[0],
         model=models[stop.rows_removed],
     )

@@ -7,8 +7,15 @@ Per grid config (hidden sizes x batch size x split permutation seed):
             feature mask so it lives in the original space;
 * ``ours``: trained on the debiased train split (influence-ranked removal).
 
-``full`` and ``ours`` are the models ``debias_data`` trained while removing
+``full`` and ``ours`` are the models the removal loop trained while removing
 rows, so each config trains them once.
+
+Configs run in shape groups: the configs that differ only in permutation
+seed share hidden sizes, batch size, train-split size and the weight seed,
+so their trainings take the same steps. Each group trains its ``sr`` models in one
+``train_many`` call and debiases its configs in one ``debias_group`` loop,
+which trains the members' ``full`` and chunk models together. ``workers``
+spreads groups, not configs, over processes.
 
 Phase one measures each model's individual discrimination on synthetic
 pools from the config's train split. Phase two pools the unfair rows found
@@ -27,17 +34,17 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, SplitSpec, drop_sensitive, split
-from .debias import DebiasConfig, debias_data
+from .debias import DebiasConfig, debias_group
 from .errors import EmptyResult, MalformedReport, RangeError
 from .fairness import SimilarityConfig, accuracy, estimate_discrim, parity_or_none
 from .influence import SolverConfig
-from .model import Hyperparameters, mask_sensitive, train
+from .model import Hyperparameters, mask_sensitive, train_many
 
 TECHNIQUES = ("full", "sr", "ours")
 
@@ -90,6 +97,10 @@ class GridSpec:
     def __post_init__(self):
         if not (self.hidden1_choices and self.hidden2_choices and self.permutation_seeds):
             raise RangeError("grid axes must be non-empty")
+        for name in ("hidden1_choices", "hidden2_choices", "batch_sizes", "permutation_seeds"):
+            values = getattr(self, name) or ()
+            if len(set(values)) != len(values):
+                raise RangeError(f"{name} repeats a value: {values}")
         if self.workers < 1:
             raise RangeError("workers must be >= 1")
         if self.base_seed < 0:
@@ -226,41 +237,54 @@ _OUTCOME = ("removed_row_ids", "stop_index", "already_fair", "loop_exhausted")
 
 
 def _phase_one(args):
-    """Train sr and debias one config; full and ours are the report's models.
+    """Train sr and debias one shape group; full and ours are the reports' models.
 
-    Returns the report's ``_OUTCOME`` fields, the train-split size, the test
-    split, the models and their discrimination by technique.
+    The group's configs share hidden sizes and batch size, so one stacked
+    training gives every sr model and one removal loop debiases them all.
+    Returns, per config in the group's order, the report's ``_OUTCOME``
+    fields, the train-split size, the test split, the models and their
+    discrimination by technique.
     """
-    d, spec, (index, _, h1, h2, bs, ps) = args
-    tr, te = split(d, SplitSpec(permutation_seed=ps, train_fraction=spec.train_fraction))
+    d, spec, group = args
+    _, _, h1, h2, bs, _ = group[0]
     hp = Hyperparameters(
         hidden1=h1, hidden2=h2, batch_size=bs,
         epochs=spec.epochs, learning_rate=spec.learning_rate,
         weight_init_seed=spec.base_seed,
     )
-    sim = SimilarityConfig(
-        lam=spec.lam,
-        pool_multiplier=spec.pool_multiplier,
-        rng_seed=_config_seed(spec.base_seed, index),
-    )
-    sr = mask_sensitive(train(drop_sensitive(tr), hp), tr)
-    _, report = debias_data(
-        tr,
-        DebiasConfig(
+    splits = [
+        split(d, SplitSpec(permutation_seed=ps, train_fraction=spec.train_fraction))
+        for *_, ps in group
+    ]
+    sims = [
+        SimilarityConfig(
+            lam=spec.lam,
+            pool_multiplier=spec.pool_multiplier,
+            rng_seed=_config_seed(spec.base_seed, index),
+        )
+        for index, *_ in group
+    ]
+    srs = train_many([drop_sensitive(tr) for tr, _ in splits], hp)
+    reports = debias_group([
+        (tr, DebiasConfig(
             similarity=sim, hp=hp, solver=spec.solver,
             chunk_percent=spec.chunk_percent, max_chunks=spec.max_chunks,
             freeze_pool=spec.freeze_pool,
-        ),
-    )
+        ))
+        for (tr, _), sim in zip(splits, sims)
+    ])
 
-    models = {"full": report.full_model, "sr": sr, "ours": report.model}
-    # final pools: call indices past anything the removal loop used
-    discrimination = {
-        tech: estimate_discrim(models[tech], tr, sim, call_index=spec.max_chunks + 1 + j)
-        for j, tech in enumerate(TECHNIQUES)
-    }
-    outcome = {name: getattr(report, name) for name in _OUTCOME}
-    return outcome, len(tr), te, models, discrimination
+    out = []
+    for (tr, te), sim, sr, (_, report) in zip(splits, sims, srs, reports):
+        models = {"full": report.full_model, "sr": mask_sensitive(sr, tr), "ours": report.model}
+        # final pools: call indices past anything the removal loop used
+        discrimination = {
+            tech: estimate_discrim(models[tech], tr, sim, call_index=spec.max_chunks + 1 + j)
+            for j, tech in enumerate(TECHNIQUES)
+        }
+        outcome = {name: getattr(report, name) for name in _OUTCOME}
+        out.append((outcome, len(tr), te, models, discrimination))
+    return out
 
 
 def _technique_metrics(model, discrimination: float, dtest: Dataset | None) -> TechniqueMetrics:
@@ -271,12 +295,15 @@ def _technique_metrics(model, discrimination: float, dtest: Dataset | None) -> T
 
 def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
     configs = _enumerate_configs(d, spec)
-    jobs = [(d, spec, c) for c in configs]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_phase_one, jobs))
+    # the seed is the innermost axis, so each shape's configs are consecutive
+    jobs = [(d, spec, list(group)) for _, group in groupby(configs, key=lambda c: c[2:5])]
+    workers = min(spec.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            grouped = list(pool.map(_phase_one, jobs))
     else:
-        results = [_phase_one(j) for j in jobs]
+        grouped = [_phase_one(j) for j in jobs]
+    results = [r for group in grouped for r in group]  # config order
 
     union = unfair_points_union([outcome["removed_row_ids"] for outcome, *_ in results])
 

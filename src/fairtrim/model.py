@@ -5,6 +5,13 @@ Determinism contract: the parameter vector after training is a pure function
 of (dataset bytes, hyperparameters); both the init stream and the per-epoch
 shuffle stream are derived from ``weight_init_seed``.
 
+There is one training loop, ``train_many``: it trains P models whose
+datasets share row count and width as one (P, n_params) stack, since their
+init, shuffle and batch boundaries are the same and only the rows differ.
+Each step is one stacked forward pass, one backward pass and one in-place
+update, so numpy's per-call cost is paid once for all P members, and each
+member is bitwise what training it alone gives. ``train`` is P = 1.
+
 The Hessian-vector product uses the forward-over-reverse (Pearlmutter)
 construction and never materializes the Hessian. Gradients, HVPs and the
 logit-gap Jacobian are checked against central finite differences in the
@@ -14,6 +21,8 @@ test suite.
 from __future__ import annotations
 
 import json
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,6 +51,9 @@ class Hyperparameters:
     weight_init_seed: int = 0
 
     def __post_init__(self):
+        for name in ("hidden1", "hidden2", "batch_size", "epochs", "weight_init_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise RangeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.hidden1 < 1 or self.hidden2 < 1:
             raise RangeError("hidden layer sizes must be >= 1")
         if self.batch_size < 1:
@@ -63,14 +75,19 @@ def param_count(input_dim: int, hidden1: int, hidden2: int) -> int:
 
 
 def _unpack(theta: np.ndarray, d: int, h1: int, h2: int):
-    """Views into the flat parameter vector, layout W1,b1,W2,b2,W3,b3."""
+    """Views into the flat parameter vector, layout W1,b1,W2,b2,W3,b3.
+
+    A stack of vectors, shape (P, n_params), gives stacked views: W1 is then
+    (P, d, h1) and b1 (P, h1), one slice per member.
+    """
+    lead = theta.shape[:-1]
     o = 0
-    W1 = theta[o : o + d * h1].reshape(d, h1); o += d * h1
-    b1 = theta[o : o + h1]; o += h1
-    W2 = theta[o : o + h1 * h2].reshape(h1, h2); o += h1 * h2
-    b2 = theta[o : o + h2]; o += h2
-    W3 = theta[o : o + h2 * N_CLASSES].reshape(h2, N_CLASSES); o += h2 * N_CLASSES
-    b3 = theta[o : o + N_CLASSES]
+    W1 = theta[..., o : o + d * h1].reshape(*lead, d, h1); o += d * h1
+    b1 = theta[..., o : o + h1]; o += h1
+    W2 = theta[..., o : o + h1 * h2].reshape(*lead, h1, h2); o += h1 * h2
+    b2 = theta[..., o : o + h2]; o += h2
+    W3 = theta[..., o : o + h2 * N_CLASSES].reshape(*lead, h2, N_CLASSES); o += h2 * N_CLASSES
+    b3 = theta[..., o : o + N_CLASSES]
     return W1, b1, W2, b2, W3, b3
 
 
@@ -144,15 +161,20 @@ def _check_features(m, X: np.ndarray) -> np.ndarray:
 
 # --- forward / loss ---------------------------------------------------------
 
-def _forward(theta, d, h1, h2, X):
-    W1, b1, W2, b2, W3, b3 = _unpack(theta, d, h1, h2)
-    z1 = X @ W1 + b1
+def _forward(params, X):
+    """Activations a1, a2 and class log-probabilities of the rows of X.
+
+    ``params`` are ``_unpack`` views; with stacked views X is (P, rows, d)
+    and every output gains the same leading axis.
+    """
+    W1, b1, W2, b2, W3, b3 = params
+    z1 = X @ W1 + b1[..., None, :]
     a1 = np.tanh(z1)
-    z2 = a1 @ W2 + b2
+    z2 = a1 @ W2 + b2[..., None, :]
     a2 = np.tanh(z2)
-    z3 = a2 @ W3 + b3
-    shift = z3 - z3.max(axis=1, keepdims=True)
-    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    z3 = a2 @ W3 + b3[..., None, :]
+    shift = z3 - z3.max(axis=-1, keepdims=True)
+    logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
     return a1, a2, logp
 
 
@@ -165,7 +187,7 @@ def predict_proba(m, X: np.ndarray) -> np.ndarray:
         block = X[start : start + PREDICT_BLOCK_ROWS]
         if keep is not None:
             block = block[:, keep]
-        _, _, logp = _forward(inner.theta, inner.input_dim, inner.hidden1, inner.hidden2, block)
+        _, _, logp = _forward(inner.unpack(), block)
         np.exp(logp, out=p[start : start + PREDICT_BLOCK_ROWS])
     return p
 
@@ -191,7 +213,7 @@ def _batch(m: Model, X: np.ndarray, y: np.ndarray | None = None):
 def mean_loss(m: Model, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of the batch."""
     X, y = _batch(m, X, y)
-    _, _, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
+    _, _, logp = _forward(m.unpack(), X)
     return float(-logp[np.arange(X.shape[0]), y].mean())
 
 
@@ -200,35 +222,42 @@ def mean_loss(m: Model, X: np.ndarray, y: np.ndarray) -> float:
 def _loss_delta(logp, y):
     """Gradient of each row's cross-entropy in its logits: p - onehot(y)."""
     dz3 = np.exp(logp)
-    dz3[np.arange(y.size), y] -= 1.0
+    dz3[y[..., None] == np.arange(N_CLASSES)] -= 1.0
     return dz3
 
 
 def _hidden_deltas(dz3, a1, a2, W2, W3):
     """Backpropagate the logit delta through both tanh layers: da2, dz2, da1, dz1."""
-    da2 = dz3 @ W3.T
+    da2 = dz3 @ W3.mT
     dz2 = da2 * (1.0 - a2 * a2)
-    da1 = dz2 @ W2.T
+    da1 = dz2 @ W2.mT
     dz1 = da1 * (1.0 - a1 * a1)
     return da2, dz2, da1, dz1
 
 
-def _backward(theta, d, h1, h2, X, y):
-    """Gradient of the mean loss over the rows of X."""
-    W1, b1, W2, b2, W3, b3 = _unpack(theta, d, h1, h2)
-    a1, a2, logp = _forward(theta, d, h1, h2, X)
+def _backward(params, X, y, grads) -> None:
+    """Gradient of the mean loss over the rows of X, written into ``grads``.
+
+    ``params`` and ``grads`` are ``_unpack`` views of the parameters and of
+    the gradient buffer; stacked views take X (P, rows, d) and y (P, rows).
+    """
+    W1, b1, W2, b2, W3, b3 = params
+    a1, a2, logp = _forward(params, X)
     dz3 = _loss_delta(logp, y)
-    dz3 *= 1.0 / X.shape[0]  # times 1/n, not / n: trained weights depend on the rounding
+    dz3 *= 1.0 / X.shape[-2]  # times 1/n, not / n: trained weights depend on the rounding
     _, dz2, _, dz1 = _hidden_deltas(dz3, a1, a2, W2, W3)
-    return _pack(
-        X.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0)
-    )
+    gW1, gb1, gW2, gb2, gW3, gb3 = grads
+    for a, dz, gW, gb in ((X, dz1, gW1, gb1), (a1, dz2, gW2, gb2), (a2, dz3, gW3, gb3)):
+        np.matmul(a.mT, dz, out=gW)
+        dz.sum(axis=-2, out=gb)
 
 
 def mean_grad(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross-entropy over the batch, shape (n_params,)."""
     X, y = _batch(m, X, y)
-    return _backward(m.theta, m.input_dim, m.hidden1, m.hidden2, X, y)
+    g = np.empty(m.n_params)
+    _backward(m.unpack(), X, y, _unpack(g, m.input_dim, m.hidden1, m.hidden2))
+    return g
 
 
 def grad_loss(m: Model, x: np.ndarray, y: int) -> np.ndarray:
@@ -240,7 +269,7 @@ def grad_loss(m: Model, x: np.ndarray, y: int) -> np.ndarray:
 def per_example_grads(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row i is grad_theta of example i's own loss; shape (n, n_params)."""
     X, y = _batch(m, X, y)
-    a1, a2, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
+    a1, a2, logp = _forward(m.unpack(), X)
     return _per_example_backward(m, X, a1, a2, _loss_delta(logp, y))
 
 
@@ -251,7 +280,7 @@ def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     loss gradient of example i is (p1_i - y_i) * J[i].
     """
     X, _ = _batch(m, X)
-    a1, a2, logp = _forward(m.theta, m.input_dim, m.hidden1, m.hidden2, X)
+    a1, a2, logp = _forward(m.unpack(), X)
     dz3 = np.tile([-1.0, 1.0], (X.shape[0], 1))
     return _per_example_backward(m, X, a1, a2, dz3), np.exp(logp)
 
@@ -292,7 +321,7 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
     V1, c1, V2, c2, V3, c3 = _unpack(v, d, h1, h2)
 
     # forward pass and its tangent
-    a1, a2, logp = _forward(m.theta, d, h1, h2, X)
+    a1, a2, logp = _forward(m.unpack(), X)
     p = np.exp(logp)
     s1 = 1.0 - a1 * a1  # tanh'
     s2 = 1.0 - a2 * a2
@@ -335,41 +364,72 @@ def _init_theta(input_dim: int, h1: int, h2: int, seed: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def train_many(
+    datasets: Sequence[Dataset], hp: Hyperparameters, inits: Sequence[Model] | None = None
+) -> list[Model]:
+    """Train one model per dataset in a single stacked loop.
+
+    The P members must have the same row count and width. They share the init
+    (unless ``inits`` gives each member a warm start) and the shuffle stream,
+    so every step is one stacked forward pass, one backward pass and one
+    in-place update over a (P, n_params) parameter stack, and member j comes
+    out bitwise equal to ``train(datasets[j], hp, inits[j])``.
+    """
+    if not datasets:
+        raise EmptyDataset("no datasets to train")
+    n, dim = len(datasets[0]), datasets[0].width
+    if any((len(d), d.width) != (n, dim) for d in datasets):
+        raise DimensionMismatch(
+            f"stacked members need one shape, got {sorted({(len(d), d.width) for d in datasets})}"
+        )
+    if n == 0:
+        raise EmptyDataset("cannot train on an empty dataset")
+    h1, h2 = hp.hidden1, hp.hidden2
+    if inits is None:
+        theta = np.tile(_init_theta(dim, h1, h2, hp.weight_init_seed), (len(datasets), 1))
+    else:
+        if len(inits) != len(datasets):
+            raise DimensionMismatch(f"{len(inits)} warm starts for {len(datasets)} datasets")
+        for init in inits:
+            if init.input_dim != dim:
+                raise DimensionMismatch(
+                    f"warm start expects {init.input_dim} features, dataset has {dim}"
+                )
+            if (init.hidden1, init.hidden2) != (h1, h2):
+                raise DimensionMismatch("warm start hidden sizes disagree with hyperparameters")
+        theta = np.stack([init.theta for init in inits])
+    X = np.stack([d.encoded for d in datasets])
+    y = np.stack([d.labels for d in datasets])
+    g = np.empty_like(theta)
+    params, grads = _unpack(theta, dim, h1, h2), _unpack(g, dim, h1, h2)
+
+    shuffle = np.random.default_rng([hp.weight_init_seed, _SHUFFLE_STREAM])
+    for _ in range(hp.epochs):
+        perm = shuffle.permutation(n)
+        # np.take, not X[:, perm]: fancy indexing lays the stack axis innermost,
+        # and BLAS sums strided member rows in another order than a lone training
+        X_epoch, y_epoch = np.take(X, perm, axis=1), np.take(y, perm, axis=1)
+        for start in range(0, n, hp.batch_size):
+            batch = slice(start, start + hp.batch_size)
+            _backward(params, X_epoch[:, batch], y_epoch[:, batch], grads)
+            g *= hp.learning_rate
+            theta -= g
+
+    out = []
+    for theta_j, d in zip(theta, datasets):
+        m = Model(input_dim=dim, hidden1=h1, hidden2=h2, theta=theta_j.copy())
+        out.append(replace(m, final_train_loss=mean_loss(m, d.encoded, d.labels)))
+    return out
+
+
 def train(d: Dataset, hp: Hyperparameters, init: Model | None = None) -> Model:
-    """Mini-batch gradient descent on mean cross-entropy.
+    """Mini-batch gradient descent on mean cross-entropy: ``train_many`` of one.
 
     One epoch = one fresh permutation of the rows split into consecutive
     batches (last batch may be short). The permutation stream is derived from
     weight_init_seed, so retraining is bit-reproducible.
     """
-    n = len(d)
-    if n == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
-    X, y = d.encoded, d.labels
-    dim = d.width
-    if init is not None:
-        if init.input_dim != dim:
-            raise DimensionMismatch(
-                f"warm start expects {init.input_dim} features, dataset has {dim}"
-            )
-        theta = init.theta.copy()
-        h1, h2 = init.hidden1, init.hidden2
-        if (h1, h2) != (hp.hidden1, hp.hidden2):
-            raise DimensionMismatch("warm start hidden sizes disagree with hyperparameters")
-    else:
-        h1, h2 = hp.hidden1, hp.hidden2
-        theta = _init_theta(dim, h1, h2, hp.weight_init_seed)
-
-    shuffle = np.random.default_rng([hp.weight_init_seed, _SHUFFLE_STREAM])
-    for _ in range(hp.epochs):
-        perm = shuffle.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = perm[start : start + hp.batch_size]
-            g = _backward(theta, dim, h1, h2, X[idx], y[idx])
-            theta -= hp.learning_rate * g
-
-    m = Model(input_dim=dim, hidden1=h1, hidden2=h2, theta=theta)
-    return replace(m, final_train_loss=mean_loss(m, X, y))
+    return train_many([d], hp, None if init is None else [init])[0]
 
 
 # --- persistence ------------------------------------------------------------

@@ -117,6 +117,19 @@ def test_negative_seed_is_domain_error(capsys, toy_files, tmp_path):
     assert json.loads(err)["error"] == "RangeError"
 
 
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_negative_batch_size_is_domain_error(capsys, toy_files, tmp_path, command):
+    # only 0 asks for a derived batch size
+    csv_path, schema_path = toy_files
+    code, _, err = run(
+        capsys,
+        [command, csv_path, "--schema", schema_path, "--batch-size", "-5",
+         "--out-dir", str(tmp_path)],
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "RangeError"
+
+
 def test_train_writes_model(capsys, toy_files, tmp_path):
     csv_path, schema_path = toy_files
     obj = run_json(

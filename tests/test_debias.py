@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,17 @@ from fairtrim.debias import (
     DebiasConfig,
     chunk_schedule,
     debias_data,
+    debias_group,
     drop_first,
     removal_count,
     sort_dataset,
 )
-from fairtrim.errors import AlreadyFair, EmptyDataset, RangeError
+from fairtrim.data import SplitSpec, drop_sensitive, load_dataset, split
+from fairtrim.errors import AlreadyFair, DimensionMismatch, EmptyDataset, RangeError
 from fairtrim.fairness import SimilarityConfig, flip_mask, generate_similar_pairs
 from fairtrim.influence import SolverConfig
-from fairtrim.model import Hyperparameters, train
+from fairtrim.model import Hyperparameters, mask_sensitive, train
+from fairtrim.synthetic import loans_schema, write_loans
 
 
 @pytest.fixture(scope="module")
@@ -224,12 +228,14 @@ def test_loop_guards_against_emptying_dataset(toy, trained):
     assert report.model is report.full_model is trained_on(calls, toy)
 
 
-def test_already_fair_short_circuits(toy):
-    from fairtrim.data import drop_sensitive
-    from fairtrim.model import mask_sensitive
-
+def fair_model(toy):
+    """A model that cannot see the sensitive column, so it flips no pair."""
     hp = Hyperparameters(6, 3, 7, epochs=300, weight_init_seed=0)
-    wrapped = mask_sensitive(train(drop_sensitive(toy), hp), toy)
+    return mask_sensitive(train(drop_sensitive(toy), hp), toy)
+
+
+def test_already_fair_short_circuits(toy):
+    wrapped = fair_model(toy)
     calls = []
 
     def train_fn(subset):
@@ -303,3 +309,61 @@ def test_end_to_end_real_training_runs(toy):
     # the report's models are the ones a caller would otherwise retrain
     assert report.full_model.theta.tobytes() == train(toy, cfg.hp).theta.tobytes()
     assert report.model.theta.tobytes() == train(out, cfg.hp).theta.tobytes()
+
+
+# --- removal groups -----------------------------------------------------------
+
+def test_group_members_leave_at_their_stop(toy, trained):
+    # member 2 is already fair; member 1 stops after chunk 1, member 0 after chunk 3
+    shifted = replace(toy, row_ids=toy.row_ids + 100)
+    fair = fair_model(toy)
+    sizes = []
+
+    def train_fn(subsets):
+        sizes.append(len(subsets))
+        return [fair if s.row_ids[0] > 100 else copy.copy(trained) for s in subsets]
+
+    sequences = {0: [0.3, 0.2, 0.1, 0.2], 1: [0.3, 0.4]}
+    cfg = stub_cfg(chunk_percent=15.0)
+    results = debias_group(
+        [(toy, cfg), (toy, cfg), (shifted, cfg)],
+        train_fn=train_fn, discrim_fn=lambda j, model, i: sequences[j][i],
+    )
+    assert sizes == [3, 2, 1, 1]  # the full models, then chunks 1, 2 and 3
+    assert [len(r.trace) for _, r in results] == [4, 2, 0]
+    assert [r.stop_index for _, r in results] == [2, 0, 0]
+    assert results[2][1].already_fair and results[2][0] is shifted
+
+
+def test_group_rejects_members_that_do_not_share_the_loop(toy):
+    cfg = stub_cfg()
+    with pytest.raises(DimensionMismatch):
+        debias_group([(toy, cfg), (toy.subset(np.arange(6)), cfg)])
+    with pytest.raises(DimensionMismatch):
+        debias_group([(toy, cfg), (toy, stub_cfg(chunk_percent=2.0))])
+
+
+@pytest.fixture(scope="module")
+def loans_splits(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("loans")
+    write_loans(tmp / "d.csv", tmp / "s.json", n=60, seed=0, flip_rate=0.5)
+    d = load_dataset(tmp / "d.csv", loans_schema())
+    return [split(d, SplitSpec(permutation_seed=s))[0] for s in range(4)]
+
+
+def test_group_member_is_its_own_debias_data(loans_splits):
+    hp = Hyperparameters(6, 3, 16, epochs=150, learning_rate=0.3, weight_init_seed=0)
+    members = [
+        (tr, DebiasConfig(
+            similarity=SimilarityConfig(lam=0.0, pool_multiplier=3, rng_seed=seed), hp=hp,
+            solver=SolverConfig(cg_max_iter=60), chunk_percent=5.0, max_chunks=6,
+        ))
+        for seed, tr in enumerate(loans_splits)
+    ]
+    grouped = debias_group(members)
+    assert len({r.stop_index for _, r in grouped}) > 1  # members stop at different chunks
+    for (d, cfg), (out, report) in zip(members, grouped):
+        alone_out, alone = debias_data(d, cfg)
+        assert report.to_json() == alone.to_json()
+        assert out.row_ids.tolist() == alone_out.row_ids.tolist()
+        assert report.model.theta.tobytes() == alone.model.theta.tobytes()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,16 @@ def test_grid_spec_validation():
         GridSpec(workers=0)
 
 
+# a repeated value would give configs with one config_id that train the same models
+@pytest.mark.parametrize("axis", [
+    "hidden1_choices", "hidden2_choices", "batch_sizes", "permutation_seeds",
+])
+def test_grid_spec_rejects_a_repeated_axis_value(axis):
+    GridSpec(**{axis: (16, 8)})
+    with pytest.raises(RangeError):
+        GridSpec(**{axis: (16, 8, 16)})
+
+
 # every seed reaches numpy's SeedSequence, which takes only non-negative ints
 @pytest.mark.parametrize("make", [
     lambda seed: Hyperparameters(4, 2, 7, weight_init_seed=seed),
@@ -202,20 +213,51 @@ def test_full_scale_spec_dimensions():
 def test_grid_trains_each_model_once(small, monkeypatch):
     import fairtrim.debias
     import fairtrim.experiment
-    from fairtrim.model import train
+    from fairtrim.model import train_many
 
-    seen = []
+    seen, sizes = [], []
 
-    def spy(d, hp):
+    def spy(datasets, hp):
         # width tells the sensitive-dropped sr training from the full one
-        seen.append((tuple(d.row_ids.tolist()), d.width, hp))
-        return train(d, hp)
+        seen.extend((tuple(d.row_ids.tolist()), d.width, hp) for d in datasets)
+        sizes.append(len(datasets))
+        return train_many(datasets, hp)
 
-    monkeypatch.setattr(fairtrim.debias, "train", spy)
-    monkeypatch.setattr(fairtrim.experiment, "train", spy)
-    run_grid(small, tiny_spec())
+    monkeypatch.setattr(fairtrim.debias, "train_many", spy)
+    monkeypatch.setattr(fairtrim.experiment, "train_many", spy)
+    result = run_grid(small, tiny_spec())
     assert seen
     assert len(seen) == len(set(seen))
+    # tiny_spec is one group of two seeds whose removal counts never repeat:
+    # sr and full train both in lockstep, then chunk c every config still
+    # running, i.e. whose trace reaches c (stop_index + 2 entries, as neither
+    # config exhausts its loop)
+    assert not any(r.loop_exhausted or r.already_fair for r in result.records)
+    traces = [r.stop_index + 2 for r in result.records]
+    assert sizes == [2, 2] + [sum(t > c for t in traces) for c in range(1, max(traces))]
+    assert 1 in sizes  # the configs stop at different chunks
+
+
+def test_pool_spreads_groups_and_starts_no_idle_worker(small, monkeypatch):
+    import fairtrim.experiment
+
+    pool_sizes = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(fairtrim.experiment, "ProcessPoolExecutor", Recording)
+    two_groups = dict(batch_sizes=(16, 8))
+    par = run_grid(small, tiny_spec(workers=4, **two_groups))
+    run_grid(small, tiny_spec(workers=2))  # one group runs in this process
+    assert pool_sizes == [2]
+    seq = run_grid(small, tiny_spec(**two_groups))
+    assert [r.config_id for r in par.records] == [r.config_id for r in seq.records]
+    for a, b in zip(seq.records, par.records):
+        assert a.metrics == b.metrics
+        assert a.removed_row_ids == b.removed_row_ids
 
 
 def test_workers_do_not_change_results(small):

@@ -5,11 +5,12 @@ analytic backward pass and the forward-over-reverse Hessian-vector product;
 they recompute everything from the loss alone.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrim.errors import DimensionMismatch, EmptyDataset, RangeError
@@ -30,6 +31,7 @@ from fairtrim.model import (
     predict_proba,
     save_model,
     train,
+    train_many,
 )
 
 
@@ -85,6 +87,14 @@ def test_hyperparameters_validation():
         Hyperparameters(16, 8, 0)
     with pytest.raises(RangeError):
         Hyperparameters(16, 8, 4, learning_rate=0.0)
+
+
+@pytest.mark.parametrize("field", ["hidden1", "hidden2", "batch_size", "epochs", "weight_init_seed"])
+def test_hyperparameters_reject_non_integral_sizes(field):
+    base = dict(hidden1=16, hidden2=8, batch_size=4, epochs=3, weight_init_seed=0)
+    Hyperparameters(**dict(base, **{field: np.int64(2)}))  # numpy ints pass
+    with pytest.raises(RangeError):
+        Hyperparameters(**dict(base, **{field: 2.5}))
 
 
 def test_predict_rejects_wrong_width():
@@ -275,6 +285,84 @@ def test_zero_epochs_returns_init(toy):
     hp = Hyperparameters(6, 4, 4, epochs=0, weight_init_seed=11)
     m = train(toy, hp)
     np.testing.assert_array_equal(m.theta, _init_theta(toy.width, 6, 4, 11))
+
+
+# sha256 of train(...).theta.tobytes() on the toy fixture, recorded from the
+# per-model training loop that train_many replaced: the stacked loop must
+# take the very same floating-point steps
+TRAINING_PINS = {
+    "short_last_batch": "97775bed6d3e28949922b116dcea0aba3edce78b2bf79d7fa508e38a0a90a3b5",
+    "batch_above_n": "e101e26038a16f4ac4a6567bec2c63d5dc8d7b9d55b95dbe0508fd0c1c0923c6",
+    "zero_epochs": "5e3ddd4da25e9876390160b2ccf3f6dce5cc0005a6b2f0f9276e8639473af9ec",
+    "warm_start": "3017e182e57c1c88e19058163aebcc1d579fe3170ce020954839c90aad47453e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAINING_PINS))
+def test_training_bits_are_pinned(toy, case):
+    hp = Hyperparameters(6, 3, 4, learning_rate=0.3, weight_init_seed=4)
+    m = {
+        "short_last_batch": lambda: train(toy, replace(hp, batch_size=3, epochs=20)),  # 3+3+1
+        "batch_above_n": lambda: train(toy, replace(hp, batch_size=16, epochs=20)),
+        "zero_epochs": lambda: train(toy, replace(hp, epochs=0)),
+        "warm_start": lambda: train(
+            toy, replace(hp, batch_size=2, epochs=7, weight_init_seed=5),
+            init=train(toy, replace(hp, epochs=5)),
+        ),
+    }[case]()
+    assert hashlib.sha256(m.theta.tobytes()).hexdigest() == TRAINING_PINS[case]
+
+
+def random_dataset(template, rng, n, width):
+    """``template`` with n random rows of the given width; training reads only these."""
+    return replace(
+        template,
+        row_ids=np.arange(1, n + 1),
+        encoded=rng.random((n, width)),
+        labels=rng.integers(0, 2, size=n),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    members=st.integers(1, 4),
+    n=st.integers(1, 12),
+    width=st.integers(1, 5),
+    batch_size=st.integers(1, 14),
+    epochs=st.integers(0, 3),
+    seed=st.integers(0, 10_000),
+    warm=st.booleans(),
+)
+# one feature and full batches: a stack gathered with the member axis innermost
+# sent these rows to BLAS strided and changed the gradient's last bits
+@example(members=2, n=4, width=1, batch_size=4, epochs=1, seed=73, warm=False)
+def test_train_many_member_is_its_own_train(toy, members, n, width, batch_size, epochs, seed, warm):
+    rng = np.random.default_rng(seed)
+    datasets = [random_dataset(toy, rng, n, width) for _ in range(members)]
+    hp = Hyperparameters(3, 2, batch_size, epochs=epochs, learning_rate=0.5, weight_init_seed=seed)
+    inits = None
+    if warm:
+        inits = [Model(width, 3, 2, rng.normal(size=param_count(width, 3, 2))) for _ in datasets]
+    stacked = train_many(datasets, hp, inits)
+    for j, d in enumerate(datasets):
+        alone = train(d, hp, None if inits is None else inits[j])
+        assert stacked[j].theta.tobytes() == alone.theta.tobytes()
+        assert stacked[j].final_train_loss == alone.final_train_loss
+
+
+def test_train_many_rejects_members_of_different_shapes(toy):
+    rng = np.random.default_rng(0)
+    hp = Hyperparameters(3, 2, 4, epochs=1)
+    d = random_dataset(toy, rng, 6, 3)
+    with pytest.raises(DimensionMismatch):  # rows
+        train_many([d, random_dataset(toy, rng, 5, 3)], hp)
+    with pytest.raises(DimensionMismatch):  # width
+        train_many([d, random_dataset(toy, rng, 6, 4)], hp)
+    with pytest.raises(DimensionMismatch):  # hidden sizes of a warm start
+        wide = Model(3, 4, 2, _init_theta(3, 4, 2, 0))
+        train_many([d, d], hp, inits=[Model(3, 3, 2, _init_theta(3, 3, 2, 0)), wide])
+    with pytest.raises(EmptyDataset):
+        train_many([], hp)
 
 
 # --- persistence ------------------------------------------------------------
