@@ -226,10 +226,12 @@ def debias_group(
     for i, k in enumerate(chunk_schedule(n, cfg.chunk_percent, cfg.max_chunks)):
         if not running:
             break
-        fresh = [j for j in running if k not in models[j]]
-        if fresh:
-            subsets = [drop_first(rankings[j], members[j][0], i, cfg.chunk_percent) for j in fresh]
-            for j, m in zip(fresh, train_fn(subsets)):
+        # the running members have run the same chunks, so k is new to all or to none
+        if k not in models[running[0]]:
+            subsets = [
+                drop_first(rankings[j], members[j][0], i, cfg.chunk_percent) for j in running
+            ]
+            for j, m in zip(running, train_fn(subsets)):
                 models[j][k] = m
         for j in running:
             traces[j].append(ChunkMeasurement(i, k, float(discrim_fn(j, models[j][k], i))))

@@ -15,7 +15,8 @@ seed share hidden sizes, batch size, train-split size and the weight seed,
 so their trainings take the same steps. Each group trains its ``sr`` models in one
 ``train_many`` call and debiases its configs in one ``debias_group`` loop,
 which trains the members' ``full`` and chunk models together. ``workers``
-spreads groups, not configs, over processes.
+spreads groups over processes; with more workers than groups, each group's
+seeds are cut into runs so that every worker has a group to train.
 
 Phase one measures each model's individual discrimination on synthetic
 pools from the config's train split. Phase two pools the unfair rows found
@@ -287,6 +288,23 @@ def _phase_one(args):
     return out
 
 
+def _shape_groups(configs, workers: int) -> list[list]:
+    """The configs' shape groups in config order, as jobs for ``workers``.
+
+    With fewer groups than workers, each group is cut into runs of consecutive
+    seeds so that every worker has a job; otherwise a group stays whole and
+    trains as one stack.
+    """
+    # the seed is the innermost axis, so each shape's configs are consecutive
+    groups = [list(group) for _, group in groupby(configs, key=lambda c: c[2:5])]
+    parts = -(-workers // len(groups))
+    out = []
+    for group in groups:
+        size = -(-len(group) // parts)
+        out.extend(group[i : i + size] for i in range(0, len(group), size))
+    return out
+
+
 def _technique_metrics(model, discrimination: float, dtest: Dataset | None) -> TechniqueMetrics:
     if dtest is None:
         return TechniqueMetrics(discrimination, None, None)
@@ -295,8 +313,7 @@ def _technique_metrics(model, discrimination: float, dtest: Dataset | None) -> T
 
 def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
     configs = _enumerate_configs(d, spec)
-    # the seed is the innermost axis, so each shape's configs are consecutive
-    jobs = [(d, spec, list(group)) for _, group in groupby(configs, key=lambda c: c[2:5])]
+    jobs = [(d, spec, part) for part in _shape_groups(configs, spec.workers)]
     workers = min(spec.workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -39,6 +39,9 @@ MODEL_FORMAT_VERSION = 1
 # rows per forward pass in predict_proba: scoring memory beyond its input and
 # output is set by this, not by the number of rows
 PREDICT_BLOCK_ROWS = 32768
+# bytes of shuffled feature rows train_many gathers at a time: a small input's
+# epoch is one gather, a large one's training memory stays bounded by this
+GATHER_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -228,9 +231,9 @@ def _loss_delta(logp, y):
 
 def _hidden_deltas(dz3, a1, a2, W2, W3):
     """Backpropagate the logit delta through both tanh layers: da2, dz2, da1, dz1."""
-    da2 = dz3 @ W3.mT
+    da2 = dz3 @ W3.swapaxes(-1, -2)
     dz2 = da2 * (1.0 - a2 * a2)
-    da1 = dz2 @ W2.mT
+    da1 = dz2 @ W2.swapaxes(-1, -2)
     dz1 = da1 * (1.0 - a1 * a1)
     return da2, dz2, da1, dz1
 
@@ -248,7 +251,7 @@ def _backward(params, X, y, grads) -> None:
     _, dz2, _, dz1 = _hidden_deltas(dz3, a1, a2, W2, W3)
     gW1, gb1, gW2, gb2, gW3, gb3 = grads
     for a, dz, gW, gb in ((X, dz1, gW1, gb1), (a1, dz2, gW2, gb2), (a2, dz3, gW3, gb3)):
-        np.matmul(a.mT, dz, out=gW)
+        np.matmul(a.swapaxes(-1, -2), dz, out=gW)
         dz.sum(axis=-2, out=gb)
 
 
@@ -398,22 +401,29 @@ def train_many(
             if (init.hidden1, init.hidden2) != (h1, h2):
                 raise DimensionMismatch("warm start hidden sizes disagree with hyperparameters")
         theta = np.stack([init.theta for init in inits])
-    X = np.stack([d.encoded for d in datasets])
-    y = np.stack([d.labels for d in datasets])
+    if len(datasets) == 1:  # a view: a lone training holds no copy of its features
+        X, y = datasets[0].encoded[None], datasets[0].labels[None]
+    else:
+        X = np.stack([d.encoded for d in datasets])
+        y = np.stack([d.labels for d in datasets])
     g = np.empty_like(theta)
     params, grads = _unpack(theta, dim, h1, h2), _unpack(g, dim, h1, h2)
 
+    # rows per gather: whole batches, as many as fit in GATHER_BLOCK_BYTES
+    block = hp.batch_size * max(1, GATHER_BLOCK_BYTES // (hp.batch_size * X[:, 0].nbytes))
     shuffle = np.random.default_rng([hp.weight_init_seed, _SHUFFLE_STREAM])
     for _ in range(hp.epochs):
         perm = shuffle.permutation(n)
-        # np.take, not X[:, perm]: fancy indexing lays the stack axis innermost,
-        # and BLAS sums strided member rows in another order than a lone training
-        X_epoch, y_epoch = np.take(X, perm, axis=1), np.take(y, perm, axis=1)
-        for start in range(0, n, hp.batch_size):
-            batch = slice(start, start + hp.batch_size)
-            _backward(params, X_epoch[:, batch], y_epoch[:, batch], grads)
-            g *= hp.learning_rate
-            theta -= g
+        for first in range(0, n, block):
+            rows = perm[first : first + block]
+            # np.take, not X[:, rows]: fancy indexing lays the stack axis innermost,
+            # and BLAS sums strided member rows in another order than a lone training
+            X_rows, y_rows = np.take(X, rows, axis=1), np.take(y, rows, axis=1)
+            for start in range(0, rows.size, hp.batch_size):
+                batch = slice(start, start + hp.batch_size)
+                _backward(params, X_rows[:, batch], y_rows[:, batch], grads)
+                g *= hp.learning_rate
+                theta -= g
 
     out = []
     for theta_j, d in zip(theta, datasets):

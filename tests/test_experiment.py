@@ -14,6 +14,8 @@ from fairtrim.experiment import (
     ExperimentResult,
     GridSpec,
     TECHNIQUES,
+    _enumerate_configs,
+    _shape_groups,
     debiased_test_set,
     derived_batch_sizes,
     emit_reports,
@@ -238,7 +240,21 @@ def test_grid_trains_each_model_once(small, monkeypatch):
     assert 1 in sizes  # the configs stop at different chunks
 
 
-def test_pool_spreads_groups_and_starts_no_idle_worker(small, monkeypatch):
+def test_shape_groups_cut_seeds_only_for_idle_workers(small):
+    spec = tiny_spec(batch_sizes=(16, 8), permutation_seeds=(0, 1, 2))
+    configs = _enumerate_configs(small, spec)
+    sizes = {w: [len(job) for job in _shape_groups(configs, w)] for w in (1, 2, 3, 4, 6, 9)}
+    # a group stays whole while there is a worker for it, so it trains as one stack
+    assert sizes[1] == sizes[2] == [3, 3]
+    assert sizes[3] == sizes[4] == [2, 1, 2, 1]
+    assert sizes[6] == sizes[9] == [1] * 6
+    for w in sizes:
+        jobs = _shape_groups(configs, w)
+        assert [c for job in jobs for c in job] == configs  # config order
+        assert all(len({c[2:5] for c in job}) == 1 for job in jobs)  # one shape per job
+
+
+def test_pool_has_a_job_for_every_worker(small, monkeypatch):
     import fairtrim.experiment
 
     pool_sizes = []
@@ -250,9 +266,9 @@ def test_pool_spreads_groups_and_starts_no_idle_worker(small, monkeypatch):
 
     monkeypatch.setattr(fairtrim.experiment, "ProcessPoolExecutor", Recording)
     two_groups = dict(batch_sizes=(16, 8))
-    par = run_grid(small, tiny_spec(workers=4, **two_groups))
-    run_grid(small, tiny_spec(workers=2))  # one group runs in this process
-    assert pool_sizes == [2]
+    par = run_grid(small, tiny_spec(workers=3, **two_groups))  # 4 jobs of one seed
+    run_grid(small, tiny_spec(workers=2, permutation_seeds=(0,)))  # 1 job, no pool
+    assert pool_sizes == [3]
     seq = run_grid(small, tiny_spec(**two_groups))
     assert [r.config_id for r in par.records] == [r.config_id for r in seq.records]
     for a, b in zip(seq.records, par.records):

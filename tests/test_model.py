@@ -89,7 +89,9 @@ def test_hyperparameters_validation():
         Hyperparameters(16, 8, 4, learning_rate=0.0)
 
 
-@pytest.mark.parametrize("field", ["hidden1", "hidden2", "batch_size", "epochs", "weight_init_seed"])
+@pytest.mark.parametrize(
+    "field", ["hidden1", "hidden2", "batch_size", "epochs", "weight_init_seed"]
+)
 def test_hyperparameters_reject_non_integral_sizes(field):
     base = dict(hidden1=16, hidden2=8, batch_size=4, epochs=3, weight_init_seed=0)
     Hyperparameters(**dict(base, **{field: np.int64(2)}))  # numpy ints pass
@@ -336,7 +338,9 @@ def random_dataset(template, rng, n, width):
 # one feature and full batches: a stack gathered with the member axis innermost
 # sent these rows to BLAS strided and changed the gradient's last bits
 @example(members=2, n=4, width=1, batch_size=4, epochs=1, seed=73, warm=False)
-def test_train_many_member_is_its_own_train(toy, members, n, width, batch_size, epochs, seed, warm):
+def test_train_many_member_is_its_own_train(
+    toy, members, n, width, batch_size, epochs, seed, warm
+):
     rng = np.random.default_rng(seed)
     datasets = [random_dataset(toy, rng, n, width) for _ in range(members)]
     hp = Hyperparameters(3, 2, batch_size, epochs=epochs, learning_rate=0.5, weight_init_seed=seed)
@@ -348,6 +352,22 @@ def test_train_many_member_is_its_own_train(toy, members, n, width, batch_size, 
         alone = train(d, hp, None if inits is None else inits[j])
         assert stacked[j].theta.tobytes() == alone.theta.tobytes()
         assert stacked[j].final_train_loss == alone.final_train_loss
+
+
+@pytest.mark.parametrize("batches_per_gather", [1, 2])
+def test_epoch_gathered_in_blocks_trains_the_same_bits(toy, monkeypatch, batches_per_gather):
+    import fairtrim.model
+
+    rng = np.random.default_rng(0)
+    datasets = [random_dataset(toy, rng, 10, 3) for _ in range(2)]
+    hp = Hyperparameters(3, 2, 3, epochs=4, learning_rate=0.5)
+    whole = train_many(datasets, hp)  # 10 rows: one gather per epoch
+    row_bytes = len(datasets) * 3 * 8
+    # room for one row more than whole batches: a gather still ends on a batch boundary
+    block_bytes = (batches_per_gather * hp.batch_size + 1) * row_bytes
+    monkeypatch.setattr(fairtrim.model, "GATHER_BLOCK_BYTES", block_bytes)
+    blocks = train_many(datasets, hp)
+    assert [m.theta.tobytes() for m in blocks] == [m.theta.tobytes() for m in whole]
 
 
 def test_train_many_rejects_members_of_different_shapes(toy):
