@@ -32,6 +32,7 @@ from .errors import (
     RangeError,
     SchemaMismatch,
     SensitiveAbsent,
+    require_integers,
 )
 
 NUMERIC = "numeric"
@@ -116,7 +117,7 @@ def load_schema(path: str | Path) -> FeatureSchema:
 class ColumnCodec:
     """Encoding recipe for one feature column.
 
-    Numeric columns occupy one output column scaled by (lo, hi); categorical
+    Numeric columns occupy one min-max scaled output column; categorical
     columns occupy one output column per category, in sorted category order.
     """
 
@@ -125,8 +126,6 @@ class ColumnCodec:
     start: int
     stop: int
     categories: tuple[str, ...] | None = None
-    lo: float | None = None
-    hi: float | None = None
 
     @property
     def width(self) -> int:
@@ -174,7 +173,7 @@ def _encode_columns(
         if kind == NUMERIC:
             parsed = _parse_numeric(name, values)
             lo, hi = float(parsed.min()), float(parsed.max())
-            codec = ColumnCodec(name, kind, offset, offset + 1, lo=lo, hi=hi)
+            codec = ColumnCodec(name, kind, offset, offset + 1)
             span = hi - lo
             scaled = (parsed - lo) / span if span > 0.0 else np.zeros_like(parsed)
             blocks.append(scaled[:, None])
@@ -328,6 +327,7 @@ class SplitSpec:
     train_fraction: float = 0.8
 
     def __post_init__(self):
+        require_integers(self, "permutation_seed")
         if not (0.0 < self.train_fraction < 1.0):
             raise RangeError(
                 f"train_fraction must lie strictly in (0, 1), got {self.train_fraction}"

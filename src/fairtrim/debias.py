@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import takewhile
 
 from .data import Dataset
-from .errors import AlreadyFair, DimensionMismatch, EmptyDataset, RangeError
+from .errors import AlreadyFair, DimensionMismatch, EmptyDataset, RangeError, require_integers
 from .fairness import (
     SimilarityConfig, build_influence_set, estimate_discrim, generate_similar_pairs
 )
@@ -39,6 +39,7 @@ class DebiasConfig:
     freeze_pool: bool = False  # reuse one measurement pool across iterations
 
     def __post_init__(self):
+        require_integers(self, "max_chunks")
         if not (0.0 < self.chunk_percent <= 100.0):
             raise RangeError(f"chunk_percent must lie in (0, 100], got {self.chunk_percent}")
         if self.max_chunks < 1:
@@ -147,12 +148,7 @@ def drop_first(ranking: InfluenceRanking, d: Dataset, i: int, chunk_percent: flo
     return d.without_row_ids(drop)
 
 
-def debias_data(
-    d: Dataset,
-    cfg: DebiasConfig,
-    train_fn=None,
-    discrim_fn=None,
-) -> tuple[Dataset, DebiasReport]:
+def debias_data(d: Dataset, cfg: DebiasConfig) -> tuple[Dataset, DebiasReport]:
     """Iteratively remove ranked chunks until discrimination stops improving.
 
     ``chunk_schedule`` gives the removal count of each chunk; chunk i keeps
@@ -167,23 +163,14 @@ def debias_data(
     ``d`` (``full_model``) and the one trained on the returned subset
     (``model``), so callers need not retrain.
 
-    This is ``debias_group`` of one member. ``train_fn(subset) -> model``
-    and ``discrim_fn(model, chunk_index) -> float`` default to real training
-    and pool estimation; they exist so the stopping logic can be driven in
-    isolation.
+    This is ``debias_group`` of one member.
     """
-    [result] = debias_group(
-        [(d, cfg)],
-        train_fn=None if train_fn is None else lambda subsets: [train_fn(s) for s in subsets],
-        discrim_fn=None if discrim_fn is None else lambda j, model, i: discrim_fn(model, i),
-    )
+    [result] = debias_group([(d, cfg)])
     return result
 
 
 def debias_group(
     members: Sequence[tuple[Dataset, DebiasConfig]],
-    train_fn=None,
-    discrim_fn=None,
 ) -> list[tuple[Dataset, DebiasReport]]:
     """Run the removal loop of ``debias_data`` on several members at once.
 
@@ -193,10 +180,9 @@ def debias_group(
     chunk i removes the same number of rows k from each: the full models,
     and at each chunk the models of every running member whose k is new,
     are trained together in one ``train_many`` call. A member leaves the
-    group at its stop, or at once when it is already fair.
-
-    ``train_fn(subsets) -> models`` and ``discrim_fn(member, model,
-    chunk_index) -> float`` replace the training and the measurement.
+    group at its stop, or at once when it is already fair. Training and
+    measurement go through this module's ``train_many`` and
+    ``estimate_discrim``, so a test scripts the loop by replacing those two.
     """
     if not members or any(len(d) == 0 for d, _ in members):
         raise EmptyDataset("cannot debias an empty dataset")
@@ -206,14 +192,8 @@ def debias_group(
         raise DimensionMismatch(
             "a removal group's members must share row count, hp, chunk_percent and max_chunks"
         )
-    if train_fn is None:
-        train_fn = lambda subsets: train_many(subsets, cfg.hp)
-    if discrim_fn is None:
-        def discrim_fn(j: int, model: Model, i: int) -> float:
-            d, c = members[j]
-            return estimate_discrim(model, d, c.similarity, call_index=0 if c.freeze_pool else i)
 
-    full_models = train_fn([d for d, _ in members])
+    full_models = train_many([d for d, _ in members], cfg.hp)
     rankings = []
     for (d, c), full_model in zip(members, full_models):
         try:
@@ -231,10 +211,13 @@ def debias_group(
             subsets = [
                 drop_first(rankings[j], members[j][0], i, cfg.chunk_percent) for j in running
             ]
-            for j, m in zip(running, train_fn(subsets)):
+            for j, m in zip(running, train_many(subsets, cfg.hp)):
                 models[j][k] = m
         for j in running:
-            traces[j].append(ChunkMeasurement(i, k, float(discrim_fn(j, models[j][k], i))))
+            d, c = members[j]
+            pool = 0 if c.freeze_pool else i
+            disc = estimate_discrim(models[j][k], d, c.similarity, call_index=pool)
+            traces[j].append(ChunkMeasurement(i, k, disc))
         running = [j for j in running if improved([t.discrimination for t in traces[j]])]
     return [
         _result(d, c.chunk_percent, ranking, trace, by_k)

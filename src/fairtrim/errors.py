@@ -4,6 +4,8 @@ Everything raised on purpose inherits from FairtrimError so callers (and the
 CLI) can distinguish domain failures from bugs.
 """
 
+import numbers
+
 
 class FairtrimError(Exception):
     """Base class for all expected failures."""
@@ -59,3 +61,12 @@ class EmptyResult(FairtrimError):
 
 class MalformedReport(FairtrimError):
     """A grid report file lacks a field that fairtrim writes into it."""
+
+
+def require_integers(obj, *names: str) -> None:
+    """Raise RangeError unless each named field of ``obj`` is an integer, so a
+    setting such as 2.5 fails where it is given, not later as a TypeError."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise RangeError(f"{name} must be an integer, got {value!r}")

@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import Dataset, SplitSpec, drop_sensitive, split
 from .debias import DebiasConfig, debias_group
-from .errors import EmptyResult, MalformedReport, RangeError
+from .errors import EmptyResult, MalformedReport, RangeError, require_integers
 from .fairness import SimilarityConfig, accuracy, estimate_discrim, parity_or_none
 from .influence import SolverConfig
 from .model import Hyperparameters, mask_sensitive, train_many
@@ -102,6 +102,7 @@ class GridSpec:
             values = getattr(self, name) or ()
             if len(set(values)) != len(values):
                 raise RangeError(f"{name} repeats a value: {values}")
+        require_integers(self, "workers", "base_seed")
         if self.workers < 1:
             raise RangeError("workers must be >= 1")
         if self.base_seed < 0:
@@ -415,7 +416,7 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> dict:
 def summarize_reports(out_dir: str | Path) -> dict:
     """Picks, union size and mean discrimination per technique, read back
     from the reports under ``out_dir``. Raises FileNotFoundError when a file
-    is missing and MalformedReport when one lacks a field this reads."""
+    is missing and MalformedReport when one lacks or garbles a field this reads."""
     out = Path(out_dir)
     summary_path = out / REPORT_FILES["summary"]
     configs_path = out / REPORT_FILES["configs"]
@@ -425,13 +426,19 @@ def summarize_reports(out_dir: str | Path) -> dict:
         summary = json.load(fh)
     if not (isinstance(summary, dict) and {"picks", "unfair_union"} <= summary.keys()):
         raise MalformedReport(f"{summary_path} needs the fields picks and unfair_union")
+    if not isinstance(summary["unfair_union"], list):
+        raise MalformedReport(f"{summary_path}: unfair_union must be a list of row ids")
     by_technique: dict[str, list[float]] = {}
     with open(configs_path, newline="") as fh:
         rows = csv.DictReader(fh)
         if not {"technique", "discrimination"} <= set(rows.fieldnames or ()):
             raise MalformedReport(f"{configs_path} needs the columns technique and discrimination")
         for row in rows:
-            by_technique.setdefault(row["technique"], []).append(float(row["discrimination"]))
+            try:
+                disc = float(row["discrimination"])
+            except (TypeError, ValueError) as exc:
+                raise MalformedReport(f"{configs_path} line {rows.line_num}: {exc}") from exc
+            by_technique.setdefault(row["technique"], []).append(disc)
     return {
         "picks": summary["picks"],
         "unfair_union_size": len(summary["unfair_union"]),

@@ -36,6 +36,7 @@ from .errors import (
     MissingGroup,
     RangeError,
     SensitiveAbsent,
+    require_integers,
 )
 from .influence import InfluenceSet
 from .model import PREDICT_BLOCK_ROWS, predict_batch
@@ -51,6 +52,7 @@ class SimilarityConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "pool_multiplier", "rng_seed")
         if not (0.0 <= self.lam <= 1.0):
             raise RangeError(f"lam must lie in [0, 1], got {self.lam}")
         if self.pool_multiplier < 1:
@@ -79,9 +81,6 @@ class PairPool:
 
     def __len__(self) -> int:
         return int(self.first.shape[0])
-
-    def select(self, mask: np.ndarray) -> "PairPool":
-        return PairPool(self.first[mask], self.second[mask])  # boolean indexing copies
 
 
 def _pool_rng(cfg: SimilarityConfig, call_index: int | None) -> np.random.Generator:
@@ -141,7 +140,8 @@ def flip_mask(m, pool: PairPool) -> np.ndarray:
 
 def discriminatory_pairs(m, pool: PairPool) -> PairPool:
     """The subset of ``pool`` on which ``m`` predicts different labels."""
-    return pool.select(flip_mask(m, pool))
+    flips = flip_mask(m, pool)
+    return PairPool(pool.first[flips], pool.second[flips])
 
 
 def build_influence_set(m, pool: PairPool) -> InfluenceSet:

@@ -37,6 +37,7 @@ from .errors import (
     EmptyInfluenceSet,
     NotPositiveDefinite,
     RangeError,
+    require_integers,
 )
 from .model import Model, logit_gap_jacobian, mean_grad, per_example_grads
 
@@ -53,6 +54,7 @@ class SolverConfig:
     cg_max_iter: int = 200
 
     def __post_init__(self):
+        require_integers(self, "cg_max_iter")
         if self.method != CG:
             raise RangeError(f"unknown solver method {self.method!r}")
         if not (self.damping > 0 and np.isfinite(self.damping)):
@@ -156,7 +158,6 @@ class InfluenceRanking:
     """Training rows ordered most-harmful-first with solver diagnostics."""
 
     entries: tuple[RankedPoint, ...]
-    method: str
     damping: float
     solves: tuple[SolveInfo, ...]
     influence_set: InfluenceSet  # the set the rows were ranked against
@@ -182,7 +183,7 @@ class InfluenceRanking:
         }
 
     def save_diagnostics(self, path: str | Path) -> None:
-        obj = {"method": self.method, "damping": self.damping, **self.solve_health()}
+        obj = {"method": CG, "damping": self.damping, **self.solve_health()}
         with open(path, "w") as fh:
             json.dump(obj, fh, indent=2)
 
@@ -219,6 +220,5 @@ def rank_by_influence(
         RankedPoint(int(train.row_ids[i]), float(scores[i])) for i in order
     )
     return InfluenceRanking(
-        entries=entries, method=cfg.method, damping=cfg.damping, solves=(info,),
-        influence_set=iset,
+        entries=entries, damping=cfg.damping, solves=(info,), influence_set=iset,
     )

@@ -21,7 +21,6 @@ test suite.
 from __future__ import annotations
 
 import json
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, kept_columns_after_drop
-from .errors import DimensionMismatch, EmptyDataset, RangeError
+from .errors import DimensionMismatch, EmptyDataset, RangeError, require_integers
 
 N_CLASSES = 2
 _INIT_STREAM = 0
@@ -39,8 +38,9 @@ MODEL_FORMAT_VERSION = 1
 # rows per forward pass in predict_proba: scoring memory beyond its input and
 # output is set by this, not by the number of rows
 PREDICT_BLOCK_ROWS = 32768
-# bytes of shuffled feature rows train_many gathers at a time: a small input's
-# epoch is one gather, a large one's training memory stays bounded by this
+# bytes of shuffled feature rows train_many gathers at a time, over all members:
+# a small input's epoch is one gather, a large one's training memory stays
+# bounded by this
 GATHER_BLOCK_BYTES = 1 << 22
 
 
@@ -54,9 +54,7 @@ class Hyperparameters:
     weight_init_seed: int = 0
 
     def __post_init__(self):
-        for name in ("hidden1", "hidden2", "batch_size", "epochs", "weight_init_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise RangeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        require_integers(self, "hidden1", "hidden2", "batch_size", "epochs", "weight_init_seed")
         if self.hidden1 < 1 or self.hidden2 < 1:
             raise RangeError("hidden layer sizes must be >= 1")
         if self.batch_size < 1:
@@ -401,24 +399,19 @@ def train_many(
             if (init.hidden1, init.hidden2) != (h1, h2):
                 raise DimensionMismatch("warm start hidden sizes disagree with hyperparameters")
         theta = np.stack([init.theta for init in inits])
-    if len(datasets) == 1:  # a view: a lone training holds no copy of its features
-        X, y = datasets[0].encoded[None], datasets[0].labels[None]
-    else:
-        X = np.stack([d.encoded for d in datasets])
-        y = np.stack([d.labels for d in datasets])
     g = np.empty_like(theta)
     params, grads = _unpack(theta, dim, h1, h2), _unpack(g, dim, h1, h2)
 
     # rows per gather: whole batches, as many as fit in GATHER_BLOCK_BYTES
-    block = hp.batch_size * max(1, GATHER_BLOCK_BYTES // (hp.batch_size * X[:, 0].nbytes))
+    row_bytes = len(datasets) * dim * 8  # one float64 row of every member
+    block = hp.batch_size * max(1, GATHER_BLOCK_BYTES // (hp.batch_size * row_bytes))
     shuffle = np.random.default_rng([hp.weight_init_seed, _SHUFFLE_STREAM])
     for _ in range(hp.epochs):
         perm = shuffle.permutation(n)
         for first in range(0, n, block):
             rows = perm[first : first + block]
-            # np.take, not X[:, rows]: fancy indexing lays the stack axis innermost,
-            # and BLAS sums strided member rows in another order than a lone training
-            X_rows, y_rows = np.take(X, rows, axis=1), np.take(y, rows, axis=1)
+            X_rows = np.stack([d.encoded[rows] for d in datasets])
+            y_rows = np.stack([d.labels[rows] for d in datasets])
             for start in range(0, rows.size, hp.batch_size):
                 batch = slice(start, start + hp.batch_size)
                 _backward(params, X_rows[:, batch], y_rows[:, batch], grads)
@@ -480,5 +473,5 @@ def load_model(path: str | Path) -> Model:
             theta=np.asarray(obj["theta"], dtype=np.float64),
             final_train_loss=obj["final_train_loss"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{path} has a missing or malformed field: {exc}") from exc

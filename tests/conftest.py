@@ -1,4 +1,5 @@
-"""Fixtures shared by the test modules: the 7-row toy loans file in ``data/``.
+"""Fixtures shared by the test modules: the 7-row toy loans file in ``data/``,
+and a scripted removal loop.
 
 Approvals track income except that one high-income, high-wealth applicant
 from the disadvantaged group is denied (row 2). That single row is what a
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fairtrim.debias
 from fairtrim.data import load_dataset, load_schema
 
 TOY_CSV = Path(__file__).resolve().parent / "data" / "loans.csv"
@@ -29,3 +31,30 @@ def toy_schema():
 @pytest.fixture(scope="session")
 def toy(toy_schema):
     return load_dataset(TOY_CSV, toy_schema)
+
+
+@pytest.fixture
+def scripted_loop(monkeypatch):
+    """Replace the removal loop's training, measurement, or both.
+
+    ``scripted_loop(train=None, measure=None)`` installs ``train(subset) ->
+    model`` for every model ``debias`` trains, and ``measure(model, d,
+    similarity, call_index) -> float`` (the signature of
+    ``estimate_discrim``) for every pool estimate; one left None stays real.
+    It returns the list of member counts of the stacked training calls, so a
+    test can tell which subsets trained together.
+    """
+
+    def install(train=None, measure=None):
+        sizes = []
+        if train is not None:
+            def train_many(datasets, hp):
+                sizes.append(len(datasets))
+                return [train(d) for d in datasets]
+
+            monkeypatch.setattr(fairtrim.debias, "train_many", train_many)
+        if measure is not None:
+            monkeypatch.setattr(fairtrim.debias, "estimate_discrim", measure)
+        return sizes
+
+    return install

@@ -339,7 +339,7 @@ def test_criterion_09_grid_reports_are_deterministic(loans60, tmp_path):
     _pass(9, "two identical grid runs gave byte-identical CSV reports")
 
 
-def test_criterion_10_removal_loop_stopping_contract(toy):
+def test_criterion_10_removal_loop_stopping_contract(scripted_loop, toy):
     hp = Hyperparameters(batch_size=len(toy), weight_init_seed=GOLDEN_SEED, **GOLDEN_HP)
     sim = SimilarityConfig(lam=0.0, pool_multiplier=100, rng_seed=GOLDEN_SEED)
     cfg = DebiasConfig(similarity=sim, hp=hp, chunk_percent=14.0, max_chunks=50)
@@ -347,11 +347,11 @@ def test_criterion_10_removal_loop_stopping_contract(toy):
 
     # scripted measurements: chunk 3 (0.35) first fails to improve on 0.3
     seq = [0.5, 0.4, 0.3, 0.35, 0.1]
-    debiased, report = debias_data(
-        toy, cfg,
-        train_fn=lambda subset: full_model,
-        discrim_fn=lambda model, i: seq[i],
+    scripted_loop(
+        train=lambda subset: full_model,
+        measure=lambda model, d, similarity, call_index: seq[call_index],
     )
+    debiased, report = debias_data(toy, cfg)
     assert report.stop_index == 2
     assert [m.discrimination for m in report.trace] == seq[:4]
     expected = drop_first(report.ranking, toy, 2, cfg.chunk_percent)
@@ -360,11 +360,9 @@ def test_criterion_10_removal_loop_stopping_contract(toy):
 
     # first measurement already non-improving: input comes back unchanged
     seq2 = [0.5, 0.6]
-    unchanged, report2 = debias_data(
-        toy, cfg,
-        train_fn=lambda subset: full_model,
-        discrim_fn=lambda model, i: seq2[i],
-    )
+    # the scripted training stays installed; only the measurements change
+    scripted_loop(measure=lambda model, d, similarity, call_index: seq2[call_index])
+    unchanged, report2 = debias_data(toy, cfg)
     assert report2.stop_index == 0
     assert report2.removed_row_ids == ()
     assert unchanged.row_ids.tolist() == toy.row_ids.tolist()

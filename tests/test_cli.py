@@ -254,6 +254,13 @@ def test_report_without_grid_files(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+def model_json(**fields):
+    """A model file whose fields are those of a 1x1x1 model, but for ``fields``."""
+    obj = {"format": "fairtrim-model", "version": 1, "activation": "tanh", "input_dim": 1,
+           "hidden1": 1, "hidden2": 1, "final_train_loss": None, "theta": [0.0] * 8}
+    return json.dumps({**obj, **fields})
+
+
 @pytest.mark.parametrize(
     "command, files, error",
     [
@@ -262,13 +269,20 @@ def test_report_without_grid_files(capsys, tmp_path):
                                    '"activation": "tanh"}'}, "DimensionMismatch"),
         ("discrim", {"model.json": '{"format": "fairtrim-model", "version": 1, '
                                    '"activation": "relu"}'}, "RangeError"),
+        ("discrim", {"model.json": model_json(theta=["x"] * 8)}, "DimensionMismatch"),
+        ("discrim", {"model.json": model_json(input_dim="ten")}, "DimensionMismatch"),
         ("report", {"summary.json": '{"unfair_union": []}',
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
         ("report", {"summary.json": '{"picks": {}, "unfair_union": []}',
                     "configs.csv": "config_id\n"}, "MalformedReport"),
+        ("report", {"summary.json": '{"picks": {}, "unfair_union": []}',
+                    "configs.csv": "technique,discrimination\nfull,high\n"}, "MalformedReport"),
+        ("report", {"summary.json": '{"picks": {}, "unfair_union": 5}',
+                    "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
     ],
-    ids=["model-list", "model-no-input-dim", "model-relu", "summary-no-picks",
-         "configs-no-columns"],
+    ids=["model-list", "model-no-input-dim", "model-relu", "model-theta-strings",
+         "model-input-dim-word", "summary-no-picks", "configs-no-columns",
+         "configs-non-numeric-discrimination", "summary-union-not-list"],
 )
 def test_malformed_file_is_domain_error(capsys, toy_files, tmp_path, command, files, error):
     for name, text in files.items():

@@ -1,4 +1,5 @@
-"""Removal-loop semantics, driven by stubbed training and measurements."""
+"""Removal-loop semantics, driven by scripted training and measurements
+(the ``scripted_loop`` fixture)."""
 
 import copy
 import math
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairtrim.debias import (
@@ -33,9 +34,9 @@ def trained(toy):
     return train(toy, hp)
 
 
-def stub_cfg(chunk_percent=1.0, max_chunks=100, freeze_pool=False):
+def stub_cfg(chunk_percent=1.0, max_chunks=100, freeze_pool=False, rng_seed=0):
     return DebiasConfig(
-        similarity=SimilarityConfig(lam=0.0, pool_multiplier=10, rng_seed=0),
+        similarity=SimilarityConfig(lam=0.0, pool_multiplier=10, rng_seed=rng_seed),
         hp=Hyperparameters(4, 2, 7, epochs=1, weight_init_seed=0),
         solver=SolverConfig(),
         chunk_percent=chunk_percent,
@@ -45,13 +46,14 @@ def stub_cfg(chunk_percent=1.0, max_chunks=100, freeze_pool=False):
 
 
 def trained_on(calls, subset):
-    """The one model train_fn returned for ``subset``."""
+    """The one model the scripted training returned for ``subset``."""
     [m] = [m for ids, m in calls if ids == tuple(subset.row_ids.tolist())]
     return m
 
 
-def run_stubbed(toy, trained, sequence, chunk_percent=1.0, max_chunks=100):
-    """Drive the loop with a scripted discrimination series.
+def run_stubbed(scripted_loop, toy, trained, sequence, chunk_percent=1.0, max_chunks=100):
+    """Drive the loop with a scripted discrimination series: chunk i
+    measures ``sequence[i]``.
 
     Every training returns a distinct copy of ``trained``; ``calls`` records
     (row ids, model) per training so tests can tell which model came from
@@ -59,17 +61,15 @@ def run_stubbed(toy, trained, sequence, chunk_percent=1.0, max_chunks=100):
     """
     calls = []
 
-    def train_fn(subset):
+    def train_copy(subset):
         m = copy.copy(trained)
         calls.append((tuple(subset.row_ids.tolist()), m))
         return m
 
-    def discrim_fn(model, i):
-        return sequence[i]
-
-    out, report = debias_data(
-        toy, stub_cfg(chunk_percent, max_chunks), train_fn=train_fn, discrim_fn=discrim_fn
+    scripted_loop(
+        train=train_copy, measure=lambda model, d, similarity, call_index: sequence[call_index]
     )
+    out, report = debias_data(toy, stub_cfg(chunk_percent, max_chunks))
     assert report.loop_exhausted == (len(report.trace) == report.stop_index + 1)
     assert report.already_fair == (report.ranking is None)
     return out, report, calls
@@ -142,23 +142,26 @@ def test_sort_dataset_already_fair_raises(toy):
 
 # --- scripted loop behaviour --------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+# each example installs its own script, so sharing the fixture across examples is safe
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(seq=st.lists(st.floats(allow_nan=False), min_size=2, max_size=12))
-def test_stop_index_ends_the_strictly_decreasing_prefix(toy, trained, seq):
+def test_stop_index_ends_the_strictly_decreasing_prefix(scripted_loop, toy, trained, seq):
     end = 0
     while end + 1 < len(seq) and seq[end + 1] < seq[end]:
         end += 1
     # 1 % of 7 rows: every chunk up to max_chunks leaves rows to train on
-    _, report, _ = run_stubbed(toy, trained, seq, max_chunks=len(seq) - 1)
+    _, report, _ = run_stubbed(scripted_loop, toy, trained, seq, max_chunks=len(seq) - 1)
     assert report.stop_index == end
     assert [t.discrimination for t in report.trace] == seq[: end + 2]
     assert report.loop_exhausted == (end == len(seq) - 1)
 
 
-def test_loop_stops_at_first_non_improvement(toy, trained):
+def test_loop_stops_at_first_non_improvement(scripted_loop, toy, trained):
     # improving at 1 and 2, flat at 3 -> returns the chunk-2 subset
     seq = {0: 0.30, 1: 0.20, 2: 0.10, 3: 0.10}
-    out, report, calls = run_stubbed(toy, trained, seq, chunk_percent=15.0)
+    out, report, calls = run_stubbed(scripted_loop, toy, trained, seq, chunk_percent=15.0)
     assert report.stop_index == 2
     k = removal_count(2, 15.0, 7)  # ceil(2*0.15*7) = 3
     assert len(out) == 7 - k
@@ -171,10 +174,10 @@ def test_loop_stops_at_first_non_improvement(toy, trained):
     assert len(calls) == 4  # the full data and chunks 1-3, each trained once
 
 
-def test_repeated_removal_count_reuses_the_previous_model(toy, trained):
+def test_repeated_removal_count_reuses_the_previous_model(scripted_loop, toy, trained):
     # 1 % of 7 rows: chunks 1-3 all remove one row, so they share one training
     seq = {0: 0.3, 1: 0.2, 2: 0.1, 3: 0.1}
-    out, report, calls = run_stubbed(toy, trained, seq, chunk_percent=1.0)
+    out, report, calls = run_stubbed(scripted_loop, toy, trained, seq, chunk_percent=1.0)
     assert [t.rows_removed for t in report.trace] == [0, 1, 1, 1]
     assert [t.discrimination for t in report.trace] == [0.3, 0.2, 0.1, 0.1]
     assert report.stop_index == 2 and len(out) == 6
@@ -182,34 +185,34 @@ def test_repeated_removal_count_reuses_the_previous_model(toy, trained):
     assert report.model is trained_on(calls, out)
 
 
-def test_loop_immediate_stop_returns_input_unchanged(toy, trained):
+def test_loop_immediate_stop_returns_input_unchanged(scripted_loop, toy, trained):
     seq = {0: 0.05, 1: 0.05}
-    out, report, calls = run_stubbed(toy, trained, seq)
+    out, report, calls = run_stubbed(scripted_loop, toy, trained, seq)
     assert report.stop_index == 0
     assert out.row_ids.tolist() == toy.row_ids.tolist()
     assert report.removed_row_ids == ()
     assert len(report.trace) == 2
 
 
-def test_loop_strictly_increasing_measurement_stops_at_zero(toy, trained):
+def test_loop_strictly_increasing_measurement_stops_at_zero(scripted_loop, toy, trained):
     seq = {0: 0.10, 1: 0.20}
-    out, report, _ = run_stubbed(toy, trained, seq)
+    out, report, _ = run_stubbed(scripted_loop, toy, trained, seq)
     assert report.stop_index == 0 and len(out) == 7
 
 
-def test_trace_strictly_decreasing_before_stop(toy, trained):
+def test_trace_strictly_decreasing_before_stop(scripted_loop, toy, trained):
     seq = {0: 0.5, 1: 0.4, 2: 0.3, 3: 0.35}
-    _, report, _ = run_stubbed(toy, trained, seq, chunk_percent=15.0)
+    _, report, _ = run_stubbed(scripted_loop, toy, trained, seq, chunk_percent=15.0)
     discs = [t.discrimination for t in report.trace]
     for a, b in zip(discs, discs[1:-1]):
         assert b < a
     assert discs[-1] >= discs[-2]
 
 
-def test_loop_exhaustion_returns_last_candidate(toy, trained):
+def test_loop_exhaustion_returns_last_candidate(scripted_loop, toy, trained):
     # always improving; max_chunks=3 -> returns chunk-3 subset, flagged
     seq = {i: 0.5 - 0.1 * i for i in range(4)}
-    out, report, calls = run_stubbed(toy, trained, seq, chunk_percent=15.0, max_chunks=3)
+    out, report, calls = run_stubbed(scripted_loop, toy, trained, seq, chunk_percent=15.0, max_chunks=3)
     assert report.loop_exhausted
     assert report.stop_index == 3
     assert len(out) == 7 - removal_count(3, 15.0, 7)
@@ -217,10 +220,10 @@ def test_loop_exhaustion_returns_last_candidate(toy, trained):
     assert report.model is not report.full_model
 
 
-def test_loop_guards_against_emptying_dataset(toy, trained):
+def test_loop_guards_against_emptying_dataset(scripted_loop, toy, trained):
     # chunk 1 would remove all rows: loop must stop before training on nothing
     seq = {0: 0.5, 1: 0.4}
-    out, report, calls = run_stubbed(toy, trained, seq, chunk_percent=100.0)
+    out, report, calls = run_stubbed(scripted_loop, toy, trained, seq, chunk_percent=100.0)
     assert report.loop_exhausted
     assert report.stop_index == 0
     assert out.row_ids.tolist() == toy.row_ids.tolist()
@@ -234,15 +237,16 @@ def fair_model(toy):
     return mask_sensitive(train(drop_sensitive(toy), hp), toy)
 
 
-def test_already_fair_short_circuits(toy):
+def test_already_fair_short_circuits(scripted_loop, toy):
     wrapped = fair_model(toy)
     calls = []
 
-    def train_fn(subset):
+    def train_fair(subset):
         calls.append((tuple(subset.row_ids.tolist()), wrapped))
         return wrapped
 
-    out, report = debias_data(toy, stub_cfg(), train_fn=train_fn)
+    scripted_loop(train=train_fair)
+    out, report = debias_data(toy, stub_cfg())
     assert report.already_fair
     assert report.removed_row_ids == ()
     assert out.row_ids.tolist() == toy.row_ids.tolist()
@@ -251,23 +255,25 @@ def test_already_fair_short_circuits(toy):
     assert report.model is report.full_model is trained_on(calls, out)
 
 
-def test_chunk_indices_measured_with_distinct_pools(toy, trained):
-    # default discrim_fn passes the chunk index through as the pool call
-    # index; a scripted spy checks the indices arrive in order
+def test_chunk_indices_measured_with_distinct_pools(scripted_loop, toy, trained):
+    # chunk i is measured on pool call_index=i; a scripted spy checks the
+    # indices arrive in order
     seen = []
 
-    def discrim_fn(model, i):
-        seen.append(i)
-        return {0: 0.3, 1: 0.3}[i]
+    def measure(model, d, similarity, call_index):
+        seen.append(call_index)
+        return {0: 0.3, 1: 0.3}[call_index]
 
-    debias_data(toy, stub_cfg(), train_fn=lambda d: trained, discrim_fn=discrim_fn)
+    scripted_loop(train=lambda subset: trained, measure=measure)
+    debias_data(toy, stub_cfg())
     assert seen == [0, 1]
 
 
-def test_frozen_pool_measures_every_chunk_on_pool_zero(toy, trained):
+def test_frozen_pool_measures_every_chunk_on_pool_zero(scripted_loop, toy, trained):
     # the same model on the same frozen pool measures the same rate each time
     cfg = stub_cfg(chunk_percent=15.0, freeze_pool=True)
-    _, report = debias_data(toy, cfg, train_fn=lambda subset: trained)
+    scripted_loop(train=lambda subset: trained)
+    _, report = debias_data(toy, cfg)
     frozen = generate_similar_pairs(toy, cfg.similarity, call_index=0)
     expected = float(np.mean(flip_mask(trained, frozen)))
     assert len(report.trace) == 2  # chunk 1 does not improve on chunk 0
@@ -279,9 +285,9 @@ def test_debias_empty_dataset_raises(toy):
         debias_data(toy.subset(np.array([], dtype=int)), stub_cfg())
 
 
-def test_report_json_round_trip(toy, trained, tmp_path):
+def test_report_json_round_trip(scripted_loop, toy, trained, tmp_path):
     seq = {0: 0.3, 1: 0.2, 2: 0.2}
-    _, report, _ = run_stubbed(toy, trained, seq, chunk_percent=15.0)
+    _, report, _ = run_stubbed(scripted_loop, toy, trained, seq, chunk_percent=15.0)
     p = tmp_path / "report.json"
     report.save(p)
     import json
@@ -313,22 +319,21 @@ def test_end_to_end_real_training_runs(toy):
 
 # --- removal groups -----------------------------------------------------------
 
-def test_group_members_leave_at_their_stop(toy, trained):
+def test_group_members_leave_at_their_stop(scripted_loop, toy, trained):
     # member 2 is already fair; member 1 stops after chunk 1, member 0 after chunk 3
     shifted = replace(toy, row_ids=toy.row_ids + 100)
     fair = fair_model(toy)
-    sizes = []
-
-    def train_fn(subsets):
-        sizes.append(len(subsets))
-        return [fair if s.row_ids[0] > 100 else copy.copy(trained) for s in subsets]
-
+    # each member's pool seed tells the scripted measurement which member it measures
     sequences = {0: [0.3, 0.2, 0.1, 0.2], 1: [0.3, 0.4]}
-    cfg = stub_cfg(chunk_percent=15.0)
-    results = debias_group(
-        [(toy, cfg), (toy, cfg), (shifted, cfg)],
-        train_fn=train_fn, discrim_fn=lambda j, model, i: sequences[j][i],
+    sizes = scripted_loop(
+        train=lambda s: fair if s.row_ids[0] > 100 else copy.copy(trained),
+        measure=lambda model, d, similarity, call_index: sequences[similarity.rng_seed][call_index],
     )
+    results = debias_group([
+        (toy, stub_cfg(chunk_percent=15.0, rng_seed=0)),
+        (toy, stub_cfg(chunk_percent=15.0, rng_seed=1)),
+        (shifted, stub_cfg(chunk_percent=15.0, rng_seed=2)),
+    ])
     assert sizes == [3, 2, 1, 1]  # the full models, then chunks 1, 2 and 3
     assert [len(r.trace) for _, r in results] == [4, 2, 0]
     assert [r.stop_index for _, r in results] == [2, 0, 0]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fairtrim.data import SplitSpec, load_dataset
+from fairtrim.debias import DebiasConfig
 from fairtrim.errors import EmptyResult, RangeError
 from fairtrim.experiment import (
     ExperimentResult,
@@ -202,6 +203,23 @@ def test_negative_seed_is_range_error(make):
     make(0)
     with pytest.raises(RangeError):
         make(-1)
+
+
+# an integer setting given a fraction fails where it is given, not later as a TypeError
+@pytest.mark.parametrize("make", [
+    lambda v: DebiasConfig(SimilarityConfig(), Hyperparameters(4, 2, 7), max_chunks=v),
+    lambda v: SimilarityConfig(pool_multiplier=v),
+    lambda v: SimilarityConfig(rng_seed=v),
+    lambda v: SolverConfig(cg_max_iter=v),
+    lambda v: SplitSpec(v),
+    lambda v: GridSpec(workers=v),
+    lambda v: GridSpec(base_seed=v),
+], ids=["max_chunks", "pool_multiplier", "rng_seed", "cg_max_iter", "permutation_seed",
+        "workers", "base_seed"])
+def test_integer_setting_rejects_a_fraction(make):
+    make(np.int64(2))  # numpy ints pass
+    with pytest.raises(RangeError):
+        make(2.5)
 
 
 def test_full_scale_spec_dimensions():

@@ -12,6 +12,7 @@ from fairtrim import fairness, model
 from fairtrim.data import drop_sensitive, load_dataset
 from fairtrim.errors import MissingGroup, RangeError, SensitiveAbsent
 from fairtrim.fairness import (
+    PairPool,
     SimilarityConfig,
     accuracy,
     build_influence_set,
@@ -285,7 +286,7 @@ def test_blocked_scoring_is_bitwise_one_block_scoring(loans, monkeypatch):
     masked = mask_sensitive(train(drop_sensitive(loans), hp), loans)
     pool = generate_similar_pairs(loans, SimilarityConfig(lam=0.1, pool_multiplier=5))
     assert len(pool) % 7 != 0
-    empty = pool.select(np.zeros(len(pool), dtype=bool))
+    empty = PairPool(pool.first[:0], pool.second[:0])
     for m in (plain, masked):
         assert flip_mask(m, pool).any()
         scores = {}

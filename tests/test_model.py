@@ -6,6 +6,7 @@ they recompute everything from the loss alone.
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairtrim.data import SplitSpec, load_dataset, split
 from fairtrim.errors import DimensionMismatch, EmptyDataset, RangeError
 from fairtrim.model import (
     Hyperparameters,
@@ -33,6 +35,7 @@ from fairtrim.model import (
     train,
     train_many,
 )
+from fairtrim.synthetic import loans_schema, write_loans
 
 
 def random_problem(seed, n=6, dim=5, h1=4, h2=3):
@@ -368,6 +371,24 @@ def test_epoch_gathered_in_blocks_trains_the_same_bits(toy, monkeypatch, batches
     monkeypatch.setattr(fairtrim.model, "GATHER_BLOCK_BYTES", block_bytes)
     blocks = train_many(datasets, hp)
     assert [m.theta.tobytes() for m in blocks] == [m.theta.tobytes() for m in whole]
+
+
+def test_train_many_holds_no_stacked_copy_of_the_members(tmp_path, monkeypatch):
+    import fairtrim.model
+
+    write_loans(tmp_path / "d.csv", tmp_path / "s.json", n=6000, seed=0)
+    d = load_dataset(tmp_path / "d.csv", loans_schema())
+    datasets = [split(d, SplitSpec(s))[0] for s in range(4)]
+    monkeypatch.setattr(fairtrim.model, "GATHER_BLOCK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        train_many(datasets, Hyperparameters(2, 2, 64, epochs=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (P, n, w) copy of every member's rows alone would reach this
+    stacked = sum(member.encoded.nbytes for member in datasets)
+    assert peak < stacked, (peak, stacked)
 
 
 def test_train_many_rejects_members_of_different_shapes(toy):
