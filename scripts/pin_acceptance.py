@@ -37,7 +37,7 @@ from fairtrim.debias import sort_dataset
 from fairtrim.experiment import GridSpec, run_grid
 from fairtrim.fairness import SimilarityConfig
 from fairtrim.influence import SolverConfig
-from fairtrim.model import Hyperparameters, mean_loss, train
+from fairtrim.model import Hyperparameters, mean_loss, train, train_many
 from fairtrim.synthetic import loans_schema, write_loans
 
 
@@ -59,12 +59,12 @@ def loo_spearman(d, model_seed: int, pool_seed: int, multiplier: int = 40) -> fl
     score_by_row = {e.row_id: e.score for e in ranking.entries}
 
     base = mean_loss(m, iset.features, iset.labels)
-    scores, deltas = [], []
-    for i in range(len(d)):
-        sub = d.subset(np.delete(np.arange(len(d)), i))
-        retrained = train(sub, hp, init=m)  # warm start, see module docstring
-        deltas.append(base - mean_loss(retrained, iset.features, iset.labels))
-        scores.append(score_by_row[int(d.row_ids[i])])
+    # the n leave-one-out subsets share one shape, so they train together;
+    # each starts warm from m, see module docstring
+    subsets = [d.subset(np.delete(np.arange(len(d)), i)) for i in range(len(d))]
+    retrained = train_many(subsets, hp, inits=[m] * len(d))
+    deltas = [base - mean_loss(r, iset.features, iset.labels) for r in retrained]
+    scores = [score_by_row[int(rid)] for rid in d.row_ids]
     return float(spearmanr(scores, deltas).statistic)
 
 

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Every subcommand prints a JSON object on stdout and exits 0 on success.
+Every subcommand prints a JSON object on stdout and exits 0 on success: each
+``cmd_*`` returns that object and ``main`` prints it.
 Expected failures print one JSON object {"error": <type>, "message": ...} on
 stderr and exit 2 (domain errors) or 1 (file/OS errors).
 
@@ -31,7 +32,7 @@ from .data import load_dataset, load_schema
 from .debias import DebiasConfig, debias_data, sort_dataset
 from .errors import FairtrimError, RangeError
 from .experiment import GridSpec, derived_batch_sizes, emit_reports, run_grid, summarize_reports
-from .fairness import SimilarityConfig, metrics_report
+from .fairness import SimilarityConfig, accuracy, metrics_report
 from .influence import SolverConfig
 from .model import Hyperparameters, load_model, save_model, train
 
@@ -113,18 +114,13 @@ def _load(args):
     return load_dataset(args.dataset, load_schema(args.schema))
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def _get_model(args, d):
     if args.model:
         return load_model(args.model)
     return train(d, _hp(args, len(d)))
 
 
-def cmd_load_check(args) -> int:
+def cmd_load_check(args) -> dict:
     d = _load(args)
     label_counts = {
         "positive": int(d.labels.sum()),
@@ -136,61 +132,55 @@ def cmd_load_check(args) -> int:
             cat: int(sum(g == cat for g in d.group_values))
             for cat in d.sensitive_categories
         }
-    _emit({
+    return {
         "rows": len(d),
         "encoded_width": d.width,
         "columns": [{"name": n, "kind": k} for n, k in d.schema.columns],
         "label_counts": label_counts,
         "groups": groups,
         "derived_batch_sizes": list(derived_batch_sizes(len(d))),
-    })
-    return 0
+    }
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     d = _load(args)
     m = train(d, _hp(args, len(d)))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "model.json"
     save_model(m, path)
-    from .fairness import accuracy
-
-    _emit({
+    return {
         "model_path": str(path),
         "final_train_loss": m.final_train_loss,
         "train_accuracy": accuracy(m, d),
         "n_params": m.n_params,
-    })
-    return 0
+    }
 
 
-def cmd_discrim(args) -> int:
+def cmd_discrim(args) -> dict:
+    sim = _sim(args)  # reject a bad pool flag before training
     d = _load(args)
-    m = _get_model(args, d)
-    _emit(metrics_report(m, d, _sim(args)))
-    return 0
+    return metrics_report(_get_model(args, d), d, sim)
 
 
-def cmd_rank(args) -> int:
-    solver = _solver(args)  # reject a bad solver flag before training
+def cmd_rank(args) -> dict:
+    sim, solver = _sim(args), _solver(args)  # reject a bad flag before training
     d = _load(args)
-    ranking = sort_dataset(d, _get_model(args, d), _sim(args), solver)
+    ranking = sort_dataset(d, _get_model(args, d), sim, solver)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ranking.to_csv(out / "ranking.csv")
     ranking.save_diagnostics(out / "ranking_diagnostics.json")
-    _emit({
+    return {
         "pool_pairs": ranking.influence_set.pool_pairs,
         "discriminatory_pairs": len(ranking.influence_set),
         "ranking_path": str(out / "ranking.csv"),
         "most_harmful": list(ranking.row_ids[:10]),
         "ranking_solve": ranking.solve_health(),
-    })
-    return 0
+    }
 
 
-def cmd_debias(args) -> int:
+def cmd_debias(args) -> dict:
     d = _load(args)
     cfg = DebiasConfig(
         similarity=_sim(args),
@@ -204,7 +194,7 @@ def cmd_debias(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     debiased.to_csv(out / "debiased.csv")
     report.save(out / "debias_report.json")
-    _emit({
+    return {
         "rows_before": len(d),
         "rows_after": len(debiased),
         "removed_row_ids": list(report.removed_row_ids),
@@ -212,11 +202,10 @@ def cmd_debias(args) -> int:
         "already_fair": report.already_fair,
         "loop_exhausted": report.loop_exhausted,
         "debiased_path": str(out / "debiased.csv"),
-    })
-    return 0
+    }
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> dict:
     d = _load(args)
     bs = _batch_size(args)
     spec = GridSpec(
@@ -235,18 +224,16 @@ def cmd_grid(args) -> int:
     )
     result = run_grid(d, spec)
     paths = emit_reports(result, args.out_dir)
-    _emit({
+    return {
         "n_configs": len(result.records),
         "unfair_union_size": len(result.unfair_union),
         "picks": result.picks(),
         "reports": paths,
-    })
-    return 0
+    }
 
 
-def cmd_report(args) -> int:
-    _emit(summarize_reports(args.out_dir))
-    return 0
+def cmd_report(args) -> dict:
+    return summarize_reports(args.out_dir)
 
 
 # command -> (handler, help, flag groups); the commands that train share _TRAINING
@@ -272,15 +259,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
-    except FairtrimError as exc:
+        obj = _COMMANDS[args.command][0](args)
+    except (FairtrimError, OSError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except (OSError, ValueError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, FairtrimError) else 1
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -229,9 +229,9 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return replace(
             self,
-            row_ids=self.row_ids[idx].copy(),
-            encoded=self.encoded[idx].copy(),
-            labels=self.labels[idx].copy(),
+            row_ids=self.row_ids[idx],
+            encoded=self.encoded[idx],
+            labels=self.labels[idx],
             raw_rows=tuple(self.raw_rows[i] for i in idx),
             group_values=None if self.group_values is None
             else tuple(self.group_values[i] for i in idx),
@@ -373,7 +373,8 @@ def drop_sensitive(d: Dataset) -> Dataset:
         d,
         schema=new_schema,
         encoding=EncodingSpec(tuple(codecs)),
-        encoded=d.encoded[:, kept_columns_after_drop(d)].copy(),
+        # one C-ordered copy; d.encoded[:, kept] would be F-ordered
+        encoded=np.take(d.encoded, kept_columns_after_drop(d), axis=1),
     )
 
 

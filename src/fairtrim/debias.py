@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import takewhile
 
@@ -83,14 +83,7 @@ class DebiasReport:
             "removed_row_ids": list(self.removed_row_ids),
             "already_fair": self.already_fair,
             "loop_exhausted": self.loop_exhausted,
-            "trace": [
-                {
-                    "chunk_index": t.chunk_index,
-                    "rows_removed": t.rows_removed,
-                    "discrimination": t.discrimination,
-                }
-                for t in self.trace
-            ],
+            "trace": [asdict(t) for t in self.trace],
             "ranking_row_ids": None if self.ranking is None else list(self.ranking.row_ids),
             "ranking_solve": None if self.ranking is None else self.ranking.solve_health(),
         }

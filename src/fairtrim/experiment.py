@@ -34,7 +34,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import groupby, product
 from pathlib import Path
 
@@ -43,7 +43,7 @@ import numpy as np
 from .data import Dataset, SplitSpec, drop_sensitive, split
 from .debias import DebiasConfig, debias_group
 from .errors import EmptyResult, MalformedReport, RangeError, require_integers
-from .fairness import SimilarityConfig, accuracy, estimate_discrim, parity_or_none
+from .fairness import SimilarityConfig, accuracy_and_parity, estimate_discrim
 from .influence import SolverConfig
 from .model import Hyperparameters, mask_sensitive, train_many
 
@@ -76,7 +76,9 @@ class GridSpec:
     Every setting a config passes on takes the library's default from the
     class that owns it (SplitSpec, Hyperparameters, SimilarityConfig,
     SolverConfig, DebiasConfig), so a grid run and a single ``debias`` run
-    agree unless told otherwise.
+    agree unless told otherwise. ``loop`` is the DebiasConfig every config
+    passes on, but for its own hp and pool seed; it is built with the spec,
+    so a bad loop or pool setting fails before anything trains.
     """
 
     hidden1_choices: tuple[int, ...] = (16, 24)
@@ -94,6 +96,7 @@ class GridSpec:
     freeze_pool: bool = DebiasConfig.freeze_pool
     base_seed: int = 0
     workers: int = 1
+    loop: DebiasConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.hidden1_choices and self.hidden2_choices and self.permutation_seeds):
@@ -107,6 +110,16 @@ class GridSpec:
             raise RangeError("workers must be >= 1")
         if self.base_seed < 0:
             raise RangeError(f"base_seed must be >= 0, got {self.base_seed}")
+        object.__setattr__(self, "loop", DebiasConfig(
+            similarity=SimilarityConfig(lam=self.lam, pool_multiplier=self.pool_multiplier),
+            hp=Hyperparameters(  # the first config's; each shape group sets its own
+                hidden1=self.hidden1_choices[0], hidden2=self.hidden2_choices[0],
+                batch_size=(self.batch_sizes or (1,))[0], epochs=self.epochs,
+                learning_rate=self.learning_rate, weight_init_seed=self.base_seed,
+            ),
+            solver=self.solver, chunk_percent=self.chunk_percent,
+            max_chunks=self.max_chunks, freeze_pool=self.freeze_pool,
+        ))
 
     @classmethod
     def full_scale(cls, **overrides) -> "GridSpec":
@@ -165,37 +178,26 @@ class ExperimentResult:
         """
         if not self.records:
             raise EmptyResult("no experiment records to aggregate")
-
-        def ours(r):
-            return r.metrics["ours"]
-
-        scored = [r for r in self.records if ours(r).accuracy is not None]
-        with_parity = [r for r in scored if ours(r).parity is not None]
-        least_discm = min(
-            self.records,
-            key=lambda r: (
-                ours(r).discrimination,
-                -(ours(r).accuracy if ours(r).accuracy is not None else -math.inf),
-                r.config_id,
-            ),
-        )
-        out = {
-            "least_discrimination": _pick_view(least_discm),
-            "highest_accuracy": None,
-            "least_parity": None,
-        }
-        if scored:
-            best_acc = min(
-                scored,
-                key=lambda r: (-ours(r).accuracy, ours(r).discrimination, r.config_id),
+        out = {}
+        for name, (needs, key) in _PICKS.items():
+            qualified = [r for r in self.records if getattr(r.metrics["ours"], needs) is not None]
+            best = min(
+                qualified, key=lambda r: (*key(r.metrics["ours"]), r.config_id), default=None
             )
-            out["highest_accuracy"] = _pick_view(best_acc)
-        if with_parity:
-            least_parity = min(
-                with_parity, key=lambda r: (ours(r).parity, -ours(r).accuracy, r.config_id)
-            )
-            out["least_parity"] = _pick_view(least_parity)
+            out[name] = None if best is None else _pick_view(best)
         return out
+
+
+# pick -> (the ``ours`` metric a config needs to qualify, sort key on its
+# ``ours`` metrics); config_id breaks what ties are left. Accuracy is None
+# only where parity is, too.
+_PICKS = {
+    "least_discrimination": ("discrimination", lambda m: (
+        m.discrimination, math.inf if m.accuracy is None else -m.accuracy,
+    )),
+    "highest_accuracy": ("accuracy", lambda m: (-m.accuracy, m.discrimination)),
+    "least_parity": ("parity", lambda m: (m.parity, -m.accuracy)),
+}
 
 
 def _pick_view(r: ConfigRecord) -> dict:
@@ -249,31 +251,18 @@ def _phase_one(args):
     """
     d, spec, group = args
     _, _, h1, h2, bs, _ = group[0]
-    hp = Hyperparameters(
-        hidden1=h1, hidden2=h2, batch_size=bs,
-        epochs=spec.epochs, learning_rate=spec.learning_rate,
-        weight_init_seed=spec.base_seed,
-    )
+    hp = replace(spec.loop.hp, hidden1=h1, hidden2=h2, batch_size=bs)
     splits = [
         split(d, SplitSpec(permutation_seed=ps, train_fraction=spec.train_fraction))
         for *_, ps in group
     ]
     sims = [
-        SimilarityConfig(
-            lam=spec.lam,
-            pool_multiplier=spec.pool_multiplier,
-            rng_seed=_config_seed(spec.base_seed, index),
-        )
+        replace(spec.loop.similarity, rng_seed=_config_seed(spec.base_seed, index))
         for index, *_ in group
     ]
     srs = train_many([drop_sensitive(tr) for tr, _ in splits], hp)
     reports = debias_group([
-        (tr, DebiasConfig(
-            similarity=sim, hp=hp, solver=spec.solver,
-            chunk_percent=spec.chunk_percent, max_chunks=spec.max_chunks,
-            freeze_pool=spec.freeze_pool,
-        ))
-        for (tr, _), sim in zip(splits, sims)
+        (tr, replace(spec.loop, similarity=sim, hp=hp)) for (tr, _), sim in zip(splits, sims)
     ])
 
     out = []
@@ -306,12 +295,6 @@ def _shape_groups(configs, workers: int) -> list[list]:
     return out
 
 
-def _technique_metrics(model, discrimination: float, dtest: Dataset | None) -> TechniqueMetrics:
-    if dtest is None:
-        return TechniqueMetrics(discrimination, None, None)
-    return TechniqueMetrics(discrimination, accuracy(model, dtest), parity_or_none(model, dtest))
-
-
 def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
     configs = _enumerate_configs(d, spec)
     jobs = [(d, spec, part) for part in _shape_groups(configs, spec.workers)]
@@ -329,11 +312,15 @@ def run_grid(d: Dataset, spec: GridSpec) -> ExperimentResult:
     for config, (outcome, train_rows, test, models, discm) in zip(configs, results):
         _, config_id, h1, h2, bs, ps = config
         dtest = debiased_test_set(test, union)
+        scores = {
+            t: (None, None) if dtest is None else accuracy_and_parity(models[t], dtest)
+            for t in TECHNIQUES
+        }
         records.append(ConfigRecord(
             config_id=config_id, hidden1=h1, hidden2=h2, batch_size=bs, permutation_seed=ps,
             train_rows=train_rows, test_rows=len(test),
             debiased_test_rows=None if dtest is None else len(dtest),
-            metrics={t: _technique_metrics(models[t], discm[t], dtest) for t in TECHNIQUES},
+            metrics={t: TechniqueMetrics(discm[t], *scores[t]) for t in TECHNIQUES},
             **outcome,
         ))
     return ExperimentResult(records=tuple(records), unfair_union=union)

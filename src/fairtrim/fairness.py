@@ -173,26 +173,26 @@ def estimate_discrim(
     return float(np.mean(flip_mask(m, pool)))
 
 
-def accuracy(m, d: Dataset) -> float:
+def accuracy_and_parity(m, d: Dataset) -> tuple[float, float | None]:
+    """Accuracy of ``m`` on ``d`` and its statistical parity difference, from
+    one prediction of the rows. Parity is None when ``d`` carries no group
+    metadata or has no rows of one group."""
     if len(d) == 0:
         raise EmptyDataset("accuracy over an empty dataset is undefined")
     labels, _ = predict_batch(m, d.encoded)
-    return float(np.mean(labels == d.labels))
+    acc = float(np.mean(labels == d.labels))
+    if d.group_values is None or d.sensitive_categories is None:
+        return acc, None
+    groups = np.asarray(d.group_values)
+    masks = [groups == cat for cat in d.sensitive_categories]
+    if not all(mask.any() for mask in masks):
+        return acc, None
+    rate0, rate1 = (float(labels[mask].mean()) for mask in masks)
+    return acc, abs(rate0 - rate1)
 
 
-def parity_from_predictions(
-    preds: np.ndarray, groups, categories: tuple[str, str]
-) -> float:
-    """|P(pred=1 | g0) - P(pred=1 | g1)| from raw predictions and group tags."""
-    preds = np.asarray(preds)
-    groups = np.asarray(groups)
-    rates = []
-    for cat in categories:
-        mask = groups == cat
-        if not mask.any():
-            raise MissingGroup(f"group {cat!r} has no rows in the evaluation set")
-        rates.append(float(preds[mask].mean()))
-    return abs(rates[0] - rates[1])
+def accuracy(m, d: Dataset) -> float:
+    return accuracy_and_parity(m, d)[0]
 
 
 def statistical_parity_difference(m, d: Dataset) -> float:
@@ -201,27 +201,21 @@ def statistical_parity_difference(m, d: Dataset) -> float:
         raise SensitiveAbsent("dataset carries no sensitive-group metadata")
     if len(d) == 0:
         raise EmptyDataset("parity over an empty dataset is undefined")
-    labels, _ = predict_batch(m, d.encoded)
-    return parity_from_predictions(labels, d.group_values, d.sensitive_categories)
-
-
-def parity_or_none(m, d: Dataset) -> float | None:
-    """Statistical parity of ``m`` on ``d``, or None when ``d`` has no group
-    metadata or no rows of one group."""
-    try:
-        return statistical_parity_difference(m, d)
-    except (SensitiveAbsent, MissingGroup):
-        return None
+    for cat in d.sensitive_categories:
+        if cat not in d.group_values:
+            raise MissingGroup(f"group {cat!r} has no rows in the evaluation set")
+    return accuracy_and_parity(m, d)[1]
 
 
 def metrics_report(m, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) -> dict:
     """Discrimination, accuracy, and (when group metadata exists) parity."""
     pool = generate_similar_pairs(d, cfg, call_index=call_index)
     flips = flip_mask(m, pool)
+    acc, parity = accuracy_and_parity(m, d)
     return {
         "individual_discrimination": float(np.mean(flips)),
         "pool_pairs": int(len(pool)),
         "discriminatory_pairs": int(np.sum(flips)),
-        "accuracy": accuracy(m, d),
-        "statistical_parity_difference": parity_or_none(m, d),
+        "accuracy": acc,
+        "statistical_parity_difference": parity,
     }

@@ -12,6 +12,11 @@ Each step is one stacked forward pass, one backward pass and one in-place
 update, so numpy's per-call cost is paid once for all P members, and each
 member is bitwise what training it alone gives. ``train`` is P = 1.
 
+The flat parameter layout (W1,b1,W2,b2,W3,b3) has one owner, ``_unpack``;
+``param_count`` gives its length. Everything that reads or writes a
+parameter-sized vector, or a row of per-example gradients, goes through
+``_unpack`` views of it.
+
 The Hessian-vector product uses the forward-over-reverse (Pearlmutter)
 construction and never materializes the Hessian. Gradients, HVPs and the
 logit-gap Jacobian are checked against central finite differences in the
@@ -90,12 +95,6 @@ def _unpack(theta: np.ndarray, d: int, h1: int, h2: int):
     W3 = theta[..., o : o + h2 * N_CLASSES].reshape(*lead, h2, N_CLASSES); o += h2 * N_CLASSES
     b3 = theta[..., o : o + N_CLASSES]
     return W1, b1, W2, b2, W3, b3
-
-
-def _pack(W1, b1, W2, b2, W3, b3) -> np.ndarray:
-    return np.concatenate(
-        [W1.ravel(), b1.ravel(), W2.ravel(), b2.ravel(), W3.ravel(), b3.ravel()]
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,19 +286,19 @@ def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _per_example_backward(m: Model, X, a1, a2, dz3) -> np.ndarray:
-    """Row i is grad_theta of dz3[i] . z3[i] (z3: logits; a1, a2: activations)."""
-    n = X.shape[0]
-    W1, b1, W2, b2, W3, b3 = m.unpack()
+    """Row i is grad_theta of dz3[i] . z3[i] (z3: logits; a1, a2: activations).
+
+    Each row is written through stacked ``_unpack`` views, so the (n,
+    n_params) result is the only n x n_params array built.
+    """
+    _, _, W2, _, W3, _ = m.unpack()
     _, dz2, _, dz1 = _hidden_deltas(dz3, a1, a2, W2, W3)
-    blocks = [
-        np.einsum("ni,nj->nij", X, dz1).reshape(n, -1),
-        dz1,
-        np.einsum("ni,nj->nij", a1, dz2).reshape(n, -1),
-        dz2,
-        np.einsum("ni,nj->nij", a2, dz3).reshape(n, -1),
-        dz3,
-    ]
-    return np.hstack(blocks)
+    out = np.empty((X.shape[0], m.n_params))
+    gW1, gb1, gW2, gb2, gW3, gb3 = _unpack(out, m.input_dim, m.hidden1, m.hidden2)
+    for a, dz, gW, gb in ((X, dz1, gW1, gb1), (a1, dz2, gW2, gb2), (a2, dz3, gW3, gb3)):
+        np.multiply(a[:, :, None], dz[:, None, :], out=gW)
+        gb[...] = dz
+    return out
 
 
 # --- Hessian-vector product -------------------------------------------------
@@ -337,18 +336,20 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
     dz3 = _loss_delta(logp, y) / n
     da2, dz2, da1, _ = _hidden_deltas(dz3, a1, a2, W2, W3)
 
+    out = np.empty(m.n_params)
+    RgW1, Rgb1, RgW2, Rgb2, RgW3, Rgb3 = _unpack(out, d, h1, h2)
     Rdz3 = Rp / n
-    RgW3 = Ra2.T @ dz3 + a2.T @ Rdz3
-    Rgb3 = Rdz3.sum(axis=0)
+    RgW3[...] = Ra2.T @ dz3 + a2.T @ Rdz3
+    Rgb3[...] = Rdz3.sum(axis=0)
     Rda2 = Rdz3 @ W3.T + dz3 @ V3.T
     Rdz2 = Rda2 * s2 - 2.0 * da2 * a2 * Ra2
-    RgW2 = Ra1.T @ dz2 + a1.T @ Rdz2
-    Rgb2 = Rdz2.sum(axis=0)
+    RgW2[...] = Ra1.T @ dz2 + a1.T @ Rdz2
+    Rgb2[...] = Rdz2.sum(axis=0)
     Rda1 = Rdz2 @ W2.T + dz2 @ V2.T
     Rdz1 = Rda1 * s1 - 2.0 * da1 * a1 * Ra1
-    RgW1 = X.T @ Rdz1
-    Rgb1 = Rdz1.sum(axis=0)
-    return _pack(RgW1, Rgb1, RgW2, Rgb2, RgW3, Rgb3)
+    RgW1[...] = X.T @ Rdz1
+    Rgb1[...] = Rdz1.sum(axis=0)
+    return out
 
 
 # --- training ---------------------------------------------------------------
@@ -356,13 +357,13 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
 def _init_theta(input_dim: int, h1: int, h2: int, seed: int) -> np.ndarray:
     """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) for each layer's W and b."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
-    parts = []
-    for fan_in, fan_out in ((input_dim, h1), (h1, h2), (h2, N_CLASSES)):
-        bound = 1.0 / np.sqrt(fan_in)
-        parts.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-        parts.append(rng.uniform(-bound, bound, size=fan_out))
-    # layout order is W1,b1,W2,b2,W3,b3, same as _pack
-    return np.concatenate(parts)
+    theta = np.empty(param_count(input_dim, h1, h2))
+    W1, b1, W2, b2, W3, b3 = _unpack(theta, input_dim, h1, h2)
+    for W, b in ((W1, b1), (W2, b2), (W3, b3)):
+        bound = 1.0 / np.sqrt(W.shape[0])  # fan_in
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return theta
 
 
 def train_many(

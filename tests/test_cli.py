@@ -107,6 +107,34 @@ def test_bad_flag_value_is_domain_error(capsys, toy_files):
     assert json.loads(err)["error"] == "RangeError"
 
 
+# a bad pool or loop flag fails before any model trains
+@pytest.mark.parametrize("command, flag, value", [
+    ("discrim", "--lambda", "2"),
+    ("discrim", "--pool-multiplier", "0"),
+    ("rank", "--lambda", "2"),
+    ("rank", "--pool-multiplier", "0"),
+    ("grid", "--lambda", "2"),
+    ("grid", "--pool-multiplier", "0"),
+    ("grid", "--chunk-percent", "0"),
+])
+def test_bad_flag_fails_before_training(capsys, toy_files, tmp_path, monkeypatch,
+                                        command, flag, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before checking the flags")
+
+    for module in (fairtrim.cli, fairtrim.model, fairtrim.debias, fairtrim.experiment):
+        for name in ("train", "train_many"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    csv_path, schema_path = toy_files
+    argv = [command, csv_path, "--schema", schema_path, flag, value]
+    if command != "discrim":  # the one of the three that writes no files
+        argv += ["--out-dir", str(tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "RangeError"
+
+
 def test_negative_seed_is_domain_error(capsys, toy_files, tmp_path):
     csv_path, schema_path = toy_files
     code, _, err = run(

@@ -15,13 +15,13 @@ from fairtrim.fairness import (
     PairPool,
     SimilarityConfig,
     accuracy,
+    accuracy_and_parity,
     build_influence_set,
     discriminatory_pairs,
     estimate_discrim,
     flip_mask,
     generate_similar_pairs,
     metrics_report,
-    parity_from_predictions,
     statistical_parity_difference,
 )
 from fairtrim.model import (
@@ -232,25 +232,32 @@ def test_accuracy_range_and_value(toy, trained):
     assert acc == pytest.approx(float(np.mean(labels == toy.labels)))
 
 
-def test_parity_oracle_on_ground_truth_labels(toy):
-    # hand count: whites approve 2/3, blacks approve 1/4
-    gap = parity_from_predictions(toy.labels, toy.group_values, toy.sensitive_categories)
+def test_parity_oracle_on_ground_truth_labels(toy, monkeypatch):
+    # a model that predicts the true labels; hand count: whites approve 2/3, blacks 1/4
+    monkeypatch.setattr(
+        fairness, "predict_batch", lambda m, X: (toy.labels, np.ones(len(toy)))
+    )
+    gap = statistical_parity_difference(None, toy)
     assert gap == pytest.approx(abs(2 / 3 - 1 / 4), abs=1e-12)
     assert gap == pytest.approx(0.416667, abs=1e-6)
+    assert accuracy_and_parity(None, toy) == (1.0, gap)
+
+
+def _constant_model(d):
+    """All-zero weights tie the two logits, so every row is predicted class 0."""
+    return Model(d.width, 2, 2, theta=np.zeros(param_count(d.width, 2, 2)))
 
 
 def test_parity_of_constant_predictor_is_zero(toy):
-    assert parity_from_predictions(
-        np.ones(len(toy), dtype=int), toy.group_values, toy.sensitive_categories
-    ) == 0.0
+    assert statistical_parity_difference(_constant_model(toy), toy) == 0.0
 
 
 def test_parity_missing_group_raises(toy):
     whites_only = toy.subset(np.array([0, 2, 4]))
+    m = _constant_model(toy)
     with pytest.raises(MissingGroup):
-        parity_from_predictions(
-            np.ones(3, dtype=int), whites_only.group_values, whites_only.sensitive_categories
-        )
+        statistical_parity_difference(m, whites_only)
+    assert accuracy_and_parity(m, whites_only) == (accuracy(m, whites_only), None)
 
 
 def test_parity_works_after_drop_sensitive(toy):
