@@ -120,6 +120,13 @@ class GridSpec:
             solver=self.solver, chunk_percent=self.chunk_percent,
             max_chunks=self.max_chunks, freeze_pool=self.freeze_pool,
         ))
+        # every axis value passes its owning class's checks now, not when its
+        # shape group starts after the earlier groups have trained
+        batch_sizes = self.batch_sizes or (self.loop.hp.batch_size,)
+        for h1, h2, bs in product(self.hidden1_choices, self.hidden2_choices, batch_sizes):
+            replace(self.loop.hp, hidden1=h1, hidden2=h2, batch_size=bs)
+        for seed in self.permutation_seeds:
+            SplitSpec(permutation_seed=seed, train_fraction=self.train_fraction)
 
     @classmethod
     def full_scale(cls, **overrides) -> "GridSpec":

@@ -12,6 +12,14 @@ Each step is one stacked forward pass, one backward pass and one in-place
 update, so numpy's per-call cost is paid once for all P members, and each
 member is bitwise what training it alone gives. ``train`` is P = 1.
 
+That per-call cost is nearly all a step costs on such small arrays, so a
+step allocates no array either: a ``_Workspace`` holds the parameter views
+that stay fixed through a call and, per batch length (the full batch and a
+short last one), the buffers every operation writes with ``out=``. The
+2-class max and sum of the softmax are written out as one elementwise call
+each, since an axis reduction pays that cost several times; they give the
+bits of the reductions they replace.
+
 The flat parameter layout (W1,b1,W2,b2,W3,b3) has one owner, ``_unpack``;
 ``param_count`` gives its length. Everything that reads or writes a
 parameter-sized vector, or a row of per-example gradients, goes through
@@ -161,21 +169,99 @@ def _check_features(m, X: np.ndarray) -> np.ndarray:
 
 # --- forward / loss ---------------------------------------------------------
 
-def _forward(params, X):
+_CLASSES = np.arange(N_CLASSES)
+
+
+class _Activations:
+    """Forward-pass outputs over one batch; ``rows`` is its shape, stack axis included."""
+
+    def __init__(self, rows: tuple[int, ...], h1: int, h2: int):
+        self.a1 = np.empty((*rows, h1))
+        self.a2 = np.empty((*rows, h2))
+        self.logp = np.empty((*rows, N_CLASSES))  # holds the logits until the softmax
+        self.exp = np.empty((*rows, N_CLASSES))
+        self.top = np.empty(rows)  # the larger logit, then the log of the exp sum
+        self.a1T, self.a2T = self.a1.swapaxes(-1, -2), self.a2.swapaxes(-1, -2)
+        self.logp_cols = self.logp[..., 0], self.logp[..., 1]
+        self.exp_cols = self.exp[..., 0], self.exp[..., 1]
+        self.top_col = self.top[..., None]
+
+
+class _Deltas:
+    """Backward-pass deltas over one batch: dz3 of the logits, then da2, dz2, da1, dz1."""
+
+    def __init__(self, rows: tuple[int, ...], h1: int, h2: int):
+        self.dz3 = np.empty((*rows, N_CLASSES))
+        self.da2, self.dz2 = np.empty((*rows, h2)), np.empty((*rows, h2))
+        self.da1, self.dz1 = np.empty((*rows, h1)), np.empty((*rows, h1))
+
+
+class _Workspace:
+    """Reused memory of the forward and backward passes over one parameter stack.
+
+    It holds the views that stay fixed while ``theta`` changes in place: the
+    ``_unpack`` views of the parameters and of the gradient buffer, the
+    broadcast biases and the transposed weights. Per batch length it holds
+    the buffers each pass writes with ``out=``, so after the first step of a
+    length no pass allocates an array. Every buffer is C-ordered like the
+    fresh array it replaces, because the bits depend on the layout. Deltas
+    are built only for a caller that backpropagates.
+    """
+
+    def __init__(self, theta: np.ndarray, d: int, h1: int, h2: int, grads: np.ndarray | None):
+        self.params = _unpack(theta, d, h1, h2)
+        _, b1, W2, b2, W3, b3 = self.params
+        self.biases = b1[..., None, :], b2[..., None, :], b3[..., None, :]
+        self.W2T, self.W3T = W2.swapaxes(-1, -2), W3.swapaxes(-1, -2)
+        self.grads = None if grads is None else _unpack(grads, d, h1, h2)
+        self._lead, self._h1, self._h2 = theta.shape[:-1], h1, h2
+        self._activations, self._deltas = {}, {}
+
+    def activations(self, rows: int) -> _Activations:
+        if rows not in self._activations:
+            self._activations[rows] = _Activations((*self._lead, rows), self._h1, self._h2)
+        return self._activations[rows]
+
+    def deltas(self, rows: int) -> _Deltas:
+        if rows not in self._deltas:
+            self._deltas[rows] = _Deltas((*self._lead, rows), self._h1, self._h2)
+        return self._deltas[rows]
+
+
+def _workspace(m: Model, grads: np.ndarray | None = None) -> _Workspace:
+    return _Workspace(m.theta, m.input_dim, m.hidden1, m.hidden2, grads)
+
+
+def _forward(ws: _Workspace, X) -> _Activations:
     """Activations a1, a2 and class log-probabilities of the rows of X.
 
-    ``params`` are ``_unpack`` views; with stacked views X is (P, rows, d)
-    and every output gains the same leading axis.
+    With stacked parameters X is (P, rows, d) and every output gains the same
+    leading axis. The outputs are ``ws`` buffers, which the next pass over as
+    many rows overwrites. Each operation writes into them with ``out=``, and
+    the 2-class max and sum are one elementwise call each instead of an axis
+    reduction: on a training step's tiny arrays numpy's per-call cost is
+    nearly the whole cost, and a reduction pays it several times. Both give
+    the bits of ``z.max(axis=-1)`` and ``e.sum(axis=-1)``.
     """
-    W1, b1, W2, b2, W3, b3 = params
-    z1 = X @ W1 + b1[..., None, :]
-    a1 = np.tanh(z1)
-    z2 = a1 @ W2 + b2[..., None, :]
-    a2 = np.tanh(z2)
-    z3 = a2 @ W3 + b3[..., None, :]
-    shift = z3 - z3.max(axis=-1, keepdims=True)
-    logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
-    return a1, a2, logp
+    W1, _, W2, _, W3, _ = ws.params
+    c1, c2, c3 = ws.biases
+    f = ws.activations(X.shape[-2])
+    np.matmul(X, W1, out=f.a1)
+    f.a1 += c1
+    np.tanh(f.a1, out=f.a1)
+    np.matmul(f.a1, W2, out=f.a2)
+    f.a2 += c2
+    np.tanh(f.a2, out=f.a2)
+    z3 = f.logp
+    np.matmul(f.a2, W3, out=z3)
+    z3 += c3
+    np.maximum(*f.logp_cols, out=f.top)
+    z3 -= f.top_col  # the shifted logits
+    np.exp(z3, out=f.exp)
+    np.add(*f.exp_cols, out=f.top)
+    np.log(f.top, out=f.top)
+    z3 -= f.top_col
+    return f
 
 
 def predict_proba(m, X: np.ndarray) -> np.ndarray:
@@ -184,11 +270,10 @@ def predict_proba(m, X: np.ndarray) -> np.ndarray:
     inner, keep = (m.inner, m.keep) if isinstance(m, FeatureMaskedModel) else (m, None)
     p = np.empty((X.shape[0], N_CLASSES))
     for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
-        block = X[start : start + PREDICT_BLOCK_ROWS]
-        if keep is not None:
-            block = block[:, keep]
-        _, _, logp = _forward(inner.unpack(), block)
-        np.exp(logp, out=p[start : start + PREDICT_BLOCK_ROWS])
+        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+        block = X[rows] if keep is None else X[rows, keep]
+        # a workspace per block: its buffers are freed before the next block's
+        np.exp(_forward(_workspace(inner), block).logp, out=p[rows])
     return p
 
 
@@ -213,50 +298,61 @@ def _batch(m: Model, X: np.ndarray, y: np.ndarray | None = None):
 def mean_loss(m: Model, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of the batch."""
     X, y = _batch(m, X, y)
-    _, _, logp = _forward(m.unpack(), X)
+    logp = _forward(_workspace(m), X).logp
     return float(-logp[np.arange(X.shape[0]), y].mean())
 
 
 # --- gradients --------------------------------------------------------------
 
-def _loss_delta(logp, y):
-    """Gradient of each row's cross-entropy in its logits: p - onehot(y)."""
-    dz3 = np.exp(logp)
-    dz3[y[..., None] == np.arange(N_CLASSES)] -= 1.0
-    return dz3
+def _onehot(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Float one-hot rows of the labels y, shape (*y.shape, 2)."""
+    if out is None:
+        out = np.empty((*y.shape, N_CLASSES))
+    return np.equal(y[..., None], _CLASSES, out=out)
 
 
-def _hidden_deltas(dz3, a1, a2, W2, W3):
-    """Backpropagate the logit delta through both tanh layers: da2, dz2, da1, dz1."""
-    da2 = dz3 @ W3.swapaxes(-1, -2)
-    dz2 = da2 * (1.0 - a2 * a2)
-    da1 = dz2 @ W2.swapaxes(-1, -2)
-    dz1 = da1 * (1.0 - a1 * a1)
-    return da2, dz2, da1, dz1
+def _loss_delta(f: _Activations, onehot, b: _Deltas) -> np.ndarray:
+    """Gradient of each row's cross-entropy in its logits, p - onehot(y), into b.dz3."""
+    np.exp(f.logp, out=b.dz3)
+    b.dz3 -= onehot
+    return b.dz3
 
 
-def _backward(params, X, y, grads) -> None:
-    """Gradient of the mean loss over the rows of X, written into ``grads``.
+def _hidden_deltas(ws: _Workspace, f: _Activations, b: _Deltas) -> None:
+    """Backpropagate b.dz3 through both tanh layers into b.da2, b.dz2, b.da1, b.dz1."""
+    for dz_out, WT, da, a, dz in (
+        (b.dz3, ws.W3T, b.da2, f.a2, b.dz2), (b.dz2, ws.W2T, b.da1, f.a1, b.dz1)
+    ):
+        np.matmul(dz_out, WT, out=da)
+        np.multiply(a, a, out=dz)
+        np.subtract(1.0, dz, out=dz)  # tanh'
+        np.multiply(da, dz, out=dz)
 
-    ``params`` and ``grads`` are ``_unpack`` views of the parameters and of
-    the gradient buffer; stacked views take X (P, rows, d) and y (P, rows).
+
+def _backward(ws: _Workspace, X, onehot) -> None:
+    """Gradient of the mean loss over the rows of X, written into ``ws.grads``.
+
+    ``onehot`` is ``_onehot`` of the rows' labels; stacked parameters take X
+    (P, rows, d) and onehot (P, rows, 2).
     """
-    W1, b1, W2, b2, W3, b3 = params
-    a1, a2, logp = _forward(params, X)
-    dz3 = _loss_delta(logp, y)
+    f = _forward(ws, X)
+    b = ws.deltas(X.shape[-2])
+    dz3 = _loss_delta(f, onehot, b)
     dz3 *= 1.0 / X.shape[-2]  # times 1/n, not / n: trained weights depend on the rounding
-    _, dz2, _, dz1 = _hidden_deltas(dz3, a1, a2, W2, W3)
-    gW1, gb1, gW2, gb2, gW3, gb3 = grads
-    for a, dz, gW, gb in ((X, dz1, gW1, gb1), (a1, dz2, gW2, gb2), (a2, dz3, gW3, gb3)):
-        np.matmul(a.swapaxes(-1, -2), dz, out=gW)
-        dz.sum(axis=-2, out=gb)
+    _hidden_deltas(ws, f, b)
+    gW1, gb1, gW2, gb2, gW3, gb3 = ws.grads
+    for aT, dz, gW, gb in (
+        (X.swapaxes(-1, -2), b.dz1, gW1, gb1), (f.a1T, b.dz2, gW2, gb2), (f.a2T, dz3, gW3, gb3)
+    ):
+        np.matmul(aT, dz, out=gW)
+        np.add.reduce(dz, axis=-2, out=gb)
 
 
 def mean_grad(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross-entropy over the batch, shape (n_params,)."""
     X, y = _batch(m, X, y)
     g = np.empty(m.n_params)
-    _backward(m.unpack(), X, y, _unpack(g, m.input_dim, m.hidden1, m.hidden2))
+    _backward(_workspace(m, g), X, _onehot(y))
     return g
 
 
@@ -269,8 +365,10 @@ def grad_loss(m: Model, x: np.ndarray, y: int) -> np.ndarray:
 def per_example_grads(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row i is grad_theta of example i's own loss; shape (n, n_params)."""
     X, y = _batch(m, X, y)
-    a1, a2, logp = _forward(m.unpack(), X)
-    return _per_example_backward(m, X, a1, a2, _loss_delta(logp, y))
+    ws = _workspace(m)
+    f, b = _forward(ws, X), ws.deltas(X.shape[0])
+    _loss_delta(f, _onehot(y), b)
+    return _per_example_backward(m, ws, X, f, b)
 
 
 def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,22 +378,24 @@ def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     loss gradient of example i is (p1_i - y_i) * J[i].
     """
     X, _ = _batch(m, X)
-    a1, a2, logp = _forward(m.unpack(), X)
-    dz3 = np.tile([-1.0, 1.0], (X.shape[0], 1))
-    return _per_example_backward(m, X, a1, a2, dz3), np.exp(logp)
+    ws = _workspace(m)
+    f, b = _forward(ws, X), ws.deltas(X.shape[0])
+    b.dz3[:] = (-1.0, 1.0)
+    return _per_example_backward(m, ws, X, f, b), np.exp(f.logp)
 
 
-def _per_example_backward(m: Model, X, a1, a2, dz3) -> np.ndarray:
-    """Row i is grad_theta of dz3[i] . z3[i] (z3: logits; a1, a2: activations).
+def _per_example_backward(m: Model, ws: _Workspace, X, f: _Activations, b: _Deltas):
+    """Row i is grad_theta of b.dz3[i] . z3[i], for z3 the logits of ``f``.
 
     Each row is written through stacked ``_unpack`` views, so the (n,
     n_params) result is the only n x n_params array built.
     """
-    _, _, W2, _, W3, _ = m.unpack()
-    _, dz2, _, dz1 = _hidden_deltas(dz3, a1, a2, W2, W3)
+    _hidden_deltas(ws, f, b)
     out = np.empty((X.shape[0], m.n_params))
     gW1, gb1, gW2, gb2, gW3, gb3 = _unpack(out, m.input_dim, m.hidden1, m.hidden2)
-    for a, dz, gW, gb in ((X, dz1, gW1, gb1), (a1, dz2, gW2, gb2), (a2, dz3, gW3, gb3)):
+    for a, dz, gW, gb in (
+        (X, b.dz1, gW1, gb1), (f.a1, b.dz2, gW2, gb2), (f.a2, b.dz3, gW3, gb3)
+    ):
         np.multiply(a[:, :, None], dz[:, None, :], out=gW)
         gb[...] = dz
     return out
@@ -321,8 +421,10 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
     V1, c1, V2, c2, V3, c3 = _unpack(v, d, h1, h2)
 
     # forward pass and its tangent
-    a1, a2, logp = _forward(m.unpack(), X)
-    p = np.exp(logp)
+    ws = _workspace(m)
+    f = _forward(ws, X)
+    a1, a2 = f.a1, f.a2
+    p = np.exp(f.logp)
     s1 = 1.0 - a1 * a1  # tanh'
     s2 = 1.0 - a2 * a2
     Rz1 = X @ V1 + c1
@@ -333,8 +435,11 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
     Rp = p * (Rz3 - (p * Rz3).sum(axis=1, keepdims=True))
 
     # backward pass and its tangent (mean loss: 1/n on the top delta)
-    dz3 = _loss_delta(logp, y) / n
-    da2, dz2, da1, _ = _hidden_deltas(dz3, a1, a2, W2, W3)
+    b = ws.deltas(n)
+    dz3 = _loss_delta(f, _onehot(y), b)
+    dz3 /= n
+    _hidden_deltas(ws, f, b)
+    da2, dz2, da1 = b.da2, b.dz2, b.da1
 
     out = np.empty(m.n_params)
     RgW1, Rgb1, RgW2, Rgb2, RgW3, Rgb3 = _unpack(out, d, h1, h2)
@@ -401,21 +506,32 @@ def train_many(
                 raise DimensionMismatch("warm start hidden sizes disagree with hyperparameters")
         theta = np.stack([init.theta for init in inits])
     g = np.empty_like(theta)
-    params, grads = _unpack(theta, dim, h1, h2), _unpack(g, dim, h1, h2)
+    ws = _Workspace(theta, dim, h1, h2, grads=g)
 
     # rows per gather: whole batches, as many as fit in GATHER_BLOCK_BYTES
     row_bytes = len(datasets) * dim * 8  # one float64 row of every member
     block = hp.batch_size * max(1, GATHER_BLOCK_BYTES // (hp.batch_size * row_bytes))
+    # one gather's rows of every member, their labels and the labels' one-hot rows
+    held = min(block, n)
+    X_block = np.empty((len(datasets), held, dim))
+    y_block = np.empty((len(datasets), held), dtype=np.int64)
+    hot_block = np.empty((len(datasets), held, N_CLASSES))
     shuffle = np.random.default_rng([hp.weight_init_seed, _SHUFFLE_STREAM])
     for _ in range(hp.epochs):
         perm = shuffle.permutation(n)
         for first in range(0, n, block):
             rows = perm[first : first + block]
-            X_rows = np.stack([d.encoded[rows] for d in datasets])
-            y_rows = np.stack([d.labels[rows] for d in datasets])
-            for start in range(0, rows.size, hp.batch_size):
+            k = rows.size
+            X_rows, y_rows, hot = X_block[:, :k], y_block[:, :k], hot_block[:, :k]
+            for d, X_j, y_j in zip(datasets, X_rows, y_rows):
+                # rows come from a permutation, so always in range; "clip" writes
+                # straight into out where "raise" would gather into a temporary
+                d.encoded.take(rows, axis=0, out=X_j, mode="clip")
+                d.labels.take(rows, out=y_j, mode="clip")
+            _onehot(y_rows, out=hot)
+            for start in range(0, k, hp.batch_size):
                 batch = slice(start, start + hp.batch_size)
-                _backward(params, X_rows[:, batch], y_rows[:, batch], grads)
+                _backward(ws, X_rows[:, batch], hot[:, batch])
                 g *= hp.learning_rate
                 theta -= g
 

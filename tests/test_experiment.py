@@ -192,6 +192,25 @@ def test_grid_spec_rejects_a_repeated_axis_value(axis):
         GridSpec(**{axis: (16, 8, 16)})
 
 
+# a bad value past the first of an axis fails before any shape group trains
+@pytest.mark.parametrize("axis, values", [
+    ("hidden1_choices", (16, 0)),
+    ("batch_sizes", (8, -1)),
+    ("permutation_seeds", (0, -1)),
+])
+def test_every_axis_value_is_checked_before_training(small, monkeypatch, axis, values):
+    import fairtrim.debias
+    import fairtrim.experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before checking the grid axes")
+
+    for module in (fairtrim.debias, fairtrim.experiment):
+        monkeypatch.setattr(module, "train_many", refuse)
+    with pytest.raises(RangeError):
+        run_grid(small, tiny_spec(**{axis: values}))
+
+
 # every seed reaches numpy's SeedSequence, which takes only non-negative ints
 @pytest.mark.parametrize("make", [
     lambda seed: Hyperparameters(4, 2, 7, weight_init_seed=seed),

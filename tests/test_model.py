@@ -2,7 +2,9 @@
 
 The finite-difference helpers here are the independent oracles for the
 analytic backward pass and the forward-over-reverse Hessian-vector product;
-they recompute everything from the loss alone.
+they recompute everything from the loss alone. The ``ref_*`` functions are
+the allocate-per-step forward, backward and training loop that the model's
+reused workspace replaced; the model must give their bits exactly.
 """
 
 import hashlib
@@ -17,9 +19,11 @@ from hypothesis import strategies as st
 from fairtrim.data import SplitSpec, load_dataset, split
 from fairtrim.errors import DimensionMismatch, EmptyDataset, RangeError
 from fairtrim.model import (
+    _SHUFFLE_STREAM,
     Hyperparameters,
     Model,
     _init_theta,
+    _unpack,
     grad_loss,
     hvp,
     load_model,
@@ -67,6 +71,84 @@ def fd_hvp(m, v, X, y, h=1e-5):
     gp = mean_grad(replace(m, theta=base + h * v), X, y)
     gm = mean_grad(replace(m, theta=base - h * v), X, y)
     return (gp - gm) / (2 * h)
+
+
+# --- reference passes -------------------------------------------------------
+# Fresh arrays on every call, axis reductions and a boolean-mask loss delta:
+# the arithmetic the workspace must reproduce bit for bit.
+
+def ref_forward(params, X):
+    W1, b1, W2, b2, W3, b3 = params
+    z1 = X @ W1 + b1[..., None, :]
+    a1 = np.tanh(z1)
+    z2 = a1 @ W2 + b2[..., None, :]
+    a2 = np.tanh(z2)
+    z3 = a2 @ W3 + b3[..., None, :]
+    shift = z3 - z3.max(axis=-1, keepdims=True)
+    logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
+    return a1, a2, logp
+
+
+def ref_loss_delta(logp, y):
+    dz3 = np.exp(logp)
+    dz3[y[..., None] == np.arange(2)] -= 1.0
+    return dz3
+
+
+def ref_hidden_deltas(dz3, a1, a2, W2, W3):
+    dz2 = (dz3 @ W3.swapaxes(-1, -2)) * (1.0 - a2 * a2)
+    dz1 = (dz2 @ W2.swapaxes(-1, -2)) * (1.0 - a1 * a1)
+    return dz2, dz1
+
+
+def ref_backward(params, X, y, grads):
+    W1, b1, W2, b2, W3, b3 = params
+    a1, a2, logp = ref_forward(params, X)
+    dz3 = ref_loss_delta(logp, y)
+    dz3 *= 1.0 / X.shape[-2]
+    dz2, dz1 = ref_hidden_deltas(dz3, a1, a2, W2, W3)
+    gW1, gb1, gW2, gb2, gW3, gb3 = grads
+    for a, dz, gW, gb in ((X, dz1, gW1, gb1), (a1, dz2, gW2, gb2), (a2, dz3, gW3, gb3)):
+        np.matmul(a.swapaxes(-1, -2), dz, out=gW)
+        dz.sum(axis=-2, out=gb)
+
+
+def ref_per_example(m, X, dz3):
+    params = m.unpack()
+    a1, a2, _ = ref_forward(params, X)
+    dz2, dz1 = ref_hidden_deltas(dz3, a1, a2, params[2], params[4])
+    out = np.empty((X.shape[0], m.n_params))
+    gW1, gb1, gW2, gb2, gW3, gb3 = _unpack(out, m.input_dim, m.hidden1, m.hidden2)
+    for a, dz, gW, gb in ((X, dz1, gW1, gb1), (a1, dz2, gW2, gb2), (a2, dz3, gW3, gb3)):
+        gW[...] = a[:, :, None] * dz[:, None, :]
+        gb[...] = dz
+    return out
+
+
+def ref_train_many(datasets, hp, inits=None):
+    """Parameter vectors and final mean losses of the stacked loop, one epoch per gather."""
+    n, dim, h1, h2 = len(datasets[0]), datasets[0].width, hp.hidden1, hp.hidden2
+    if inits is None:
+        theta = np.tile(_init_theta(dim, h1, h2, hp.weight_init_seed), (len(datasets), 1))
+    else:
+        theta = np.stack([init.theta for init in inits])
+    g = np.empty_like(theta)
+    params, grads = _unpack(theta, dim, h1, h2), _unpack(g, dim, h1, h2)
+    shuffle = np.random.default_rng([hp.weight_init_seed, _SHUFFLE_STREAM])
+    for _ in range(hp.epochs):
+        perm = shuffle.permutation(n)
+        X_rows = np.stack([d.encoded[perm] for d in datasets])
+        y_rows = np.stack([d.labels[perm] for d in datasets])
+        for start in range(0, n, hp.batch_size):
+            batch = slice(start, start + hp.batch_size)
+            ref_backward(params, X_rows[:, batch], y_rows[:, batch], grads)
+            g *= hp.learning_rate
+            theta -= g
+    losses = []
+    for theta_j, d in zip(theta, datasets):
+        _, _, logp = ref_forward(_unpack(theta_j, dim, h1, h2), d.encoded)
+        losses.append(float(-logp[np.arange(n), d.labels].mean()))
+    return theta, losses
 
 
 # --- shapes and validation --------------------------------------------------
@@ -193,6 +275,42 @@ def test_logit_gap_jacobian_scales_to_per_example_grads():
     np.testing.assert_allclose(
         (p[:, 1] - y)[:, None] * J, per_example_grads(m, X, y), rtol=0, atol=1e-12
     )
+
+
+# (rows, input width, hidden1, hidden2)
+SHAPES = [(1, 1, 1, 1), (7, 5, 4, 3), (40, 12, 16, 8)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_one_shot_passes_are_the_reference_bits(shape):
+    n, dim, h1, h2 = shape
+    m, X, y = random_problem(sum(shape), n=n, dim=dim, h1=h1, h2=h2)
+    _, _, logp = ref_forward(m.unpack(), X)
+    assert predict_proba(m, X).tobytes() == np.exp(logp).tobytes()
+    g = np.empty(m.n_params)
+    ref_backward(m.unpack(), X, y, _unpack(g, dim, h1, h2))
+    assert mean_grad(m, X, y).tobytes() == g.tobytes()
+    G = ref_per_example(m, X, ref_loss_delta(logp, y))
+    assert per_example_grads(m, X, y).tobytes() == G.tobytes()
+    J, p = logit_gap_jacobian(m, X)
+    assert J.tobytes() == ref_per_example(m, X, np.tile([-1.0, 1.0], (n, 1))).tobytes()
+    assert p.tobytes() == np.exp(logp).tobytes()
+
+
+@pytest.mark.parametrize("fn", [
+    lambda m, X, y: predict_proba(m, X),
+    mean_grad,
+    per_example_grads,
+], ids=["predict_proba", "mean_grad", "per_example_grads"])
+def test_results_own_their_memory(fn):
+    # a result that viewed a reused buffer would change under the next call
+    m, X, y = random_problem(8, n=5)
+    first = fn(m, X, y)
+    kept = first.copy()
+    second = fn(m, X[::-1] * 2.0, 1 - y)
+    assert first.tobytes() == kept.tobytes()
+    assert not np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
 
 
 # --- HVP oracle -------------------------------------------------------------
@@ -355,6 +473,32 @@ def test_train_many_member_is_its_own_train(
         alone = train(d, hp, None if inits is None else inits[j])
         assert stacked[j].theta.tobytes() == alone.theta.tobytes()
         assert stacked[j].final_train_loss == alone.final_train_loss
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    members=st.integers(1, 4),
+    n=st.integers(1, 12),
+    width=st.integers(1, 5),
+    batch_size=st.integers(1, 14),
+    epochs=st.integers(0, 3),
+    seed=st.integers(0, 10_000),
+    warm=st.booleans(),
+)
+@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=1, warm=False)  # 3+3+1
+@example(members=2, n=5, width=3, batch_size=9, epochs=2, seed=2, warm=True)  # batch > n
+@example(members=4, n=6, width=2, batch_size=4, epochs=0, seed=3, warm=True)
+def test_train_many_is_the_reference_loop(toy, members, n, width, batch_size, epochs, seed, warm):
+    rng = np.random.default_rng(seed)
+    datasets = [random_dataset(toy, rng, n, width) for _ in range(members)]
+    hp = Hyperparameters(3, 2, batch_size, epochs=epochs, learning_rate=0.5, weight_init_seed=seed)
+    inits = None
+    if warm:
+        inits = [Model(width, 3, 2, rng.normal(size=param_count(width, 3, 2))) for _ in datasets]
+    thetas, losses = ref_train_many(datasets, hp, inits)
+    trained = train_many(datasets, hp, inits)
+    assert [m.theta.tobytes() for m in trained] == [t.tobytes() for t in thetas]
+    assert [m.final_train_loss for m in trained] == losses
 
 
 @pytest.mark.parametrize("batches_per_gather", [1, 2])
