@@ -14,11 +14,11 @@ for any damping > 0. For this two-class softmax net
 
     G = (1/n) sum_i p0_i p1_i j_i j_i^T,   j_i = grad_theta (z1 - z0)_i,
 
-applied matrix-free through J, the per-example Jacobian of the logit gap.
+applied matrix-free through J, the per-example Jacobian of the logit gap. Row i's
+loss gradient is r_i j_i, r_i = p1_i - y_i, so J also gives the scores, -r * (J s_test).
 
-Negative scores mark points whose removal would *reduce* the test loss
-(harmful points); rankings therefore sort ascending so the most harmful come
-first.
+Negative scores mark points whose removal would *reduce* the test loss (harmful
+points); rankings therefore sort ascending so the most harmful come first.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     RangeError,
     require_integers,
 )
-from .model import Model, logit_gap_jacobian, mean_grad, per_example_grads
+from .model import Model, logit_gap_jacobian, loss_residual, mean_grad
 
 CG = "cg"
 
@@ -115,10 +115,12 @@ def inverse_hvp_detailed(
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n_params,):
         raise DimensionMismatch(f"v has shape {v.shape}, expected ({m.n_params},)")
-    if len(train) == 0:
-        raise EmptyDataset("inverse HVP needs a non-empty training set")
-    J, p = logit_gap_jacobian(m, train.encoded)
-    w = p[:, 0] * p[:, 1] / len(train)
+    return _gauss_newton_solve(*logit_gap_jacobian(m, train.encoded), v, cfg)
+
+
+def _gauss_newton_solve(J: np.ndarray, p: np.ndarray, v: np.ndarray, cfg: SolverConfig):
+    """CG on (G + damping*I) x = v, G = (1/n) J^T diag(p0 p1) J applied matrix-free."""
+    w = p[:, 0] * p[:, 1] / len(p)
     x, iters, res, ok = conjugate_gradient(
         lambda u: J.T @ (w * (J @ u)) + cfg.damping * u, v, cfg.cg_tol, cfg.cg_max_iter
     )
@@ -193,12 +195,12 @@ def rank_by_influence(
 ) -> InfluenceRanking:
     """Aggregate influence of every training row on the set, ascending.
 
-    A row's aggregate score is the mean of its per-entry scores. Influence is
-    linear in the test gradient, mean_i(-g_z^T (G+dI)^{-1} g_i) =
-    -g_z^T (G+dI)^{-1} mean_i(g_i), so one damped Gauss-Newton solve against
-    the mean loss gradient over the set gives every aggregate score (Koh &
-    Liang compute s_test this way for a summed test loss). Ascending scores
-    put the most harmful rows first; ties break toward the smaller row_id.
+    A row's aggregate score is the mean of its per-entry scores. Influence is linear in
+    the test gradient, mean_i(-g_z^T (G+dI)^{-1} g_i) = -g_z^T (G+dI)^{-1} mean_i(g_i),
+    so one damped Gauss-Newton solve against the mean loss gradient over the set gives
+    every aggregate score (Koh & Liang compute s_test this way for a summed test loss).
+    One logit-gap Jacobian J of the rows serves the solve and the scores, -r * (J s_test).
+    Ascending scores put the most harmful rows first; ties break toward the smaller row_id.
     """
     if len(iset) == 0:
         raise EmptyInfluenceSet("cannot rank against an empty influence set")
@@ -209,11 +211,9 @@ def rank_by_influence(
             f"influence set width {iset.features.shape[1]} != model input {m.input_dim}"
         )
 
-    g = mean_grad(m, iset.features, iset.labels)
-    s_test, info = inverse_hvp_detailed(m, g, train, cfg)
-
-    grads = per_example_grads(m, train.encoded, train.labels)  # (n, p)
-    scores = -(grads @ s_test)  # (n,)
+    J, p = logit_gap_jacobian(m, train.encoded)
+    s_test, info = _gauss_newton_solve(J, p, mean_grad(m, iset.features, iset.labels), cfg)
+    scores = -loss_residual(p, train.labels) * (J @ s_test)  # row i's gradient is r_i J[i]
 
     order = np.lexsort((train.row_ids, scores))  # score asc, then row_id asc
     entries = tuple(

@@ -26,9 +26,9 @@ parameter-sized vector, or a row of per-example gradients, goes through
 ``_unpack`` views of it.
 
 The Hessian-vector product uses the forward-over-reverse (Pearlmutter)
-construction and never materializes the Hessian. Gradients, HVPs and the
-logit-gap Jacobian are checked against central finite differences in the
-test suite.
+construction and never materializes the Hessian. The logit-gap Jacobian J is the one
+per-example pass; a row's loss gradient is J's row times p1 - y. Gradients, HVPs and J
+are checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -264,16 +264,22 @@ def _forward(ws: _Workspace, X) -> _Activations:
     return f
 
 
-def predict_proba(m, X: np.ndarray) -> np.ndarray:
-    """(n, 2) class probabilities, computed PREDICT_BLOCK_ROWS rows at a time."""
-    X = _check_features(m, X)
+def _logp_blocks(m, X: np.ndarray):
+    """(rows, class log-probabilities) of checked X, PREDICT_BLOCK_ROWS rows at a time."""
     inner, keep = (m.inner, m.keep) if isinstance(m, FeatureMaskedModel) else (m, None)
-    p = np.empty((X.shape[0], N_CLASSES))
     for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
         block = X[rows] if keep is None else X[rows, keep]
         # a workspace per block: its buffers are freed before the next block's
-        np.exp(_forward(_workspace(inner), block).logp, out=p[rows])
+        yield rows, _forward(_workspace(inner), block).logp
+
+
+def predict_proba(m, X: np.ndarray) -> np.ndarray:
+    """(n, 2) class probabilities, computed PREDICT_BLOCK_ROWS rows at a time."""
+    X = _check_features(m, X)
+    p = np.empty((X.shape[0], N_CLASSES))
+    for rows, logp in _logp_blocks(m, X):
+        np.exp(logp, out=p[rows])
     return p
 
 
@@ -296,10 +302,10 @@ def _batch(m: Model, X: np.ndarray, y: np.ndarray | None = None):
 
 
 def mean_loss(m: Model, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy of the batch."""
+    """Mean cross-entropy of the batch: the sum over PREDICT_BLOCK_ROWS blocks, over n."""
     X, y = _batch(m, X, y)
-    logp = _forward(_workspace(m), X).logp
-    return float(-logp[np.arange(X.shape[0]), y].mean())
+    sums = [logp[np.arange(logp.shape[0]), y[rows]].sum() for rows, logp in _logp_blocks(m, X)]
+    return float(-np.sum(sums) / X.shape[0])
 
 
 # --- gradients --------------------------------------------------------------
@@ -362,43 +368,37 @@ def grad_loss(m: Model, x: np.ndarray, y: int) -> np.ndarray:
     return mean_grad(m, X, np.asarray([y], dtype=np.int64))
 
 
+def loss_residual(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d loss / d(z1 - z0) of each row, p1 - y; -p0 where y = 1, so no digits cancel."""
+    return np.where(y == 1, -p[:, 0], p[:, 1])
+
+
 def per_example_grads(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row i is grad_theta of example i's own loss; shape (n, n_params)."""
+    """Row i is grad_theta of example i's own loss, r_i * J[i]; shape (n, n_params)."""
     X, y = _batch(m, X, y)
-    ws = _workspace(m)
-    f, b = _forward(ws, X), ws.deltas(X.shape[0])
-    _loss_delta(f, _onehot(y), b)
-    return _per_example_backward(m, ws, X, f, b)
+    J, p = logit_gap_jacobian(m, X)
+    return np.multiply(J, loss_residual(p, y)[:, None], out=J)  # in place: no second n x p array
 
 
 def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row i of J is grad_theta (z1 - z0) of example i's logits.
 
-    Returns J, shape (n, n_params), and the (n, 2) class probabilities. The
-    loss gradient of example i is (p1_i - y_i) * J[i].
+    Returns J, shape (n, n_params), and the (n, 2) class probabilities. It is the one
+    per-example backward pass: example i's loss gradient is loss_residual(p, y)[i] * J[i].
     """
     X, _ = _batch(m, X)
     ws = _workspace(m)
     f, b = _forward(ws, X), ws.deltas(X.shape[0])
     b.dz3[:] = (-1.0, 1.0)
-    return _per_example_backward(m, ws, X, f, b), np.exp(f.logp)
-
-
-def _per_example_backward(m: Model, ws: _Workspace, X, f: _Activations, b: _Deltas):
-    """Row i is grad_theta of b.dz3[i] . z3[i], for z3 the logits of ``f``.
-
-    Each row is written through stacked ``_unpack`` views, so the (n,
-    n_params) result is the only n x n_params array built.
-    """
     _hidden_deltas(ws, f, b)
-    out = np.empty((X.shape[0], m.n_params))
-    gW1, gb1, gW2, gb2, gW3, gb3 = _unpack(out, m.input_dim, m.hidden1, m.hidden2)
+    J = np.empty((X.shape[0], m.n_params))
+    gW1, gb1, gW2, gb2, gW3, gb3 = _unpack(J, m.input_dim, m.hidden1, m.hidden2)
     for a, dz, gW, gb in (
         (X, b.dz1, gW1, gb1), (f.a1, b.dz2, gW2, gb2), (f.a2, b.dz3, gW3, gb3)
     ):
         np.multiply(a[:, :, None], dz[:, None, :], out=gW)
         gb[...] = dz
-    return out
+    return J, np.exp(f.logp)
 
 
 # --- Hessian-vector product -------------------------------------------------
@@ -583,7 +583,7 @@ def load_model(path: str | Path) -> Model:
     if obj.get("activation") != "tanh":
         raise RangeError(f"unsupported activation {obj.get('activation')!r}")
     try:
-        return Model(
+        m = Model(
             input_dim=int(obj["input_dim"]),
             hidden1=int(obj["hidden1"]),
             hidden2=int(obj["hidden2"]),
@@ -592,3 +592,10 @@ def load_model(path: str | Path) -> Model:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{path} has a missing or malformed field: {exc}") from exc
+    loss = m.final_train_loss
+    if loss is not None and (type(loss) not in (int, float) or not np.isfinite(loss)):
+        raise DimensionMismatch(f"{path} has final_train_loss {loss!r}, not null or finite")
+    if not np.isfinite(m.theta).all():
+        # a nan model predicts class 0 everywhere, so it would read as perfectly fair
+        raise RangeError(f"{path} has non-finite weights")
+    return m

@@ -1,17 +1,20 @@
 """Fixtures shared by the test modules: the 7-row toy loans file in ``data/``,
-and a scripted removal loop.
+a scripted removal loop, and a finite-difference logit-gap Jacobian.
 
 Approvals track income except that one high-income, high-wealth applicant
 from the disadvantaged group is denied (row 2). That single row is what a
 debiasing run is expected to find and remove.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fairtrim.debias
 from fairtrim.data import load_dataset, load_schema
+from fairtrim.model import predict_proba
 
 TOY_CSV = Path(__file__).resolve().parent / "data" / "loans.csv"
 TOY_SCHEMA = TOY_CSV.with_name("loans.schema.json")
@@ -58,3 +61,23 @@ def scripted_loop(monkeypatch):
         return sizes
 
     return install
+
+
+@pytest.fixture(scope="session")
+def fd_logit_gap_jacobian():
+    """``(m, X, h=1e-5) -> (n, p)``: central differences of z1 - z0 through predict_proba.
+
+    It reads only the model's probabilities, so it is a reference for
+    ``logit_gap_jacobian`` that shares none of its backward pass.
+    """
+
+    def jacobian(m, X, h=1e-5):
+        def gap(theta):
+            p = predict_proba(replace(m, theta=theta), X)
+            return np.log(p[:, 1]) - np.log(p[:, 0])
+
+        return np.column_stack([
+            (gap(m.theta + h * e) - gap(m.theta - h * e)) / (2 * h) for e in np.eye(m.n_params)
+        ])
+
+    return jacobian

@@ -138,18 +138,7 @@ def test_criterion_02_gradient_matches_finite_differences():
     _pass(2, f"max relative error {worst:.2e} over 20 models")
 
 
-def fd_logit_gap_jacobian(m, X, h=1e-5):
-    """Central differences of log(p1/p0) = z1 - z0 through predict_proba, (n, p)."""
-    def gap(theta):
-        p = predict_proba(replace(m, theta=theta), X)
-        return np.log(p[:, 1] / p[:, 0])
-
-    return np.column_stack(
-        [(gap(m.theta + h * e) - gap(m.theta - h * e)) / (2 * h) for e in np.eye(m.n_params)]
-    )
-
-
-def test_criterion_03_gauss_newton_operator(toy, monkeypatch):
+def test_criterion_03_gauss_newton_operator(toy, monkeypatch, fd_logit_gap_jacobian):
     # capture the matvec inverse_hvp_detailed hands to conjugate gradients
     operators = []
     solve = influence.conjugate_gradient

@@ -283,9 +283,12 @@ def test_report_without_grid_files(capsys, tmp_path):
 
 
 def model_json(**fields):
-    """A model file whose fields are those of a 1x1x1 model, but for ``fields``."""
-    obj = {"format": "fairtrim-model", "version": 1, "activation": "tanh", "input_dim": 1,
-           "hidden1": 1, "hidden2": 1, "final_train_loss": None, "theta": [0.0] * 8}
+    """A model file for the toy's 4 encoded columns and hidden sizes 1, 1, but for ``fields``.
+
+    Its width fits the toy data, so only the field under test can make it fail.
+    """
+    obj = {"format": "fairtrim-model", "version": 1, "activation": "tanh", "input_dim": 4,
+           "hidden1": 1, "hidden2": 1, "final_train_loss": None, "theta": [0.0] * 11}
     return json.dumps({**obj, **fields})
 
 
@@ -297,8 +300,10 @@ def model_json(**fields):
                                    '"activation": "tanh"}'}, "DimensionMismatch"),
         ("discrim", {"model.json": '{"format": "fairtrim-model", "version": 1, '
                                    '"activation": "relu"}'}, "RangeError"),
-        ("discrim", {"model.json": model_json(theta=["x"] * 8)}, "DimensionMismatch"),
+        ("discrim", {"model.json": model_json(theta=["x"] * 11)}, "DimensionMismatch"),
         ("discrim", {"model.json": model_json(input_dim="ten")}, "DimensionMismatch"),
+        ("discrim", {"model.json": model_json(theta=[float("nan")] * 11)}, "RangeError"),
+        ("discrim", {"model.json": model_json(final_train_loss="low")}, "DimensionMismatch"),
         ("report", {"summary.json": '{"unfair_union": []}',
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
         ("report", {"summary.json": '{"picks": {}, "unfair_union": []}',
@@ -309,8 +314,8 @@ def model_json(**fields):
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
     ],
     ids=["model-list", "model-no-input-dim", "model-relu", "model-theta-strings",
-         "model-input-dim-word", "summary-no-picks", "configs-no-columns",
-         "configs-non-numeric-discrimination", "summary-union-not-list"],
+         "model-input-dim-word", "model-theta-nan", "model-loss-word", "summary-no-picks",
+         "configs-no-columns", "configs-non-numeric-discrimination", "summary-union-not-list"],
 )
 def test_malformed_file_is_domain_error(capsys, toy_files, tmp_path, command, files, error):
     for name, text in files.items():

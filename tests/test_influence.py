@@ -1,7 +1,5 @@
 """Solver correctness (closed forms first) and ranking contracts."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from fairtrim.errors import DimensionMismatch, EmptyInfluenceSet, NotPositiveDef
 from fairtrim.debias import sort_dataset
 from fairtrim.fairness import SimilarityConfig
 import fairtrim.influence
+import fairtrim.model
 from fairtrim.influence import (
     InfluenceSet,
     SolverConfig,
@@ -179,10 +178,11 @@ def test_ranking_mean_aggregation_against_manual(trained, toy):
     # recompute the aggregate for one row by the one-solve-per-entry definition
     rid = rk.entries[0].row_id
     i = int(np.flatnonzero(toy.row_ids == rid)[0])
-    g_z = per_example_grads(trained, toy.encoded[i : i + 1], toy.labels[i : i + 1])[0]
+    # gradients through the mean-loss backward pass, not the Jacobian under test
+    g_z = grad_loss(trained, toy.encoded[i], int(toy.labels[i]))
     scores = []
-    for g in per_example_grads(trained, iset.features, iset.labels):
-        s, _ = inverse_hvp_detailed(trained, g, toy, cfg)
+    for x, y in zip(iset.features, iset.labels):
+        s, _ = inverse_hvp_detailed(trained, grad_loss(trained, x, int(y)), toy, cfg)
         scores.append(-float(s @ g_z))
     assert rk.entries[0].score == pytest.approx(float(np.mean(scores)), rel=1e-6)
 
@@ -233,19 +233,7 @@ def test_ranking_csv_and_diagnostics(tmp_path, trained, toy):
     assert diag["converged"] is True
 
 
-def fd_logit_gap_jacobian(m, X, h=1e-5):
-    """Central differences of log(p1/p0) = z1 - z0 through predict_proba."""
-
-    def gap(theta):
-        p = predict_proba(replace(m, theta=theta), X)
-        return np.log(p[:, 1]) - np.log(p[:, 0])
-
-    return np.column_stack([
-        (gap(m.theta + h * e) - gap(m.theta - h * e)) / (2 * h) for e in np.eye(m.n_params)
-    ])
-
-
-def test_ranking_matches_dense_exact_solve(trained, toy):
+def test_ranking_matches_dense_exact_solve(trained, toy, fd_logit_gap_jacobian):
     # assemble G + dI from a finite-difference Jacobian; the toy model is
     # small (p = 86)
     J = fd_logit_gap_jacobian(trained, toy.encoded)
@@ -258,7 +246,7 @@ def test_ranking_matches_dense_exact_solve(trained, toy):
     grads = np.stack([
         grad_loss(trained, iset.features[k], int(iset.labels[k])) for k in range(len(iset))
     ])
-    G = per_example_grads(trained, toy.encoded, toy.labels)
+    G = np.stack([grad_loss(trained, x, int(y)) for x, y in zip(toy.encoded, toy.labels)])
     exact = -(G @ np.linalg.solve(A, grads.T)).mean(axis=1)  # mean of per-pair scores
 
     rk = rank_by_influence(iset, toy, trained, cfg)
@@ -272,19 +260,30 @@ def test_ranking_matches_dense_exact_solve(trained, toy):
 
 
 def test_ranking_solves_once_whatever_the_set_size(monkeypatch, trained, toy):
-    calls = []
-    solve = fairtrim.influence.inverse_hvp_detailed
+    calls = {"logit_gap_jacobian": 0, "conjugate_gradient": 0, "per_example_grads": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(module, name):
+        fn = getattr(module, name, None)
 
-    monkeypatch.setattr(fairtrim.influence, "inverse_hvp_detailed", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    counted(fairtrim.influence, "logit_gap_jacobian")
+    counted(fairtrim.influence, "conjugate_gradient")
+    # a call by either name counts, whether or not influence imports the function
+    counted(fairtrim.influence, "per_example_grads")
+    counted(fairtrim.model, "per_example_grads")
     sizes = set()
     for multiplier in (2, 20):
         iset = make_iset(trained, toy, multiplier=multiplier)
         sizes.add(len(iset))
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         rank_by_influence(iset, toy, trained, SolverConfig())
-        assert len(calls) == 1
+        # the solve and the scores read one Jacobian; no gradient matrix is built
+        assert calls == {
+            "logit_gap_jacobian": 1, "conjugate_gradient": 1, "per_example_grads": 0
+        }
     assert len(sizes) == 2  # the two sets really differ in size

@@ -28,6 +28,7 @@ from fairtrim.model import (
     hvp,
     load_model,
     logit_gap_jacobian,
+    loss_residual,
     mask_sensitive,
     mean_grad,
     mean_loss,
@@ -267,14 +268,19 @@ def test_per_example_grads_average_to_mean_grad():
     np.testing.assert_allclose(G.mean(axis=0), mean_grad(m, X, y), atol=1e-12)
 
 
-def test_logit_gap_jacobian_scales_to_per_example_grads():
-    # dloss/dz = p - onehot(y) = (p1 - y) * (-1, +1) for two classes
+def test_per_example_grads_rows_are_single_row_mean_grads():
+    # mean_grad backpropagates p - onehot(y) through the mean-loss pass, not the Jacobian
     m, X, y = random_problem(6, n=9)
-    J, p = logit_gap_jacobian(m, X)
-    np.testing.assert_allclose(p, predict_proba(m, X), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(
-        (p[:, 1] - y)[:, None] * J, per_example_grads(m, X, y), rtol=0, atol=1e-12
-    )
+    G = per_example_grads(m, X, y)
+    for i in range(len(X)):
+        np.testing.assert_allclose(G[i], mean_grad(m, X[i : i + 1], y[i : i + 1]), atol=1e-15)
+
+
+def test_loss_residual_keeps_the_digits_of_a_confident_positive():
+    p = np.array([[0.25, 0.75], [0.6, 0.4], [1e-20, 1.0]])
+    y = np.array([1, 0, 1])
+    # p1 - y would round the last row to 0 and drop its gradient
+    np.testing.assert_array_equal(loss_residual(p, y), [-0.25, 0.4, -1e-20])
 
 
 # (rows, input width, hidden1, hidden2)
@@ -290,11 +296,12 @@ def test_one_shot_passes_are_the_reference_bits(shape):
     g = np.empty(m.n_params)
     ref_backward(m.unpack(), X, y, _unpack(g, dim, h1, h2))
     assert mean_grad(m, X, y).tobytes() == g.tobytes()
-    G = ref_per_example(m, X, ref_loss_delta(logp, y))
-    assert per_example_grads(m, X, y).tobytes() == G.tobytes()
     J, p = logit_gap_jacobian(m, X)
-    assert J.tobytes() == ref_per_example(m, X, np.tile([-1.0, 1.0], (n, 1))).tobytes()
+    J_ref = ref_per_example(m, X, np.tile([-1.0, 1.0], (n, 1)))
+    assert J.tobytes() == J_ref.tobytes()
     assert p.tobytes() == np.exp(logp).tobytes()
+    G = loss_residual(np.exp(logp), y)[:, None] * J_ref
+    assert per_example_grads(m, X, y).tobytes() == G.tobytes()
 
 
 @pytest.mark.parametrize("fn", [
@@ -533,6 +540,22 @@ def test_train_many_holds_no_stacked_copy_of_the_members(tmp_path, monkeypatch):
     # a (P, n, w) copy of every member's rows alone would reach this
     stacked = sum(member.encoded.nbytes for member in datasets)
     assert peak < stacked, (peak, stacked)
+
+
+def test_final_loss_is_scored_in_blocks(toy):
+    rng = np.random.default_rng(0)
+    d = random_dataset(toy, rng, 300_000, 10)
+    tracemalloc.start()
+    try:
+        [m] = train_many([d], Hyperparameters(16, 8, 64, epochs=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one forward pass over every row would hold activations larger than the features
+    assert peak < d.encoded.nbytes, (peak, d.encoded.nbytes)
+    _, _, logp = ref_forward(m.unpack(), d.encoded)
+    whole = -logp[np.arange(len(d)), d.labels].mean()
+    assert m.final_train_loss == pytest.approx(whole, rel=1e-12)  # summed in another order
 
 
 def test_train_many_rejects_members_of_different_shapes(toy):

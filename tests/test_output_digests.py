@@ -38,7 +38,7 @@ DIGESTS = {
     "grid-w2/boxplot.csv": "7f9a3b0cad5f360c1658b2cc1731cd517ae949a890222970ecc8da91c08493e2",
     "grid-w2/configs.csv": "f0cf8ac874ae0c0784e3a47433fa70e0b748cd162a4892e69e83218033a25b69",
     "grid-w2/summary.json": "029200893b0d29e9b5dd223547d036f23e09d260a33a44da141f3ef1609c0365",
-    "rank/ranking.csv": "469962558d8b672f99e00a0807095a0b76c952311549bbdef422939f0072c5e0",
+    "rank/ranking.csv": "96336098498c72e4ce35b6e4586b6a3facd1e79072a9b17bcc9bc96d8909e632",
     "rank/ranking_diagnostics.json": "fa9fa17c7fa490014d4880c001a0460e191791426cfdc7a5e095ea5c3ac05180",
     "train/model.json": "6d489e70f36de2c23a0ad57d1d171afb5c7193c3bb530d9ee2603727b59539c7",
 }
