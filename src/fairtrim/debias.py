@@ -22,9 +22,7 @@ from itertools import takewhile
 
 from .data import Dataset
 from .errors import AlreadyFair, DimensionMismatch, EmptyDataset, RangeError, require_integers
-from .fairness import (
-    SimilarityConfig, build_influence_set, estimate_discrim, generate_similar_pairs
-)
+from .fairness import SimilarityConfig, _sort_influence_set, estimate_discrim
 from .influence import InfluenceRanking, SolverConfig, rank_by_influence
 from .model import Hyperparameters, Model, train_many
 
@@ -101,9 +99,10 @@ def sort_dataset(
     Harm is measured against the lower-confidence members of the model's
     discriminatory pairs on the sort pool; the ranking keeps that influence
     set. Raises AlreadyFair when the model discriminates on no pair (there
-    is nothing to rank against).
+    is nothing to rank against). The sort pool is scored from its random
+    draws a block at a time; no dense pool is built.
     """
-    iset = build_influence_set(m, generate_similar_pairs(d, similarity, call_index=None))
+    iset = _sort_influence_set(m, d, similarity)
     if len(iset) == 0:
         raise AlreadyFair(
             f"model discriminates on none of the {iset.pool_pairs} synthetic pairs"

@@ -284,9 +284,15 @@ def predict_proba(m, X: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(m, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted labels and winning-class probabilities (confidence >= 0.5)."""
+    """Predicted labels and winning-class probabilities (confidence >= 0.5).
+
+    With two classes the label is one comparison, class 1 only where it
+    beats class 0, and the confidence one elementwise maximum: the bits of
+    ``argmax`` (ties go to class 0) and ``max`` over the class axis, without
+    their axis reductions.
+    """
     p = predict_proba(m, X)
-    return np.argmax(p, axis=1), p.max(axis=1)
+    return (p[:, 1] > p[:, 0]).astype(np.int64), np.maximum(p[:, 0], p[:, 1])
 
 
 def _batch(m: Model, X: np.ndarray, y: np.ndarray | None = None):

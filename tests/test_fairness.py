@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtrim import fairness, model
+from fairtrim import debias, fairness, model
 from fairtrim.data import drop_sensitive, load_dataset
-from fairtrim.errors import MissingGroup, RangeError, SensitiveAbsent
+from fairtrim.errors import AlreadyFair, MissingGroup, RangeError, SensitiveAbsent
 from fairtrim.fairness import (
     PairPool,
     SimilarityConfig,
@@ -24,6 +24,7 @@ from fairtrim.fairness import (
     metrics_report,
     statistical_parity_difference,
 )
+from fairtrim.influence import SolverConfig
 from fairtrim.model import (
     Hyperparameters,
     Model,
@@ -305,15 +306,59 @@ def test_blocked_scoring_is_bitwise_one_block_scoring(loans, monkeypatch):
         assert predict_proba(m, empty.first).shape == (0, 2)
 
 
-def _peak_and_pool_bytes(m, d, cfg) -> tuple[int, int]:
-    """Peak bytes numpy allocates in one estimate_discrim, and its pool's bytes."""
+# --- scoring from the draws --------------------------------------------------
+
+@pytest.fixture(scope="module")
+def loans_models(loans):
+    """A plain model, one without the sensitive column, and one whose two
+    logits tie on every row (all-zero weights)."""
+    hp = Hyperparameters(8, 4, 32, epochs=100, learning_rate=0.3, weight_init_seed=2)
+    masked = mask_sensitive(train(drop_sensitive(loans), hp), loans)
+    return {"plain": train(loans, hp), "masked": masked, "ties": _constant_model(loans)}
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("name", ["plain", "masked", "ties"])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_draws_path_equals_the_dense_reference(loans, loans_models, monkeypatch, lam, name, block):
+    if block is not None:  # a block of 1 holds fewer pairs than one seed's 2 companions
+        monkeypatch.setattr(fairness, "PREDICT_BLOCK_ROWS", block)
+        monkeypatch.setattr(model, "PREDICT_BLOCK_ROWS", block)
+    m = loans_models[name]
+    sim = SimilarityConfig(lam=lam, pool_multiplier=3, rng_seed=4)
+    pool = generate_similar_pairs(loans, sim, call_index=2)
+    assert estimate_discrim(m, loans, sim, call_index=2) == np.mean(flip_mask(m, pool))
+    reference = build_influence_set(m, generate_similar_pairs(loans, sim, call_index=None))
+    assert (len(reference) > 0) == (name == "plain" or (name == "masked" and lam > 0))
+    # the set sort_dataset ranks against, without ranking it
+    monkeypatch.setattr(debias, "rank_by_influence", lambda iset, d, m, solver: iset)
+    if len(reference) == 0:
+        with pytest.raises(AlreadyFair):
+            debias.sort_dataset(loans, m, sim, SolverConfig())
+    else:
+        iset = debias.sort_dataset(loans, m, sim, SolverConfig())
+        assert iset.features.tobytes() == reference.features.tobytes()
+        assert iset.labels.tobytes() == reference.labels.tobytes()
+        assert iset.pool_pairs == reference.pool_pairs == len(pool)
+    # the label rule is argmax's (ties go to class 0), the confidence max's
+    X = np.vstack([pool.first, pool.second])
+    p = predict_proba(m, X)
+    labels, confidence = predict_batch(m, X)
+    assert labels.dtype == np.int64
+    assert labels.tobytes() == np.argmax(p, axis=1).tobytes()
+    assert confidence.tobytes() == p.max(axis=1).tobytes()
+
+
+def _peak_and_draw_bytes(m, d, cfg) -> tuple[int, int]:
+    """Peak bytes numpy allocates in one estimate_discrim, and the bytes of
+    its pool's stored draws: one 8-byte draw per column per seed."""
     tracemalloc.start()
     try:
         estimate_discrim(m, d, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, 2 * cfg.pool_multiplier * cfg.companions * len(d) * d.width * 8
+    return peak, cfg.pool_multiplier * len(d) * len(d.encoding.codecs) * 8
 
 
 def test_pool_memory_is_bounded_by_the_block(tmp_path):
@@ -322,13 +367,16 @@ def test_pool_memory_is_bounded_by_the_block(tmp_path):
     theta = np.random.default_rng(0).normal(0.0, 1.0, param_count(d.width, 16, 8))
     m = Model(input_dim=d.width, hidden1=16, hidden2=8, theta=theta)
     cfg = SimilarityConfig(lam=0.1, rng_seed=1)
-    # 100k and 400k pairs
-    (peak_s, pool_s), (peak_l, pool_l) = (
-        _peak_and_pool_bytes(m, sub, cfg) for sub in (d.subset(np.arange(500)), d)
-    )
-    over_s, over_l = peak_s - pool_s, peak_l - pool_l
-    # a block's activations are about 15 MB at 16/8 hidden units; the rest is
-    # per-pair labels and probabilities, a small fraction of the pool
+    small, large = d.subset(np.arange(500)), d  # 100k and 400k pairs
+    (peak_s, draws_s), (peak_l, draws_l) = (_peak_and_draw_bytes(m, sub, cfg) for sub in (small, large))
+    over_s, over_l = peak_s - draws_s, peak_l - draws_l
+    # beyond the draws: one block's buffers and activations, about 15 MB at
+    # 16/8 hidden units, and the per-pair flips
     bound = model.PREDICT_BLOCK_ROWS * 1024
     assert over_s < bound and over_l < bound, (over_s, over_l)
-    assert over_l - over_s < (pool_l - pool_s) / 4, (over_s, over_l)
+    dense_s, dense_l = (
+        2 * cfg.pool_multiplier * cfg.companions * len(sub) * d.width * 8 for sub in (small, large)
+    )
+    # no dense pool is built: the 400k-pair estimate stays well under its 64 MB
+    assert peak_l < 0.6 * dense_l, (peak_l, dense_l)
+    assert over_l - over_s < (dense_l - dense_s) / 16, (over_s, over_l)
