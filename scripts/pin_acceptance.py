@@ -1,71 +1,70 @@
 """Search for the seeds pinned in tests/test_acceptance.py.
 
-Two subcommands mirror the two stochastic acceptance tests:
+Each subcommand scans one pinned acceptance scenario. It runs that test's
+own scenario function and keeps a candidate only when the test's failures
+function finds no failing condition, so the scan and the test cannot drift
+apart. Every subcommand prints one line per candidate; pick one with margin
+and copy its constants into tests/test_acceptance.py.
+
+``golden``
+    Criterion 01 on the committed 7-row toy fixture, for seeds 0..N-1 at
+    hidden shapes (16, 8) and (8, 4). Most seeds keep 10-50% pool
+    discrimination after removing row 2, so this scans a few hundred.
 
 ``loo``
-    Evaluates influence-vs-leave-one-out Spearman correlation over a small
-    lattice of (dataset seed, model seed, pool seed) combinations on 16- and
-    20-row synthetic loan files. The LOO oracle retrains with a warm start
-    from the full-data model: cold restarts on these tiny nonconvex problems
-    land in different basins and the retraining noise swamps the signal the
-    ranking is supposed to predict.
+    Criterion 05's influence-vs-leave-one-out Spearman correlation over a
+    small lattice of (dataset seed, model seed, pool seed) combinations on
+    16- and 20-row synthetic loan files.
 
 ``grid``
-    Runs the 4-config direction-check grid (one hidden layout x two derived
-    batch sizes x two split seeds) on a 1000-row synthetic loan file for
-    several split-seed pairs and base seeds, reporting how many configs the
-    debiased model wins on discrimination and accuracy and how many configs
-    actually removed rows. Pins should only use settings where every config
-    removed something, otherwise "wins" are pool-sampling noise between
-    identical models.
-
-Both print one line per candidate; pick a candidate with margin and copy its
-constants into tests/test_acceptance.py.
+    Criterion 08's 4-config direction-check grid on 1000 synthetic loans,
+    for several split-seed pairs and base seeds. Pins should only use
+    settings where every config removed something, otherwise "wins" are
+    pool-sampling noise between identical models.
 """
 
 import argparse
+import importlib.util
 import sys
 import tempfile
 import time
+from multiprocessing import Pool
 from pathlib import Path
 
-import numpy as np
-from scipy.stats import spearmanr
+from fairtrim.data import load_dataset, load_schema
 
-from fairtrim.data import load_dataset
-from fairtrim.debias import sort_dataset
-from fairtrim.experiment import GridSpec, run_grid
-from fairtrim.fairness import SimilarityConfig
-from fairtrim.influence import SolverConfig
-from fairtrim.model import Hyperparameters, mean_loss, train, train_many
-from fairtrim.synthetic import loans_schema, write_loans
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+_spec = importlib.util.spec_from_file_location("test_acceptance", TESTS / "test_acceptance.py")
+acceptance = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(acceptance)
 
 
-def _loans(tmp: Path, n: int, seed: int, flip_rate: float):
-    csv_path = tmp / f"loans_n{n}_s{seed}.csv"
-    write_loans(csv_path, tmp / f"loans_n{n}_s{seed}.json", n=n, seed=seed, flip_rate=flip_rate)
-    return load_dataset(csv_path, loans_schema())
+def golden_task(task):
+    seed, h1, h2, epochs, lr = task
+    data = TESTS / "data"
+    toy = load_dataset(data / "loans.csv", load_schema(data / "loans.schema.json"))
+    f = acceptance.golden_run(toy, seed, h1, h2, epochs, lr)
+    if acceptance.golden_failures(f):
+        return None
+    return dict(seed=seed, h1=h1, h2=h2, epochs=epochs, lr=lr,
+                full_discm=round(f["full_discm"], 4), post_discm=round(f["post_discm"], 4))
 
 
-def loo_spearman(d, model_seed: int, pool_seed: int, multiplier: int = 40) -> float:
-    hp = Hyperparameters(8, 4, batch_size=len(d), epochs=10000, learning_rate=0.3,
-                         weight_init_seed=model_seed)
-    m = train(d, hp)
-    ranking = sort_dataset(
-        d, m, SimilarityConfig(lam=0.0, pool_multiplier=multiplier, rng_seed=pool_seed),
-        SolverConfig(damping=0.01),
-    )
-    iset = ranking.influence_set
-    score_by_row = {e.row_id: e.score for e in ranking.entries}
-
-    base = mean_loss(m, iset.features, iset.labels)
-    # the n leave-one-out subsets share one shape, so they train together;
-    # each starts warm from m, see module docstring
-    subsets = [d.subset(np.delete(np.arange(len(d)), i)) for i in range(len(d))]
-    retrained = train_many(subsets, hp, inits=[m] * len(d))
-    deltas = [base - mean_loss(r, iset.features, iset.labels) for r in retrained]
-    scores = [score_by_row[int(rid)] for rid in d.row_ids]
-    return float(spearmanr(scores, deltas).statistic)
+def cmd_golden(args) -> int:
+    tasks = [
+        (seed, h1, h2, args.epochs, args.lr)
+        for h1, h2 in ((16, 8), (8, 4))
+        for seed in range(args.seeds)
+    ]
+    t0 = time.time()
+    hits = []
+    with Pool(args.workers) as pool:
+        for hit in pool.imap_unordered(golden_task, tasks, chunksize=4):
+            if hit:
+                print("HIT", hit, flush=True)
+                hits.append(hit)
+    print("%d hits of %d tasks in %.1fs" % (len(hits), len(tasks), time.time() - t0))
+    return 0 if hits else 1
 
 
 def cmd_loo(args) -> int:
@@ -73,16 +72,15 @@ def cmd_loo(args) -> int:
     best = []
     for n in (16, 20):
         for data_seed in range(args.data_seeds):
-            d = _loans(tmp, n, data_seed, flip_rate=0.4)
             for model_seed in range(args.model_seeds):
                 for pool_seed in range(args.pool_seeds):
                     t0 = time.time()
-                    rho = loo_spearman(d, model_seed, pool_seed)
-                    mark = " <== candidate" if rho >= args.threshold else ""
+                    rho = acceptance.loo_spearman(tmp, n, data_seed, model_seed, pool_seed)
+                    ok = not acceptance.loo_failures(rho, args.threshold)
                     print(f"n={n} data_seed={data_seed} model_seed={model_seed} "
                           f"pool_seed={pool_seed}: rho={rho:.4f} "
-                          f"({time.time() - t0:.0f}s){mark}", flush=True)
-                    if rho >= args.threshold:
+                          f"({time.time() - t0:.0f}s){' <== candidate' if ok else ''}", flush=True)
+                    if ok:
                         best.append((rho, n, data_seed, model_seed, pool_seed))
     for rho, n, ds, ms, ps in sorted(best, reverse=True):
         print(f"pin: ({n}, {ds}, {ms}, {ps})  # spearman {rho:.4f}")
@@ -91,29 +89,15 @@ def cmd_loo(args) -> int:
 
 def cmd_grid(args) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="pin_grid_"))
-    d = _loans(tmp, 1000, args.data_seed, flip_rate=0.45)
     hits = 0
     for pseeds in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]:
         for base_seed in range(args.base_seeds):
-            spec = GridSpec(
-                hidden1_choices=(16,), hidden2_choices=(8,), batch_sizes=None,
-                permutation_seeds=pseeds, epochs=400, learning_rate=0.3,
-                pool_multiplier=5, chunk_percent=10.0, max_chunks=20,
-                solver=SolverConfig(cg_max_iter=100), base_seed=base_seed,
-                freeze_pool=True, workers=args.workers,
-            )
             t0 = time.time()
-            result = run_grid(d, spec)
-            discm_wins = accuracy_wins = with_removal = 0
-            for r in result.records:
-                full, ours = r.metrics["full"], r.metrics["ours"]
-                discm_wins += ours.discrimination < full.discrimination
-                accuracy_wins += ours.accuracy >= full.accuracy
-                with_removal += bool(r.removed_row_ids)
-            ok = discm_wins >= 3 and accuracy_wins >= 2 and with_removal == 4
+            f = acceptance.grid_wins(tmp, args.data_seed, pseeds, base_seed, args.workers)
+            ok = not acceptance.grid_failures(f)
             hits += ok
-            print(f"pseeds={pseeds} base_seed={base_seed}: discm_wins={discm_wins}/4 "
-                  f"accuracy_wins={accuracy_wins}/4 removal={with_removal}/4 "
+            print(f"pseeds={pseeds} base_seed={base_seed}: discm_wins={f['discm_wins']}/4 "
+                  f"accuracy_wins={f['accuracy_wins']}/4 removal={f['with_removal']}/4 "
                   f"({time.time() - t0:.0f}s){' <== candidate' if ok else ''}", flush=True)
     return 0 if hits else 1
 
@@ -121,6 +105,11 @@ def cmd_grid(args) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    golden = sub.add_parser("golden", help="scan toy-fixture seeds for criterion 01")
+    golden.add_argument("--seeds", type=int, default=400)
+    golden.add_argument("--workers", type=int, default=8)
+    golden.add_argument("--epochs", type=int, default=8000)
+    golden.add_argument("--lr", type=float, default=1.0)
     loo = sub.add_parser("loo", help="scan leave-one-out correlation fixtures")
     loo.add_argument("--data-seeds", type=int, default=2)
     loo.add_argument("--model-seeds", type=int, default=5)
@@ -131,7 +120,7 @@ def main() -> int:
     grid.add_argument("--base-seeds", type=int, default=2)
     grid.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
-    return {"loo": cmd_loo, "grid": cmd_grid}[args.command](args)
+    return {"golden": cmd_golden, "loo": cmd_loo, "grid": cmd_grid}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -99,7 +99,8 @@ class GridSpec:
     loop: DebiasConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.hidden1_choices and self.hidden2_choices and self.permutation_seeds):
+        if not (self.hidden1_choices and self.hidden2_choices and self.permutation_seeds
+                and (self.batch_sizes is None or self.batch_sizes)):  # None derives them
             raise RangeError("grid axes must be non-empty")
         for name in ("hidden1_choices", "hidden2_choices", "batch_sizes", "permutation_seeds"):
             values = getattr(self, name) or ()

@@ -588,11 +588,12 @@ def load_model(path: str | Path) -> Model:
         )
     if obj.get("activation") != "tanh":
         raise RangeError(f"unsupported activation {obj.get('activation')!r}")
+    sizes = [obj.get(name) for name in ("input_dim", "hidden1", "hidden2")]
+    if any(type(size) is not int for size in sizes):  # not 3.9, true or "4"
+        raise DimensionMismatch(f"{path} has layer sizes {sizes}, not JSON integers")
     try:
         m = Model(
-            input_dim=int(obj["input_dim"]),
-            hidden1=int(obj["hidden1"]),
-            hidden2=int(obj["hidden2"]),
+            *sizes,
             theta=np.asarray(obj["theta"], dtype=np.float64),
             final_train_loss=obj["final_train_loss"],
         )

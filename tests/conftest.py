@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules: the 7-row toy loans file in ``data/``,
-a scripted removal loop, and a finite-difference logit-gap Jacobian.
+a model trained on it, a scripted removal loop, finite-difference references
+for the loss gradient and the logit-gap Jacobian, and the synthetic-pair
+contract check.
 
 Approvals track income except that one high-income, high-wealth applicant
 from the disadvantaged group is denied (row 2). That single row is what a
@@ -14,7 +16,7 @@ import pytest
 
 import fairtrim.debias
 from fairtrim.data import load_dataset, load_schema
-from fairtrim.model import predict_proba
+from fairtrim.model import Hyperparameters, mean_loss, predict_proba, train
 
 TOY_CSV = Path(__file__).resolve().parent / "data" / "loans.csv"
 TOY_SCHEMA = TOY_CSV.with_name("loans.schema.json")
@@ -34,6 +36,12 @@ def toy_schema():
 @pytest.fixture(scope="session")
 def toy(toy_schema):
     return load_dataset(TOY_CSV, toy_schema)
+
+
+@pytest.fixture(scope="session")
+def trained(toy):
+    """An (8, 4) model trained 2,000 epochs on the toy fixture."""
+    return train(toy, Hyperparameters(8, 4, 7, epochs=2000, learning_rate=0.3, weight_init_seed=1))
 
 
 @pytest.fixture
@@ -81,3 +89,55 @@ def fd_logit_gap_jacobian():
         ])
 
     return jacobian
+
+
+@pytest.fixture(scope="session")
+def fd_grad():
+    """``(m, X, y, h=1e-5) -> (p,)``: central differences of the mean loss,
+    one coordinate at a time."""
+
+    def grad(m, X, y, h=1e-5):
+        out = np.empty(m.n_params)
+        for i in range(m.n_params):
+            up, dn = m.theta.copy(), m.theta.copy()
+            up[i] += h
+            dn[i] -= h
+            out[i] = (
+                mean_loss(replace(m, theta=up), X, y) - mean_loss(replace(m, theta=dn), X, y)
+            ) / (2 * h)
+        return out
+
+    return grad
+
+
+@pytest.fixture(scope="session")
+def pair_invariants():
+    """``(d, pool, lam)``: assert the synthetic-pair contract on every pair of ``pool``.
+
+    Each one-hot block holds exactly one 1; the companion swaps the sensitive
+    category and copies every other category; numerics stay in [0, 1] and
+    within ``lam`` of their seed (bitwise equal at ``lam == 0``).
+    """
+
+    def check(d, pool, lam):
+        a, b = pool.first, pool.second
+        sens = d.sensitive_block
+        np.testing.assert_array_equal(b[:, sens], a[:, sens][:, ::-1])
+        assert not np.any(np.all(a[:, sens] == b[:, sens], axis=1))
+        for codec in d.encoding.codecs:
+            cols = slice(codec.start, codec.stop)
+            for member in (a, b):
+                block = member[:, cols]
+                if codec.kind == "categorical":
+                    assert set(np.unique(block)) <= {0.0, 1.0}
+                    np.testing.assert_array_equal(block.sum(axis=1), 1.0)
+                else:
+                    assert np.all((block >= 0.0) & (block <= 1.0))
+            if codec.name == d.schema.sensitive:
+                continue
+            if codec.kind == "categorical" or lam == 0.0:
+                np.testing.assert_array_equal(a[:, cols], b[:, cols])
+            else:
+                assert np.max(np.abs(a[:, cols] - b[:, cols])) <= lam + 1e-12
+
+    return check

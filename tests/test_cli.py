@@ -302,6 +302,8 @@ def model_json(**fields):
                                    '"activation": "relu"}'}, "RangeError"),
         ("discrim", {"model.json": model_json(theta=["x"] * 11)}, "DimensionMismatch"),
         ("discrim", {"model.json": model_json(input_dim="ten")}, "DimensionMismatch"),
+        ("discrim", {"model.json": model_json(input_dim=4.7)}, "DimensionMismatch"),
+        ("discrim", {"model.json": model_json(hidden1=True)}, "DimensionMismatch"),
         ("discrim", {"model.json": model_json(theta=[float("nan")] * 11)}, "RangeError"),
         ("discrim", {"model.json": model_json(final_train_loss="low")}, "DimensionMismatch"),
         ("report", {"summary.json": '{"unfair_union": []}',
@@ -314,7 +316,8 @@ def model_json(**fields):
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
     ],
     ids=["model-list", "model-no-input-dim", "model-relu", "model-theta-strings",
-         "model-input-dim-word", "model-theta-nan", "model-loss-word", "summary-no-picks",
+         "model-input-dim-word", "model-input-dim-fraction", "model-hidden1-bool",
+         "model-theta-nan", "model-loss-word", "summary-no-picks",
          "configs-no-columns", "configs-non-numeric-discrimination", "summary-union-not-list"],
 )
 def test_malformed_file_is_domain_error(capsys, toy_files, tmp_path, command, files, error):

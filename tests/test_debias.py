@@ -28,12 +28,6 @@ from fairtrim.model import Hyperparameters, mask_sensitive, train
 from fairtrim.synthetic import loans_schema, write_loans
 
 
-@pytest.fixture(scope="module")
-def trained(toy):
-    hp = Hyperparameters(8, 4, 7, epochs=2000, learning_rate=0.3, weight_init_seed=1)
-    return train(toy, hp)
-
-
 def stub_cfg(chunk_percent=1.0, max_chunks=100, freeze_pool=False, rng_seed=0):
     return DebiasConfig(
         similarity=SimilarityConfig(lam=0.0, pool_multiplier=10, rng_seed=rng_seed),

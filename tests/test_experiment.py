@@ -179,6 +179,8 @@ def test_grid_spec_validation():
     with pytest.raises(RangeError):
         GridSpec(hidden1_choices=())
     with pytest.raises(RangeError):
+        GridSpec(batch_sizes=())  # None derives batch sizes; an empty axis does not
+    with pytest.raises(RangeError):
         GridSpec(workers=0)
 
 

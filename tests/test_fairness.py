@@ -38,57 +38,21 @@ from fairtrim.synthetic import loans_schema, write_loans
 
 
 @pytest.fixture(scope="module")
-def trained(toy):
-    hp = Hyperparameters(8, 4, 7, epochs=2000, learning_rate=0.3, weight_init_seed=1)
-    return train(toy, hp)
-
-
-@pytest.fixture(scope="module")
 def loans(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("loans")
     write_loans(tmp / "d.csv", tmp / "s.json", n=100, seed=3)
     return load_dataset(tmp / "d.csv", loans_schema())
 
 
-def pair_invariants(d, pool, lam):
-    sens = d.sensitive_block
-    numeric_cols = [c.start for c in d.encoding.codecs if c.kind == "numeric"]
-    cat_blocks = [
-        (c.start, c.stop) for c in d.encoding.codecs
-        if c.kind == "categorical" and (c.start, c.stop) != (sens.start, sens.stop)
-    ]
-    a, b = pool.first, pool.second
-    # sensitive one-hot always flipped
-    np.testing.assert_array_equal(a[:, sens], b[:, sens][:, ::-1])
-    assert not np.any(np.all(a[:, sens] == b[:, sens], axis=1))
-    # one-hot blocks are valid (exactly one 1)
-    for start, stop in cat_blocks + [(sens.start, sens.stop)]:
-        for m in (a, b):
-            block = m[:, start:stop]
-            np.testing.assert_array_equal(block.sum(axis=1), 1.0)
-            assert set(np.unique(block)) <= {0.0, 1.0}
-        # non-sensitive categorical values match across the pair
-        if (start, stop) != (sens.start, sens.stop):
-            np.testing.assert_array_equal(a[:, start:stop], b[:, start:stop])
-    # numerics inside [0,1] and within lam of each other
-    for j in numeric_cols:
-        for m in (a, b):
-            assert np.all((m[:, j] >= 0.0) & (m[:, j] <= 1.0))
-        if lam == 0.0:
-            np.testing.assert_array_equal(a[:, j], b[:, j])
-        else:
-            assert np.max(np.abs(a[:, j] - b[:, j])) <= lam + 1e-12
-
-
 # --- pool contracts ----------------------------------------------------------
 
-def test_pool_size_lambda_zero(toy):
+def test_pool_size_lambda_zero(toy, pair_invariants):
     pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.0, pool_multiplier=100))
     assert len(pool) == 100 * len(toy)  # one companion per seed
     pair_invariants(toy, pool, 0.0)
 
 
-def test_pool_size_lambda_positive(toy):
+def test_pool_size_lambda_positive(toy, pair_invariants):
     pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.05, pool_multiplier=100))
     assert len(pool) == 200 * len(toy)  # two companions per seed
     pair_invariants(toy, pool, 0.05)
@@ -164,7 +128,7 @@ def test_similarity_config_validation():
     lam=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_pair_invariants_property(toy, lam, seed):
+def test_pair_invariants_property(toy, pair_invariants, lam, seed):
     cfg = SimilarityConfig(lam=lam, pool_multiplier=3, rng_seed=seed)
     pool = generate_similar_pairs(toy, cfg)
     expected = 3 * len(toy) * (1 if lam == 0.0 else 2)

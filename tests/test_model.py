@@ -52,20 +52,6 @@ def random_problem(seed, n=6, dim=5, h1=4, h2=3):
     return m, X, y
 
 
-def fd_grad(m, X, y, h=1e-5):
-    """Central finite differences of the mean loss, coordinate by coordinate."""
-    base = m.theta.copy()
-    out = np.empty_like(base)
-    for i in range(base.size):
-        e = np.zeros_like(base)
-        e[i] = h
-        out[i] = (
-            mean_loss(replace(m, theta=base + e), X, y)
-            - mean_loss(replace(m, theta=base - e), X, y)
-        ) / (2 * h)
-    return out
-
-
 def fd_hvp(m, v, X, y, h=1e-5):
     """Central finite differences of the gradient along direction v."""
     base = m.theta.copy()
@@ -243,7 +229,7 @@ def test_extreme_logits_are_stable():
 
 # --- gradient oracle --------------------------------------------------------
 
-def test_grad_matches_finite_differences_many_models():
+def test_grad_matches_finite_differences_many_models(fd_grad):
     worst = 0.0
     for seed in range(10):
         m, X, y = random_problem(seed)
