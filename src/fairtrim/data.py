@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -148,17 +149,20 @@ class EncodingSpec:
 
 
 def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
-    out = np.empty(len(values), dtype=np.float64)
-    for i, v in enumerate(values):
+    """The column as float64; a ParseError names the first cell that is not a finite number."""
+    try:
+        out = np.array([float(v) for v in values], dtype=np.float64)
+        if np.isfinite(out).all():
+            return out
+    except ValueError:
+        pass
+    for i, v in enumerate(values):  # find the first bad cell, to name it
         try:
-            out[i] = float(v)
+            if math.isfinite(float(v)):
+                continue
         except ValueError as exc:
-            raise ParseError(
-                f"column {name!r}, row {i + 1}: {v!r} is not numeric"
-            ) from exc
-        if not np.isfinite(out[i]):
-            raise ParseError(f"column {name!r}, row {i + 1}: {v!r} is not finite")
-    return out
+            raise ParseError(f"column {name!r}, row {i + 1}: {v!r} is not numeric") from exc
+        raise ParseError(f"column {name!r}, row {i + 1}: {v!r} is not finite")
 
 
 def _encode_columns(

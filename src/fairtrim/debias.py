@@ -163,6 +163,8 @@ def debias_data(d: Dataset, cfg: DebiasConfig) -> tuple[Dataset, DebiasReport]:
 
 def debias_group(
     members: Sequence[tuple[Dataset, DebiasConfig]],
+    *,
+    full_models: Sequence[Model] | None = None,
 ) -> list[tuple[Dataset, DebiasReport]]:
     """Run the removal loop of ``debias_data`` on several members at once.
 
@@ -171,10 +173,13 @@ def debias_group(
     share the row count, ``hp``, ``chunk_percent`` and ``max_chunks``, so
     chunk i removes the same number of rows k from each: the full models,
     and at each chunk the models of every running member whose k is new,
-    are trained together in one ``train_many`` call. A member leaves the
-    group at its stop, or at once when it is already fair. Training and
-    measurement go through this module's ``train_many`` and
-    ``estimate_discrim``, so a test scripts the loop by replacing those two.
+    are trained together in one ``train_many`` call. ``full_models``, when
+    given, are those full models, ``train(d, hp)`` of each member's dataset,
+    trained by the caller: the grid trains them in one stack with its
+    sensitive-dropped ``sr`` models. A member leaves the group at its stop,
+    or at once when it is already fair. Training and measurement go through
+    this module's ``train_many`` and ``estimate_discrim``, so a test scripts
+    the loop by replacing those two.
     """
     if not members or any(len(d) == 0 for d, _ in members):
         raise EmptyDataset("cannot debias an empty dataset")
@@ -184,8 +189,13 @@ def debias_group(
         raise DimensionMismatch(
             "a removal group's members must share row count, hp, chunk_percent and max_chunks"
         )
+    if full_models is None:
+        full_models = train_many([d for d, _ in members], cfg.hp)
+    elif len(full_models) != len(members) or any(
+        m.input_dim != d.width for m, (d, _) in zip(full_models, members)
+    ):
+        raise DimensionMismatch("full_models needs one model of each member's width")
 
-    full_models = train_many([d for d, _ in members], cfg.hp)
     rankings = []
     for (d, c), full_model in zip(members, full_models):
         try:

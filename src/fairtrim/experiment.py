@@ -7,16 +7,18 @@ Per grid config (hidden sizes x batch size x split permutation seed):
             feature mask so it lives in the original space;
 * ``ours``: trained on the debiased train split (influence-ranked removal).
 
-``full`` and ``ours`` are the models the removal loop trained while removing
-rows, so each config trains them once.
+``full`` is the model the removal loop starts from and ``ours`` the one it
+trained on the returned subset, so each config trains every model once.
 
 Configs run in shape groups: the configs that differ only in permutation
 seed share hidden sizes, batch size, train-split size and the weight seed,
-so their trainings take the same steps. Each group trains its ``sr`` models in one
-``train_many`` call and debiases its configs in one ``debias_group`` loop,
-which trains the members' ``full`` and chunk models together. ``workers``
-spreads groups over processes; with more workers than groups, each group's
-seeds are cut into runs so that every worker has a group to train.
+so their trainings take the same steps. Each group trains its ``full`` and
+``sr`` models in one ``train_many`` call (the ``sr`` members are narrower by
+the sensitive one-hot columns), then debiases its configs from those
+``full`` models in one ``debias_group`` loop, which trains their chunk
+models together. ``workers`` spreads groups over processes; with more
+workers than groups, each group's seeds are cut into runs so that every
+worker has a group to train.
 
 Phase one measures each model's individual discrimination on synthetic
 pools from the config's train split. Phase two pools the unfair rows found
@@ -249,10 +251,11 @@ _OUTCOME = ("removed_row_ids", "stop_index", "already_fair", "loop_exhausted")
 
 
 def _phase_one(args):
-    """Train sr and debias one shape group; full and ours are the reports' models.
+    """Train full and sr and debias one shape group; ours is the reports' model.
 
     The group's configs share hidden sizes and batch size, so one stacked
-    training gives every sr model and one removal loop debiases them all.
+    training gives every full and sr model, and one removal loop, handed the
+    full models, debiases them all.
     Returns, per config in the group's order, the report's ``_OUTCOME``
     fields, the train-split size, the test split, the models and their
     discrimination by technique.
@@ -268,10 +271,13 @@ def _phase_one(args):
         replace(spec.loop.similarity, rng_seed=_config_seed(spec.base_seed, index))
         for index, *_ in group
     ]
-    srs = train_many([drop_sensitive(tr) for tr, _ in splits], hp)
-    reports = debias_group([
-        (tr, replace(spec.loop, similarity=sim, hp=hp)) for (tr, _), sim in zip(splits, sims)
-    ])
+    trains = [tr for tr, _ in splits]
+    models = train_many(trains + [drop_sensitive(tr) for tr in trains], hp)
+    fulls, srs = models[: len(trains)], models[len(trains) :]
+    reports = debias_group(
+        [(tr, replace(spec.loop, similarity=sim, hp=hp)) for tr, sim in zip(trains, sims)],
+        full_models=fulls,
+    )
 
     out = []
     for (tr, te), sim, sr, (_, report) in zip(splits, sims, srs, reports):

@@ -29,6 +29,7 @@ call_index), so any pool is reproducible from its config and call index.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,8 @@ class PairPool:
 def _pool_rng(cfg: SimilarityConfig, call_index: int | None) -> np.random.Generator:
     if call_index is None:
         return np.random.default_rng([cfg.rng_seed, _POOL_STREAM_SORT])
+    if not isinstance(call_index, numbers.Integral) or call_index < 0:
+        raise RangeError(f"call_index must be a non-negative integer, got {call_index!r}")
     return np.random.default_rng([cfg.rng_seed, _POOL_STREAM_ESTIMATE, call_index])
 
 
@@ -264,11 +267,12 @@ def estimate_discrim(
 ) -> float:
     """Fraction of a fresh synthetic pool on which ``m`` flips its prediction.
 
-    call_index picks an independent pool stream; repeated estimates inside a
-    loop should pass distinct indices, re-measurement of the same pool the
-    same index. The pool is scored from its draws a block at a time, so the
-    estimate equals ``np.mean(flip_mask(m, generate_similar_pairs(d, cfg,
-    call_index)))`` without building the dense pool.
+    call_index, a non-negative integer, picks an independent pool stream;
+    repeated estimates inside a loop should pass distinct indices,
+    re-measurement of the same pool the same index. The pool is scored from
+    its draws a block at a time, so the estimate equals
+    ``np.mean(flip_mask(m, generate_similar_pairs(d, cfg, call_index)))``
+    without building the dense pool.
     """
     return float(np.mean(_score(m, _draw(d, cfg, call_index).blocks())[0]))
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -206,14 +207,23 @@ class _Workspace:
     length no pass allocates an array. Every buffer is C-ordered like the
     fresh array it replaces, because the bits depend on the layout. Deltas
     are built only for a caller that backpropagates.
+
+    A stack of mixed widths (see ``train_many``) comes with ``parts``, one
+    (member slice, width) per width; ``parts`` then holds, per width, the
+    slice and the first-layer weight and gradient rows of those members.
     """
 
-    def __init__(self, theta: np.ndarray, d: int, h1: int, h2: int, grads: np.ndarray | None):
+    def __init__(
+        self, theta: np.ndarray, d: int, h1: int, h2: int, grads: np.ndarray | None, parts=None
+    ):
         self.params = _unpack(theta, d, h1, h2)
-        _, b1, W2, b2, W3, b3 = self.params
+        W1, b1, W2, b2, W3, b3 = self.params
         self.biases = b1[..., None, :], b2[..., None, :], b3[..., None, :]
         self.W2T, self.W3T = W2.swapaxes(-1, -2), W3.swapaxes(-1, -2)
         self.grads = None if grads is None else _unpack(grads, d, h1, h2)
+        self.parts = None if parts is None else [
+            (members, W1[members, :w], self.grads[0][members, :w]) for members, w in parts
+        ]
         self._lead, self._h1, self._h2 = theta.shape[:-1], h1, h2
         self._activations, self._deltas = {}, {}
 
@@ -236,17 +246,24 @@ def _forward(ws: _Workspace, X) -> _Activations:
     """Activations a1, a2 and class log-probabilities of the rows of X.
 
     With stacked parameters X is (P, rows, d) and every output gains the same
-    leading axis. The outputs are ``ws`` buffers, which the next pass over as
-    many rows overwrites. Each operation writes into them with ``out=``, and
-    the 2-class max and sum are one elementwise call each instead of an axis
-    reduction: on a training step's tiny arrays numpy's per-call cost is
-    nearly the whole cost, and a reduction pays it several times. Both give
-    the bits of ``z.max(axis=-1)`` and ``e.sum(axis=-1)``.
+    leading axis; a stack of mixed widths takes one such array per part of
+    ``ws.parts``, each width's members at their own width. The outputs are
+    ``ws`` buffers, which the next pass over as many rows overwrites. Each
+    operation writes into them with ``out=``, and the 2-class max and sum
+    are one elementwise call each instead of an axis reduction: on a
+    training step's tiny arrays numpy's per-call cost is nearly the whole
+    cost, and a reduction pays it several times. Both give the bits of
+    ``z.max(axis=-1)`` and ``e.sum(axis=-1)``.
     """
     W1, _, W2, _, W3, _ = ws.params
     c1, c2, c3 = ws.biases
-    f = ws.activations(X.shape[-2])
-    np.matmul(X, W1, out=f.a1)
+    if ws.parts is None:
+        f = ws.activations(X.shape[-2])
+        np.matmul(X, W1, out=f.a1)
+    else:  # each width's members multiply only their own columns and weight rows
+        f = ws.activations(X[0].shape[-2])
+        for (members, W1_part, _), X_part in zip(ws.parts, X):
+            np.matmul(X_part, W1_part, out=f.a1[members])
     f.a1 += c1
     np.tanh(f.a1, out=f.a1)
     np.matmul(f.a1, W2, out=f.a2)
@@ -345,17 +362,23 @@ def _backward(ws: _Workspace, X, onehot) -> None:
     """Gradient of the mean loss over the rows of X, written into ``ws.grads``.
 
     ``onehot`` is ``_onehot`` of the rows' labels; stacked parameters take X
-    (P, rows, d) and onehot (P, rows, 2).
+    (P, rows, d), or per width a part of it as in ``_forward``, and onehot
+    (P, rows, 2).
     """
     f = _forward(ws, X)
-    b = ws.deltas(X.shape[-2])
+    rows = f.a1.shape[-2]
+    b = ws.deltas(rows)
     dz3 = _loss_delta(f, onehot, b)
-    dz3 *= 1.0 / X.shape[-2]  # times 1/n, not / n: trained weights depend on the rounding
+    dz3 *= 1.0 / rows  # times 1/n, not / n: trained weights depend on the rounding
     _hidden_deltas(ws, f, b)
     gW1, gb1, gW2, gb2, gW3, gb3 = ws.grads
-    for aT, dz, gW, gb in (
-        (X.swapaxes(-1, -2), b.dz1, gW1, gb1), (f.a1T, b.dz2, gW2, gb2), (f.a2T, dz3, gW3, gb3)
-    ):
+    if ws.parts is None:
+        np.matmul(X.swapaxes(-1, -2), b.dz1, out=gW1)
+    else:
+        for (members, _, gW1_part), X_part in zip(ws.parts, X):
+            np.matmul(X_part.swapaxes(-1, -2), b.dz1[members], out=gW1_part)
+    np.add.reduce(b.dz1, axis=-2, out=gb1)
+    for aT, dz, gW, gb in ((f.a1T, b.dz2, gW2, gb2), (f.a2T, dz3, gW3, gb3)):
         np.matmul(aT, dz, out=gW)
         np.add.reduce(dz, axis=-2, out=gb)
 
@@ -477,49 +500,85 @@ def _init_theta(input_dim: int, h1: int, h2: int, seed: int) -> np.ndarray:
     return theta
 
 
+def _widen(theta: np.ndarray, width: int, dim: int, h1: int) -> np.ndarray:
+    """A width-feature parameter vector laid out for dim features: the extra
+    first-layer weight rows are zero, every other parameter is ``theta``'s."""
+    return np.concatenate((theta[: width * h1], np.zeros((dim - width) * h1), theta[width * h1 :]))
+
+
+def _narrow(theta: np.ndarray, width: int, dim: int, h1: int) -> np.ndarray:
+    """The inverse of ``_widen``: a fresh width-feature vector."""
+    return np.concatenate((theta[: width * h1], theta[dim * h1 :]))
+
+
 def train_many(
     datasets: Sequence[Dataset], hp: Hyperparameters, inits: Sequence[Model] | None = None
 ) -> list[Model]:
     """Train one model per dataset in a single stacked loop.
 
-    The P members must have the same row count and width. They share the init
-    (unless ``inits`` gives each member a warm start) and the shuffle stream,
-    so every step is one stacked forward pass, one backward pass and one
-    in-place update over a (P, n_params) parameter stack, and member j comes
-    out bitwise equal to ``train(datasets[j], hp, inits[j])``.
+    The P members must have the same row count. They share the shuffle
+    stream, and the init of their width (unless ``inits`` gives each member
+    a warm start), so every step is one stacked forward pass, one backward
+    pass and one in-place update over a (P, n_params) parameter stack, and
+    member j comes out bitwise equal to ``train(datasets[j], hp, inits[j])``.
+
+    Members may differ in width, as a grid config's ``full`` and ``sr``
+    trainings do (``sr`` lacks the sensitive one-hot columns). The stack then
+    takes the widest layout, ordered by width, and a narrower member's
+    first-layer weight rows past its width stay zero. Its rows gather into a
+    buffer of its width's members, and only the first-layer products, in
+    the forward pass and in the weight gradient, run once per width, each on
+    the shapes of the member's own ``train``: how BLAS sums a product
+    depends on its shapes, so zero columns would change the last bits. Every
+    other operation of a step stays one stacked call.
+
+    A member whose weights or final loss come out non-finite (training
+    diverged) raises RangeError.
     """
     if not datasets:
         raise EmptyDataset("no datasets to train")
-    n, dim = len(datasets[0]), datasets[0].width
-    if any((len(d), d.width) != (n, dim) for d in datasets):
+    n = len(datasets[0])
+    if any(len(d) != n for d in datasets):
         raise DimensionMismatch(
-            f"stacked members need one shape, got {sorted({(len(d), d.width) for d in datasets})}"
+            f"stacked members need one row count, got {sorted({len(d) for d in datasets})}"
         )
     if n == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     h1, h2 = hp.hidden1, hp.hidden2
     if inits is None:
-        theta = np.tile(_init_theta(dim, h1, h2, hp.weight_init_seed), (len(datasets), 1))
+        starts = {d.width: _init_theta(d.width, h1, h2, hp.weight_init_seed) for d in datasets}
+        inits_theta = [starts[d.width] for d in datasets]
     else:
         if len(inits) != len(datasets):
             raise DimensionMismatch(f"{len(inits)} warm starts for {len(datasets)} datasets")
-        for init in inits:
-            if init.input_dim != dim:
+        for init, d in zip(inits, datasets):
+            if init.input_dim != d.width:
                 raise DimensionMismatch(
-                    f"warm start expects {init.input_dim} features, dataset has {dim}"
+                    f"warm start expects {init.input_dim} features, dataset has {d.width}"
                 )
             if (init.hidden1, init.hidden2) != (h1, h2):
                 raise DimensionMismatch("warm start hidden sizes disagree with hyperparameters")
-        theta = np.stack([init.theta for init in inits])
-    g = np.empty_like(theta)
-    ws = _Workspace(theta, dim, h1, h2, grads=g)
+        inits_theta = [init.theta for init in inits]
+    # stack position p holds member order[p]: each width's members are consecutive
+    order = sorted(range(len(datasets)), key=lambda j: -datasets[j].width)
+    stacked = [datasets[j] for j in order]
+    dim = stacked[0].width
+    parts, top = [], 0  # (stack slice, width) of each width's members
+    for w, run in groupby(d.width for d in stacked):
+        count = len(list(run))
+        parts.append((slice(top, top + count), w))
+        top += count
+    theta = np.stack([_widen(inits_theta[j], datasets[j].width, dim, h1) for j in order])
+    g = np.zeros_like(theta)  # a narrow member's extra rows are never written
+    ws = _Workspace(theta, dim, h1, h2, grads=g, parts=parts if len(parts) > 1 else None)
 
     # rows per gather: whole batches, as many as fit in GATHER_BLOCK_BYTES
-    row_bytes = len(datasets) * dim * 8  # one float64 row of every member
+    row_bytes = sum(d.width for d in datasets) * 8  # one float64 row of every member
     block = hp.batch_size * max(1, GATHER_BLOCK_BYTES // (hp.batch_size * row_bytes))
-    # one gather's rows of every member, their labels and the labels' one-hot rows
+    # one gather's rows of every member (a buffer per width), their labels and
+    # the labels' one-hot rows
     held = min(block, n)
-    X_block = np.empty((len(datasets), held, dim))
+    X_blocks = [np.empty((members.stop - members.start, held, w)) for members, w in parts]
     y_block = np.empty((len(datasets), held), dtype=np.int64)
     hot_block = np.empty((len(datasets), held, N_CLASSES))
     shuffle = np.random.default_rng([hp.weight_init_seed, _SHUFFLE_STREAM])
@@ -528,8 +587,8 @@ def train_many(
         for first in range(0, n, block):
             rows = perm[first : first + block]
             k = rows.size
-            X_rows, y_rows, hot = X_block[:, :k], y_block[:, :k], hot_block[:, :k]
-            for d, X_j, y_j in zip(datasets, X_rows, y_rows):
+            X_rows, y_rows, hot = [X[:, :k] for X in X_blocks], y_block[:, :k], hot_block[:, :k]
+            for d, X_j, y_j in zip(stacked, chain.from_iterable(X_rows), y_rows):
                 # rows come from a permutation, so always in range; "clip" writes
                 # straight into out where "raise" would gather into a temporary
                 d.encoded.take(rows, axis=0, out=X_j, mode="clip")
@@ -537,14 +596,27 @@ def train_many(
             _onehot(y_rows, out=hot)
             for start in range(0, k, hp.batch_size):
                 batch = slice(start, start + hp.batch_size)
-                _backward(ws, X_rows[:, batch], hot[:, batch])
+                if ws.parts is None:
+                    X_batch = X_rows[0][:, batch]
+                else:
+                    X_batch = [X[:, batch] for X in X_rows]
+                _backward(ws, X_batch, hot[:, batch])
                 g *= hp.learning_rate
                 theta -= g
 
-    out = []
-    for theta_j, d in zip(theta, datasets):
-        m = Model(input_dim=dim, hidden1=h1, hidden2=h2, theta=theta_j.copy())
-        out.append(replace(m, final_train_loss=mean_loss(m, d.encoded, d.labels)))
+    out = [None] * len(datasets)
+    for theta_p, j, d in zip(theta, order, stacked):
+        m = Model(d.width, h1, h2, theta=_narrow(theta_p, d.width, dim, h1))
+        if not np.isfinite(m.theta).all():
+            # a nan model predicts class 0 everywhere, so it would read as perfectly fair
+            raise RangeError(
+                f"training diverged: member {j} has non-finite weights "
+                f"(learning_rate {hp.learning_rate})"
+            )
+        loss = mean_loss(m, d.encoded, d.labels)
+        if not np.isfinite(loss):
+            raise RangeError(f"training diverged: member {j} has final loss {loss}")
+        out[j] = replace(m, final_train_loss=loss)
     return out
 
 

@@ -60,26 +60,17 @@ def make_loans_rows(
     )
     approved = score > 1.05  # roughly balanced classes
 
-    flipped: list[int] = []
-    flip_draw = rng.random(n)
-    labels = approved.copy()
-    for i in range(n):
-        if approved[i] and group[i] == "beta" and flip_draw[i] < flip_rate:
-            labels[i] = False
-            flipped.append(i + 1)  # row ids are 1-based
+    flip = approved & (group == "beta") & (rng.random(n) < flip_rate)
+    flipped = (np.flatnonzero(flip) + 1).tolist()  # row ids are 1-based
+    decisions = np.where(approved & ~flip, "approved", "denied")
 
     header = ("income", "savings", "debt", "employment", "housing", "group", "decision")
     rows = [
-        (
-            f"{income[i]:.4f}",
-            f"{savings[i]:.4f}",
-            f"{debt[i]:.4f}",
-            str(employment[i]),
-            str(housing[i]),
-            str(group[i]),
-            "approved" if labels[i] else "denied",
+        (f"{inc:.4f}", f"{sav:.4f}", f"{dbt:.4f}", emp, hou, grp, dec)
+        for inc, sav, dbt, emp, hou, grp, dec in zip(
+            income.tolist(), savings.tolist(), debt.tolist(), employment.tolist(),
+            housing.tolist(), group.tolist(), decisions.tolist(),
         )
-        for i in range(n)
     ]
     return header, rows, flipped
 

@@ -158,6 +158,21 @@ def test_negative_batch_size_is_domain_error(capsys, toy_files, tmp_path, comman
     assert json.loads(err)["error"] == "RangeError"
 
 
+# a learning rate this large overflows the weights to nan within a few epochs; before,
+# train wrote the nan model and debias called it already fair, both exiting 0
+@pytest.mark.parametrize("command", ["train", "debias"])
+def test_diverged_training_is_domain_error(capsys, toy_files, tmp_path, command):
+    csv_path, schema_path = toy_files
+    argv = [command, csv_path, "--schema", schema_path, "--lr", "1e308", "--epochs", "50",
+            "--out-dir", str(tmp_path)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "RangeError"
+    assert "diverged" in json.loads(err)["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_writes_model(capsys, toy_files, tmp_path):
     csv_path, schema_path = toy_files
     obj = run_json(

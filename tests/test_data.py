@@ -110,10 +110,15 @@ def test_extra_column_raises(tmp_path, toy_schema):
 
 
 def test_non_numeric_cell_raises(tmp_path, toy_schema):
-    write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "decision"),
-              [("lots", "0.1", "white", "approved")])
-    with pytest.raises(ParseError):
-        load_dataset(tmp_path / "r.csv", toy_schema)
+    # the first bad cell is named, with its row, whichever kind of bad it is
+    for cell, problem in (("lots", "is not numeric"), ("nan", "is not finite"),
+                          ("inf", "is not finite")):
+        write_csv(tmp_path / "r.csv", ("income", "wealth", "race", "decision"),
+                  [("1", "0.1", "white", "approved"), ("2", "0.2", "black", "denied"),
+                   (cell, "0.1", "white", "approved"), ("-inf", "0.3", "black", "denied"),
+                   ("x", "0.3", "black", "denied")])
+        with pytest.raises(ParseError, match=f"column 'income', row 3: '{cell}' {problem}"):
+            load_dataset(tmp_path / "r.csv", toy_schema)
 
 
 def test_three_label_values_raise(tmp_path, toy_schema):

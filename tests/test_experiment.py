@@ -3,12 +3,13 @@
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairtrim.data import SplitSpec, load_dataset
+from fairtrim.data import SplitSpec, drop_sensitive, load_dataset, split
 from fairtrim.debias import DebiasConfig
 from fairtrim.errors import EmptyResult, RangeError
 from fairtrim.experiment import (
@@ -16,6 +17,7 @@ from fairtrim.experiment import (
     GridSpec,
     TECHNIQUES,
     _enumerate_configs,
+    _phase_one,
     _shape_groups,
     debiased_test_set,
     derived_batch_sizes,
@@ -27,7 +29,7 @@ from fairtrim.experiment import (
 )
 from fairtrim.fairness import SimilarityConfig
 from fairtrim.influence import SolverConfig
-from fairtrim.model import Hyperparameters
+from fairtrim.model import Hyperparameters, train
 from fairtrim.synthetic import loans_schema, write_loans
 
 
@@ -270,13 +272,34 @@ def test_grid_trains_each_model_once(small, monkeypatch):
     assert seen
     assert len(seen) == len(set(seen))
     # tiny_spec is one group of two seeds whose removal counts never repeat:
-    # sr and full train both in lockstep, then chunk c every config still
-    # running, i.e. whose trace reaches c (stop_index + 2 entries, as neither
-    # config exhausts its loop)
+    # both configs' full and sr models train in one stack, then chunk c every
+    # config still running, i.e. whose trace reaches c (stop_index + 2
+    # entries, as neither config exhausts its loop)
     assert not any(r.loop_exhausted or r.already_fair for r in result.records)
     traces = [r.stop_index + 2 for r in result.records]
-    assert sizes == [2, 2] + [sum(t > c for t in traces) for c in range(1, max(traces))]
+    assert sizes == [4] + [sum(t > c for t in traces) for c in range(1, max(traces))]
     assert 1 in sizes  # the configs stop at different chunks
+
+
+def test_phase_one_full_and_sr_models_are_their_own_trainings(tmp_path):
+    # the sensitive column first: sr's columns are not a prefix of full's
+    write_loans(tmp_path / "d.csv", tmp_path / "s.json", n=60, seed=0, flip_rate=0.5)
+    schema = loans_schema()
+    columns = dict(schema.columns)
+    schema = replace(schema, columns=(("group", columns.pop("group")), *columns.items()))
+    d = load_dataset(tmp_path / "d.csv", schema)
+    assert d.sensitive_block.start == 0
+    spec = tiny_spec(max_chunks=1)
+    configs = _enumerate_configs(d, spec)
+    hp = replace(spec.loop.hp, hidden1=6, hidden2=3, batch_size=16)
+    for (*_, ps), (_, _, _, models, _) in zip(configs, _phase_one((d, spec, configs))):
+        tr, _ = split(d, SplitSpec(ps, train_fraction=spec.train_fraction))
+        full, sr = train(tr, hp), train(drop_sensitive(tr), hp)
+        assert models["full"].theta.tobytes() == full.theta.tobytes()
+        assert models["full"].final_train_loss == full.final_train_loss
+        assert models["sr"].inner.theta.tobytes() == sr.theta.tobytes()
+        assert models["sr"].inner.final_train_loss == sr.final_train_loss
+        assert models["sr"].keep.tolist() == list(range(2, d.width))
 
 
 def test_shape_groups_cut_seeds_only_for_idle_workers(small):

@@ -114,6 +114,18 @@ def test_pool_requires_sensitive(toy):
         generate_similar_pairs(drop_sensitive(toy), SimilarityConfig())
 
 
+# before, numpy's SeedSequence raised an untyped ValueError for a negative index
+@pytest.mark.parametrize("call_index", [-1, 1.0, "0"])
+def test_bad_call_index_is_range_error(toy, trained, call_index):
+    cfg = SimilarityConfig(pool_multiplier=2)
+    for measure in (estimate_discrim, metrics_report):
+        with pytest.raises(RangeError, match="call_index"):
+            measure(trained, toy, cfg, call_index=call_index)
+    assert estimate_discrim(trained, toy, cfg, call_index=np.int64(3)) == estimate_discrim(
+        trained, toy, cfg, call_index=3
+    )
+
+
 def test_similarity_config_validation():
     with pytest.raises(RangeError):
         SimilarityConfig(lam=-0.1)

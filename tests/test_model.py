@@ -477,21 +477,58 @@ def test_train_many_member_is_its_own_train(
     epochs=st.integers(0, 3),
     seed=st.integers(0, 10_000),
     warm=st.booleans(),
+    extra=st.integers(0, 3),
+    wide=st.integers(0, 15),
 )
-@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=1, warm=False)  # 3+3+1
-@example(members=2, n=5, width=3, batch_size=9, epochs=2, seed=2, warm=True)  # batch > n
-@example(members=4, n=6, width=2, batch_size=4, epochs=0, seed=3, warm=True)
-def test_train_many_is_the_reference_loop(toy, members, n, width, batch_size, epochs, seed, warm):
+# member j is extra columns wider than the others where bit j of wide is set
+@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=1, warm=False, extra=0, wide=0)
+@example(members=2, n=5, width=3, batch_size=9, epochs=2, seed=2, warm=True, extra=0, wide=0)
+@example(members=4, n=6, width=2, batch_size=4, epochs=0, seed=3, warm=True, extra=0, wide=0)
+# mixed widths, 3+3+1 batches: the narrow member last, then first
+@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=4, warm=False, extra=2, wide=0b011)
+@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=5, warm=False, extra=2, wide=0b110)
+# mixed widths with batch > n, 0 epochs, and warm starts of each width
+@example(members=2, n=5, width=3, batch_size=9, epochs=2, seed=6, warm=True, extra=1, wide=0b01)
+@example(members=4, n=6, width=1, batch_size=4, epochs=0, seed=7, warm=True, extra=3, wide=0b0101)
+@example(members=4, n=6, width=2, batch_size=4, epochs=0, seed=8, warm=False, extra=1, wide=0b1010)
+@example(members=2, n=9, width=1, batch_size=2, epochs=3, seed=9, warm=True, extra=3, wide=0b10)
+def test_train_many_is_the_reference_loop(
+    toy, members, n, width, batch_size, epochs, seed, warm, extra, wide
+):
     rng = np.random.default_rng(seed)
-    datasets = [random_dataset(toy, rng, n, width) for _ in range(members)]
+    widths = [width + extra * (wide >> j & 1) for j in range(members)]
+    datasets = [random_dataset(toy, rng, n, w) for w in widths]
     hp = Hyperparameters(3, 2, batch_size, epochs=epochs, learning_rate=0.5, weight_init_seed=seed)
     inits = None
     if warm:
-        inits = [Model(width, 3, 2, rng.normal(size=param_count(width, 3, 2))) for _ in datasets]
-    thetas, losses = ref_train_many(datasets, hp, inits)
+        inits = [Model(w, 3, 2, rng.normal(size=param_count(w, 3, 2))) for w in widths]
+    # the reference trains each width's members in a stack of their own
+    thetas, losses = [None] * members, [None] * members
+    for w in set(widths):
+        js = [j for j in range(members) if widths[j] == w]
+        ref = ref_train_many(
+            [datasets[j] for j in js], hp, None if inits is None else [inits[j] for j in js]
+        )
+        for j, theta, loss in zip(js, *ref):
+            thetas[j], losses[j] = theta, loss
     trained = train_many(datasets, hp, inits)
+    assert [m.input_dim for m in trained] == widths
     assert [m.theta.tobytes() for m in trained] == [t.tobytes() for t in thetas]
     assert [m.final_train_loss for m in trained] == losses
+
+
+# shapes on which BLAS sums a zero-padded first-layer product in another order
+# than the member's own: one-row batches, hidden1 = 1, one feature, and widths
+# on both sides of 16
+@pytest.mark.parametrize("n, batch_size, h1, width, extra", [
+    (1, 1, 16, 3, 2), (5, 2, 1, 2, 2), (17, 4, 3, 12, 7), (6, 3, 8, 1, 1),
+])
+def test_mixed_widths_train_their_own_bits_on_any_shape(toy, n, batch_size, h1, width, extra):
+    rng = np.random.default_rng(n)
+    datasets = [random_dataset(toy, rng, n, w) for w in (width + extra, width, width + extra)]
+    hp = Hyperparameters(h1, 2, batch_size, epochs=2, learning_rate=0.5, weight_init_seed=3)
+    for m, d in zip(train_many(datasets, hp), datasets):
+        assert m.theta.tobytes() == train(d, hp).theta.tobytes()
 
 
 @pytest.mark.parametrize("batches_per_gather", [1, 2])
@@ -550,8 +587,9 @@ def test_train_many_rejects_members_of_different_shapes(toy):
     d = random_dataset(toy, rng, 6, 3)
     with pytest.raises(DimensionMismatch):  # rows
         train_many([d, random_dataset(toy, rng, 5, 3)], hp)
-    with pytest.raises(DimensionMismatch):  # width
-        train_many([d, random_dataset(toy, rng, 6, 4)], hp)
+    with pytest.raises(DimensionMismatch):  # width of a warm start against its own member
+        wider = random_dataset(toy, rng, 6, 4)
+        train_many([d, wider], hp, inits=[Model(3, 3, 2, _init_theta(3, 3, 2, 0))] * 2)
     with pytest.raises(DimensionMismatch):  # hidden sizes of a warm start
         wide = Model(3, 4, 2, _init_theta(3, 4, 2, 0))
         train_many([d, d], hp, inits=[Model(3, 3, 2, _init_theta(3, 3, 2, 0)), wide])
