@@ -91,7 +91,9 @@ class PairPool:
 def _pool_rng(cfg: SimilarityConfig, call_index: int | None) -> np.random.Generator:
     if call_index is None:
         return np.random.default_rng([cfg.rng_seed, _POOL_STREAM_SORT])
-    if not isinstance(call_index, numbers.Integral) or call_index < 0:
+    # bool is an Integral, but True is no call index
+    bad_type = isinstance(call_index, bool) or not isinstance(call_index, numbers.Integral)
+    if bad_type or call_index < 0:
         raise RangeError(f"call_index must be a non-negative integer, got {call_index!r}")
     return np.random.default_rng([cfg.rng_seed, _POOL_STREAM_ESTIMATE, call_index])
 

@@ -174,10 +174,14 @@ _CLASSES = np.arange(N_CLASSES)
 
 
 class _Activations:
-    """Forward-pass outputs over one batch; ``rows`` is its shape, stack axis included."""
+    """Forward-pass outputs over one batch; ``rows`` is its shape, stack axis included.
 
-    def __init__(self, rows: tuple[int, ...], h1: int, h2: int):
+    ``a1_parts`` are the views of a1 at each of ``members``, the workspace's parts.
+    """
+
+    def __init__(self, rows: tuple[int, ...], h1: int, h2: int, members: list):
         self.a1 = np.empty((*rows, h1))
+        self.a1_parts = [self.a1[m] for m in members]
         self.a2 = np.empty((*rows, h2))
         self.logp = np.empty((*rows, N_CLASSES))  # holds the logits until the softmax
         self.exp = np.empty((*rows, N_CLASSES))
@@ -189,12 +193,16 @@ class _Activations:
 
 
 class _Deltas:
-    """Backward-pass deltas over one batch: dz3 of the logits, then da2, dz2, da1, dz1."""
+    """Backward-pass deltas over one batch: dz3 of the logits, then da2, dz2, da1, dz1.
 
-    def __init__(self, rows: tuple[int, ...], h1: int, h2: int):
+    ``dz1_parts`` are the views of dz1 at each of ``members``, as in ``_Activations``.
+    """
+
+    def __init__(self, rows: tuple[int, ...], h1: int, h2: int, members: list):
         self.dz3 = np.empty((*rows, N_CLASSES))
         self.da2, self.dz2 = np.empty((*rows, h2)), np.empty((*rows, h2))
         self.da1, self.dz1 = np.empty((*rows, h1)), np.empty((*rows, h1))
+        self.dz1_parts = [self.dz1[m] for m in members]
 
 
 class _Workspace:
@@ -208,9 +216,11 @@ class _Workspace:
     fresh array it replaces, because the bits depend on the layout. Deltas
     are built only for a caller that backpropagates.
 
-    A stack of mixed widths (see ``train_many``) comes with ``parts``, one
-    (member slice, width) per width; ``parts`` then holds, per width, the
-    slice and the first-layer weight and gradient rows of those members.
+    ``parts`` lists each width of a stack as (members, width), the members
+    a slice of the stack (see ``train_many``); the default is one part,
+    every member at width d. Per part the workspace keeps views of the
+    members' first ``width`` rows of first-layer weights and of their
+    gradient, and its buffers keep views of the members' a1 and dz1.
     """
 
     def __init__(
@@ -221,20 +231,25 @@ class _Workspace:
         self.biases = b1[..., None, :], b2[..., None, :], b3[..., None, :]
         self.W2T, self.W3T = W2.swapaxes(-1, -2), W3.swapaxes(-1, -2)
         self.grads = None if grads is None else _unpack(grads, d, h1, h2)
-        self.parts = None if parts is None else [
-            (members, W1[members, :w], self.grads[0][members, :w]) for members, w in parts
-        ]
+        parts = parts or [(..., d)]
+        self._members = [members for members, _ in parts]
+        # [..., :w, :] is a member's first w weight rows, stacked or not
+        self.W1_parts = [W1[members][..., :w, :] for members, w in parts]
+        if grads is not None:
+            self.gW1_parts = [self.grads[0][members][..., :w, :] for members, w in parts]
         self._lead, self._h1, self._h2 = theta.shape[:-1], h1, h2
         self._activations, self._deltas = {}, {}
 
     def activations(self, rows: int) -> _Activations:
         if rows not in self._activations:
-            self._activations[rows] = _Activations((*self._lead, rows), self._h1, self._h2)
+            self._activations[rows] = _Activations(
+                (*self._lead, rows), self._h1, self._h2, self._members
+            )
         return self._activations[rows]
 
     def deltas(self, rows: int) -> _Deltas:
         if rows not in self._deltas:
-            self._deltas[rows] = _Deltas((*self._lead, rows), self._h1, self._h2)
+            self._deltas[rows] = _Deltas((*self._lead, rows), self._h1, self._h2, self._members)
         return self._deltas[rows]
 
 
@@ -245,25 +260,20 @@ def _workspace(m: Model, grads: np.ndarray | None = None) -> _Workspace:
 def _forward(ws: _Workspace, X) -> _Activations:
     """Activations a1, a2 and class log-probabilities of the rows of X.
 
-    With stacked parameters X is (P, rows, d) and every output gains the same
-    leading axis; a stack of mixed widths takes one such array per part of
-    ``ws.parts``, each width's members at their own width. The outputs are
-    ``ws`` buffers, which the next pass over as many rows overwrites. Each
-    operation writes into them with ``out=``, and the 2-class max and sum
-    are one elementwise call each instead of an axis reduction: on a
-    training step's tiny arrays numpy's per-call cost is nearly the whole
-    cost, and a reduction pays it several times. Both give the bits of
-    ``z.max(axis=-1)`` and ``e.sum(axis=-1)``.
+    X holds one array of rows per part of the workspace: (rows, d) for one
+    model, (members, rows, width) with stacked parameters, where every output
+    gains the leading (P,) axis. The outputs are ``ws`` buffers, which the
+    next pass over as many rows overwrites. Each operation writes into them
+    with ``out=``, and the 2-class max and sum are one elementwise call each
+    instead of an axis reduction: on a training step's tiny arrays numpy's
+    per-call cost is nearly the whole cost, and a reduction pays it several
+    times. Both give the bits of ``z.max(axis=-1)`` and ``e.sum(axis=-1)``.
     """
-    W1, _, W2, _, W3, _ = ws.params
+    _, _, W2, _, W3, _ = ws.params
     c1, c2, c3 = ws.biases
-    if ws.parts is None:
-        f = ws.activations(X.shape[-2])
-        np.matmul(X, W1, out=f.a1)
-    else:  # each width's members multiply only their own columns and weight rows
-        f = ws.activations(X[0].shape[-2])
-        for (members, W1_part, _), X_part in zip(ws.parts, X):
-            np.matmul(X_part, W1_part, out=f.a1[members])
+    f = ws.activations(X[0].shape[-2])
+    for X_part, W1_part, a1_part in zip(X, ws.W1_parts, f.a1_parts):  # a width's own shapes
+        np.matmul(X_part, W1_part, out=a1_part)
     f.a1 += c1
     np.tanh(f.a1, out=f.a1)
     np.matmul(f.a1, W2, out=f.a2)
@@ -288,7 +298,7 @@ def _logp_blocks(m, X: np.ndarray):
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
         block = X[rows] if keep is None else X[rows, keep]
         # a workspace per block: its buffers are freed before the next block's
-        yield rows, _forward(_workspace(inner), block).logp
+        yield rows, _forward(_workspace(inner), (block,)).logp
 
 
 def predict_proba(m, X: np.ndarray) -> np.ndarray:
@@ -361,9 +371,8 @@ def _hidden_deltas(ws: _Workspace, f: _Activations, b: _Deltas) -> None:
 def _backward(ws: _Workspace, X, onehot) -> None:
     """Gradient of the mean loss over the rows of X, written into ``ws.grads``.
 
-    ``onehot`` is ``_onehot`` of the rows' labels; stacked parameters take X
-    (P, rows, d), or per width a part of it as in ``_forward``, and onehot
-    (P, rows, 2).
+    X is per part of the workspace, as in ``_forward``; ``onehot`` is
+    ``_onehot`` of the rows' labels, (P, rows, 2) with stacked parameters.
     """
     f = _forward(ws, X)
     rows = f.a1.shape[-2]
@@ -371,12 +380,9 @@ def _backward(ws: _Workspace, X, onehot) -> None:
     dz3 = _loss_delta(f, onehot, b)
     dz3 *= 1.0 / rows  # times 1/n, not / n: trained weights depend on the rounding
     _hidden_deltas(ws, f, b)
-    gW1, gb1, gW2, gb2, gW3, gb3 = ws.grads
-    if ws.parts is None:
-        np.matmul(X.swapaxes(-1, -2), b.dz1, out=gW1)
-    else:
-        for (members, _, gW1_part), X_part in zip(ws.parts, X):
-            np.matmul(X_part.swapaxes(-1, -2), b.dz1[members], out=gW1_part)
+    _, gb1, gW2, gb2, gW3, gb3 = ws.grads
+    for X_part, dz1_part, gW1_part in zip(X, b.dz1_parts, ws.gW1_parts):
+        np.matmul(X_part.swapaxes(-1, -2), dz1_part, out=gW1_part)
     np.add.reduce(b.dz1, axis=-2, out=gb1)
     for aT, dz, gW, gb in ((f.a1T, b.dz2, gW2, gb2), (f.a2T, dz3, gW3, gb3)):
         np.matmul(aT, dz, out=gW)
@@ -387,7 +393,7 @@ def mean_grad(m: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross-entropy over the batch, shape (n_params,)."""
     X, y = _batch(m, X, y)
     g = np.empty(m.n_params)
-    _backward(_workspace(m, g), X, _onehot(y))
+    _backward(_workspace(m, g), (X,), _onehot(y))
     return g
 
 
@@ -417,7 +423,7 @@ def logit_gap_jacobian(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     X, _ = _batch(m, X)
     ws = _workspace(m)
-    f, b = _forward(ws, X), ws.deltas(X.shape[0])
+    f, b = _forward(ws, (X,)), ws.deltas(X.shape[0])
     b.dz3[:] = (-1.0, 1.0)
     _hidden_deltas(ws, f, b)
     J = np.empty((X.shape[0], m.n_params))
@@ -451,7 +457,7 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
 
     # forward pass and its tangent
     ws = _workspace(m)
-    f = _forward(ws, X)
+    f = _forward(ws, (X,))
     a1, a2 = f.a1, f.a2
     p = np.exp(f.logp)
     s1 = 1.0 - a1 * a1  # tanh'
@@ -570,7 +576,7 @@ def train_many(
         top += count
     theta = np.stack([_widen(inits_theta[j], datasets[j].width, dim, h1) for j in order])
     g = np.zeros_like(theta)  # a narrow member's extra rows are never written
-    ws = _Workspace(theta, dim, h1, h2, grads=g, parts=parts if len(parts) > 1 else None)
+    ws = _Workspace(theta, dim, h1, h2, grads=g, parts=parts)
 
     # rows per gather: whole batches, as many as fit in GATHER_BLOCK_BYTES
     row_bytes = sum(d.width for d in datasets) * 8  # one float64 row of every member
@@ -596,11 +602,7 @@ def train_many(
             _onehot(y_rows, out=hot)
             for start in range(0, k, hp.batch_size):
                 batch = slice(start, start + hp.batch_size)
-                if ws.parts is None:
-                    X_batch = X_rows[0][:, batch]
-                else:
-                    X_batch = [X[:, batch] for X in X_rows]
-                _backward(ws, X_batch, hot[:, batch])
+                _backward(ws, [X[:, batch] for X in X_rows], hot[:, batch])
                 g *= hp.learning_rate
                 theta -= g
 

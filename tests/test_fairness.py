@@ -115,7 +115,7 @@ def test_pool_requires_sensitive(toy):
 
 
 # before, numpy's SeedSequence raised an untyped ValueError for a negative index
-@pytest.mark.parametrize("call_index", [-1, 1.0, "0"])
+@pytest.mark.parametrize("call_index", [-1, 1.0, "0", True])
 def test_bad_call_index_is_range_error(toy, trained, call_index):
     cfg = SimilarityConfig(pool_multiplier=2)
     for measure in (estimate_discrim, metrics_report):
