@@ -63,10 +63,16 @@ class MalformedReport(FairtrimError):
     """A grid report file lacks a field that fairtrim writes into it."""
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer. bool is an Integral too, but True
+    is no size, count or index."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_integers(obj, *names: str) -> None:
     """Raise RangeError unless each named field of ``obj`` is an integer, so a
-    setting such as 2.5 fails where it is given, not later as a TypeError."""
+    setting such as 2.5 or True fails where it is given, not later."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise RangeError(f"{name} must be an integer, got {value!r}")

@@ -14,22 +14,30 @@ lam > 0. With the default multiplier of 100 that yields 100x|d| pairs at
 lam == 0 and 200x|d| pairs otherwise.
 
 Memory contract: the run path (``estimate_discrim``, ``metrics_report`` and
-``debias.sort_dataset``) builds no pool. It holds the pool's draws, one
-8-byte draw per column per seed, and one block of at most
-model.PREDICT_BLOCK_ROWS pairs, expanded from the draws into two buffers
-reused from block to block, beyond per-pair flips (and, for the sort pool,
-the influence set). Only ``generate_similar_pairs`` builds a dense pool: N
-pairs at encoded width w take 2*N*w*8 bytes. Scoring one (``flip_mask``,
-``build_influence_set``) adds only a transient set by PREDICT_BLOCK_ROWS.
+``debias.sort_dataset``) builds no pool. One block generator,
+``_pool_blocks``, holds the pool's draws, one 8-byte draw per column per
+seed, and expands them one block of at most model.PREDICT_BLOCK_ROWS pairs
+at a time into two buffers reused from block to block; beyond that the run
+path keeps per-pair flips (and, for the sort pool, the influence set). Only
+``generate_similar_pairs`` builds a dense pool: N pairs at encoded width w
+take 2*N*w*8 bytes. Scoring one (``flip_mask``, ``build_influence_set``)
+adds only a transient set by PREDICT_BLOCK_ROWS.
 
-Determinism: draws happen per column in encoding-layout order (seeds first,
-then companion perturbations), from a generator keyed on (rng_seed, stream,
-call_index), so any pool is reproducible from its config and call index.
+Determinism: a pool is one random stream, keyed on (rng_seed, 0) for the
+sort pool (call_index None) and on (rng_seed, 1, call_index) otherwise,
+read in order: first one draw per seed for each codec in encoding-layout
+order (a uniform for a numeric, a category code for a categorical), then,
+at lam > 0, n_seeds*k drift uniforms u for each numeric codec in turn,
+pair s*k + c being companion c of seed s. A drifted numeric is
+lo + u*(hi - lo), where [lo, hi] is [v - lam, v + lam] clipped to [0, 1].
+So any pool is reproducible from its config and call index.
+
+Scoring: a pair flips when the model's labels for its two members differ.
+Its influence-set member is the one of lower confidence, ties to the first.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +49,7 @@ from .errors import (
     MissingGroup,
     RangeError,
     SensitiveAbsent,
+    is_integer,
     require_integers,
 )
 from .influence import InfluenceSet
@@ -91,114 +100,76 @@ class PairPool:
 def _pool_rng(cfg: SimilarityConfig, call_index: int | None) -> np.random.Generator:
     if call_index is None:
         return np.random.default_rng([cfg.rng_seed, _POOL_STREAM_SORT])
-    # bool is an Integral, but True is no call index
-    bad_type = isinstance(call_index, bool) or not isinstance(call_index, numbers.Integral)
-    if bad_type or call_index < 0:
+    if not is_integer(call_index) or call_index < 0:
         raise RangeError(f"call_index must be a non-negative integer, got {call_index!r}")
     return np.random.default_rng([cfg.rng_seed, _POOL_STREAM_ESTIMATE, call_index])
 
 
-@dataclass(frozen=True, eq=False)
-class _Draws:
-    """A pool as the random draws it is made from.
+def _pool_blocks(d: Dataset, cfg: SimilarityConfig, call_index: int | None):
+    """``d``'s pool (see module docstring for contract) as a generator of
+    (seed rows, k, second rows) blocks of consecutive seeds, at most
+    PREDICT_BLOCK_ROWS pairs and at least one seed per block. Second row
+    s*k + c is companion c of seed row s: the seed with the sensitive
+    one-hot reversed and each numeric drifted. The draws are made by the
+    call and a block is expanded from them when it is reached, into two
+    buffers reused from block to block, so a block is valid until the next
+    one is made.
 
-    ``columns`` holds one draw per seed for each codec, in codec order: a
-    uniform for a numeric column, a category code for a categorical one. At
-    lam > 0 the stream then continues with n_pairs drift uniforms for each
-    numeric codec, pair s*k + c being companion c of seed s. Each uniform is
-    one 64-bit output of the stream, so the drifts are not stored:
-    ``drift_state`` is the stream where they begin, and a block reads its
-    share of each codec's drifts from there.
+    The pool's stream is read as the contract orders it without storing the
+    drifts: each uniform is one 64-bit output, so numeric codec j's drifts
+    come from a copy of the stream advanced past the j codecs before it.
     """
-
-    d: Dataset
-    lam: float
-    k: int  # companions per seed
-    columns: tuple[np.ndarray, ...]  # per codec, (n_seeds,)
-    drift_state: dict | None  # bit-generator state; None at lam == 0
-
-    @property
-    def n_seeds(self) -> int:
-        return int(self.columns[0].shape[0])
-
-    def _drift_streams(self) -> list[np.random.Generator]:
-        """One generator per numeric codec, at the start of its drifts."""
-        if self.drift_state is None:
-            return []
-        numeric = sum(codec.kind == NUMERIC for codec in self.d.encoding.codecs)
-        streams = []
-        for j in range(numeric):
-            bits = np.random.PCG64()
-            bits.state = self.drift_state
-            bits.advance(j * self.n_seeds * self.k)
-            streams.append(np.random.Generator(bits))
-        return streams
-
-    def _expand(self, start, stop, seeds, second, drifts) -> None:
-        """Write seeds start..stop into ``seeds`` (one row each) and the
-        second members of their pairs into ``second`` (k rows each): the seed
-        row with the sensitive one-hot reversed and each numeric drifted."""
-        codecs, k = self.d.encoding.codecs, self.k
-        seeds.fill(0.0)
-        rows = np.arange(stop - start)
-        for codec, draw in zip(codecs, self.columns):
-            if codec.kind == NUMERIC:
-                seeds[:, codec.start] = draw[start:stop]
-            else:  # set the drawn category's column of the zeroed one-hot block
-                seeds[rows, codec.start + draw[start:stop]] = 1.0
-        companions = second.reshape(stop - start, k, self.d.width)
-        companions[:] = seeds[:, None]
-        sens = self.d.sensitive_block
-        companions[:, :, sens] = seeds[:, None, sens][:, :, ::-1]  # flip the 2-wide one-hot
-        numeric = [codec.start for codec in codecs if codec.kind == NUMERIC]
-        for j, stream in zip(numeric, drifts):
-            v = seeds[:, j, None]
-            lo = np.maximum(0.0, v - self.lam)
-            hi = np.minimum(1.0, v + self.lam)
-            companions[:, :, j] = lo + stream.random((stop - start, k)) * (hi - lo)
-
-    def blocks(self):
-        """Yield (seed rows, k, second rows) of consecutive seeds, at most
-        PREDICT_BLOCK_ROWS pairs and at least one seed per block. The rows
-        are two buffers reused from block to block, so a block is valid
-        until the next one is made."""
-        k, n = self.k, self.n_seeds
-        step = max(1, PREDICT_BLOCK_ROWS // k)
-        seeds = np.empty((min(step, n), self.d.width))
-        second = np.empty((min(step, n) * k, self.d.width))
-        drifts = self._drift_streams()
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            block_seeds, block_second = seeds[: stop - start], second[: (stop - start) * k]
-            self._expand(start, stop, block_seeds, block_second, drifts)
-            yield block_seeds, k, block_second
-
-
-def _draw(d: Dataset, cfg: SimilarityConfig, call_index: int | None) -> _Draws:
-    """The random draws of ``d``'s pool (see module docstring for contract)."""
     if d.schema.sensitive is None:
         raise SensitiveAbsent("similar pairs require a sensitive column")
     if len(d) == 0:
         raise EmptyDataset("cannot size a pool from an empty dataset")
     rng = _pool_rng(cfg, call_index)
-    n_seeds = cfg.pool_multiplier * len(d)
-    columns = tuple(
-        rng.random(n_seeds) if c.kind == NUMERIC else rng.integers(c.width, size=n_seeds)
-        for c in d.encoding.codecs
-    )
-    drift_state = rng.bit_generator.state if cfg.lam > 0.0 else None
-    return _Draws(d, cfg.lam, cfg.companions, columns, drift_state)
+    codecs, n, k, lam = d.encoding.codecs, cfg.pool_multiplier * len(d), cfg.companions, cfg.lam
+    columns = [
+        rng.random(n) if c.kind == NUMERIC else rng.integers(c.width, size=n) for c in codecs
+    ]
+    numeric = [c.start for c in codecs if c.kind == NUMERIC]
+    drifts = []
+    for j in range(len(numeric) if lam > 0.0 else 0):
+        bits = np.random.PCG64()
+        bits.state = rng.bit_generator.state
+        drifts.append(np.random.Generator(bits.advance(j * n * k)))
+    sens, step = d.sensitive_block, max(1, PREDICT_BLOCK_ROWS // k)
+    seed_buffer = np.empty((min(step, n), d.width))
+    second_buffer = np.empty((min(step, n) * k, d.width))
+
+    def expand(start: int):
+        size = min(step, n - start)
+        seeds, second = seed_buffer[:size], second_buffer[: size * k]
+        seeds.fill(0.0)
+        rows = np.arange(size)
+        for codec, draw in zip(codecs, columns):
+            if codec.kind == NUMERIC:
+                seeds[:, codec.start] = draw[start : start + size]
+            else:  # set the drawn category's column of the zeroed one-hot block
+                seeds[rows, codec.start + draw[start : start + size]] = 1.0
+        companions = second.reshape(size, k, d.width)
+        companions[:] = seeds[:, None]
+        companions[:, :, sens] = seeds[:, None, sens][:, :, ::-1]  # flip the 2-wide one-hot
+        for col, stream in zip(numeric, drifts):
+            v = seeds[:, col, None]
+            lo = np.maximum(0.0, v - lam)
+            hi = np.minimum(1.0, v + lam)
+            companions[:, :, col] = lo + stream.random((size, k)) * (hi - lo)
+        return seeds, k, second
+
+    # a block's temporaries go when expand returns, before the caller scores it
+    return (expand(start) for start in range(0, n, step))
 
 
 def generate_similar_pairs(
     d: Dataset, cfg: SimilarityConfig, call_index: int | None = None
 ) -> PairPool:
     """Draw the synthetic pool for ``d`` (see module docstring for contract)."""
-    draws = _draw(d, cfg, call_index)
-    first = np.empty((draws.n_seeds * draws.k, d.width))
+    first = np.empty((cfg.pool_multiplier * len(d) * cfg.companions, d.width))
     second = np.empty_like(first)
     stop = 0
-    for seeds, k, block in draws.blocks():
+    for seeds, k, block in _pool_blocks(d, cfg, call_index):
         rows = slice(stop, stop + len(block))
         first[rows] = np.repeat(seeds, k, axis=0)
         second[rows] = block
@@ -261,7 +232,7 @@ def build_influence_set(m, pool: PairPool) -> InfluenceSet:
 def _sort_influence_set(m, d: Dataset, cfg: SimilarityConfig) -> InfluenceSet:
     """``build_influence_set`` of ``d``'s sort pool (call_index None), scored
     from its draws a block at a time, for ``debias.sort_dataset``."""
-    return _score(m, _draw(d, cfg, None).blocks(), influence=True)[1]
+    return _score(m, _pool_blocks(d, cfg, None), influence=True)[1]
 
 
 def estimate_discrim(
@@ -276,7 +247,7 @@ def estimate_discrim(
     ``np.mean(flip_mask(m, generate_similar_pairs(d, cfg, call_index)))``
     without building the dense pool.
     """
-    return float(np.mean(_score(m, _draw(d, cfg, call_index).blocks())[0]))
+    return float(np.mean(_score(m, _pool_blocks(d, cfg, call_index))[0]))
 
 
 def accuracy_and_parity(m, d: Dataset) -> tuple[float, float | None]:
@@ -317,7 +288,7 @@ def metrics_report(m, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) ->
     """Discrimination, accuracy, and (when group metadata exists) parity.
     The pool is scored from its draws a block at a time, as in
     ``estimate_discrim``."""
-    flips = _score(m, _draw(d, cfg, call_index).blocks())[0]
+    flips = _score(m, _pool_blocks(d, cfg, call_index))[0]
     acc, parity = accuracy_and_parity(m, d)
     return {
         "individual_discrimination": float(np.mean(flips)),

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, kept_columns_after_drop
-from .errors import DimensionMismatch, EmptyDataset, RangeError, require_integers
+from .errors import DimensionMismatch, EmptyDataset, RangeError, is_integer, require_integers
 
 N_CLASSES = 2
 _INIT_STREAM = 0
@@ -216,9 +216,9 @@ class _Workspace:
     fresh array it replaces, because the bits depend on the layout. Deltas
     are built only for a caller that backpropagates.
 
-    ``parts`` lists each width of a stack as (members, width), the members
-    a slice of the stack (see ``train_many``); the default is one part,
-    every member at width d. Per part the workspace keeps views of the
+    ``parts`` lists each run of one width in a stack as (members, width),
+    the members a slice of the stack (see ``train_many``); the default is
+    one part, every member at width d. Per part the workspace keeps views of the
     members' first ``width`` rows of first-layer weights and of their
     gradient, and its buffers keep views of the members' a1 and dz1.
     """
@@ -272,7 +272,7 @@ def _forward(ws: _Workspace, X) -> _Activations:
     _, _, W2, _, W3, _ = ws.params
     c1, c2, c3 = ws.biases
     f = ws.activations(X[0].shape[-2])
-    for X_part, W1_part, a1_part in zip(X, ws.W1_parts, f.a1_parts):  # a width's own shapes
+    for X_part, W1_part, a1_part in zip(X, ws.W1_parts, f.a1_parts):  # a part's own shapes
         np.matmul(X_part, W1_part, out=a1_part)
     f.a1 += c1
     np.tanh(f.a1, out=f.a1)
@@ -530,13 +530,14 @@ def train_many(
 
     Members may differ in width, as a grid config's ``full`` and ``sr``
     trainings do (``sr`` lacks the sensitive one-hot columns). The stack then
-    takes the widest layout, ordered by width, and a narrower member's
-    first-layer weight rows past its width stay zero. Its rows gather into a
-    buffer of its width's members, and only the first-layer products, in
-    the forward pass and in the weight gradient, run once per width, each on
-    the shapes of the member's own ``train``: how BLAS sums a product
-    depends on its shapes, so zero columns would change the last bits. Every
-    other operation of a step stays one stacked call.
+    takes the widest layout, members in the caller's order, and a narrower
+    member's first-layer weight rows past its width stay zero. Each run of
+    consecutive members of one width is a part: its rows gather into a
+    buffer of the part, and only the first-layer products, in the forward
+    pass and in the weight gradient, run once per part, each on the shapes
+    of the member's own ``train``: how BLAS sums a product depends on its
+    shapes, so zero columns would change the last bits. Every other
+    operation of a step stays one stacked call.
 
     A member whose weights or final loss come out non-finite (training
     diverged) raises RangeError.
@@ -565,49 +566,49 @@ def train_many(
             if (init.hidden1, init.hidden2) != (h1, h2):
                 raise DimensionMismatch("warm start hidden sizes disagree with hyperparameters")
         inits_theta = [init.theta for init in inits]
-    # stack position p holds member order[p]: each width's members are consecutive
-    order = sorted(range(len(datasets)), key=lambda j: -datasets[j].width)
-    stacked = [datasets[j] for j in order]
-    dim = stacked[0].width
-    parts, top = [], 0  # (stack slice, width) of each width's members
-    for w, run in groupby(d.width for d in stacked):
+    dim = max(d.width for d in datasets)
+    parts, top = [], 0  # (stack slice, width) of each run of one width
+    for w, run in groupby(d.width for d in datasets):
         count = len(list(run))
         parts.append((slice(top, top + count), w))
         top += count
-    theta = np.stack([_widen(inits_theta[j], datasets[j].width, dim, h1) for j in order])
+    theta = np.stack([_widen(t, d.width, dim, h1) for t, d in zip(inits_theta, datasets)])
     g = np.zeros_like(theta)  # a narrow member's extra rows are never written
     ws = _Workspace(theta, dim, h1, h2, grads=g, parts=parts)
 
     # rows per gather: whole batches, as many as fit in GATHER_BLOCK_BYTES
     row_bytes = sum(d.width for d in datasets) * 8  # one float64 row of every member
     block = hp.batch_size * max(1, GATHER_BLOCK_BYTES // (hp.batch_size * row_bytes))
-    # one gather's rows of every member (a buffer per width), their labels and
+    # one gather's rows of every member (a buffer per part), their labels and
     # the labels' one-hot rows
     held = min(block, n)
     X_blocks = [np.empty((members.stop - members.start, held, w)) for members, w in parts]
     y_block = np.empty((len(datasets), held), dtype=np.int64)
     hot_block = np.empty((len(datasets), held, N_CLASSES))
     shuffle = np.random.default_rng([hp.weight_init_seed, _SHUFFLE_STREAM])
-    for _ in range(hp.epochs):
-        perm = shuffle.permutation(n)
-        for first in range(0, n, block):
-            rows = perm[first : first + block]
-            k = rows.size
-            X_rows, y_rows, hot = [X[:, :k] for X in X_blocks], y_block[:, :k], hot_block[:, :k]
-            for d, X_j, y_j in zip(stacked, chain.from_iterable(X_rows), y_rows):
-                # rows come from a permutation, so always in range; "clip" writes
-                # straight into out where "raise" would gather into a temporary
-                d.encoded.take(rows, axis=0, out=X_j, mode="clip")
-                d.labels.take(rows, out=y_j, mode="clip")
-            _onehot(y_rows, out=hot)
-            for start in range(0, k, hp.batch_size):
-                batch = slice(start, start + hp.batch_size)
-                _backward(ws, [X[:, batch] for X in X_rows], hot[:, batch])
-                g *= hp.learning_rate
-                theta -= g
+    # a diverging step overflows: the finite checks below decide, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hp.epochs):
+            perm = shuffle.permutation(n)
+            for first in range(0, n, block):
+                rows = perm[first : first + block]
+                k = rows.size
+                X_rows = [X[:, :k] for X in X_blocks]
+                y_rows, hot = y_block[:, :k], hot_block[:, :k]
+                for d, X_j, y_j in zip(datasets, chain.from_iterable(X_rows), y_rows):
+                    # rows come from a permutation, so always in range; "clip" writes
+                    # straight into out where "raise" would gather into a temporary
+                    d.encoded.take(rows, axis=0, out=X_j, mode="clip")
+                    d.labels.take(rows, out=y_j, mode="clip")
+                _onehot(y_rows, out=hot)
+                for start in range(0, k, hp.batch_size):
+                    batch = slice(start, start + hp.batch_size)
+                    _backward(ws, [X[:, batch] for X in X_rows], hot[:, batch])
+                    g *= hp.learning_rate
+                    theta -= g
 
-    out = [None] * len(datasets)
-    for theta_p, j, d in zip(theta, order, stacked):
+    out = []
+    for j, (theta_p, d) in enumerate(zip(theta, datasets)):
         m = Model(d.width, h1, h2, theta=_narrow(theta_p, d.width, dim, h1))
         if not np.isfinite(m.theta).all():
             # a nan model predicts class 0 everywhere, so it would read as perfectly fair
@@ -615,10 +616,11 @@ def train_many(
                 f"training diverged: member {j} has non-finite weights "
                 f"(learning_rate {hp.learning_rate})"
             )
-        loss = mean_loss(m, d.encoded, d.labels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = mean_loss(m, d.encoded, d.labels)
         if not np.isfinite(loss):
             raise RangeError(f"training diverged: member {j} has final loss {loss}")
-        out[j] = replace(m, final_train_loss=loss)
+        out.append(replace(m, final_train_loss=loss))
     return out
 
 
@@ -663,7 +665,7 @@ def load_model(path: str | Path) -> Model:
     if obj.get("activation") != "tanh":
         raise RangeError(f"unsupported activation {obj.get('activation')!r}")
     sizes = [obj.get(name) for name in ("input_dim", "hidden1", "hidden2")]
-    if any(type(size) is not int for size in sizes):  # not 3.9, true or "4"
+    if not all(is_integer(size) for size in sizes):  # not 3.9, true or "4"
         raise DimensionMismatch(f"{path} has layer sizes {sizes}, not JSON integers")
     try:
         m = Model(

@@ -1,7 +1,7 @@
 """Fixtures shared by the test modules: the 7-row toy loans file in ``data/``,
 a model trained on it, a scripted removal loop, finite-difference references
-for the loss gradient and the logit-gap Jacobian, and the synthetic-pair
-contract check.
+for the loss gradient and the logit-gap Jacobian, the synthetic-pair
+contract check, and a dense reference for drawing and scoring a pool.
 
 Approvals track income except that one high-income, high-wealth applicant
 from the disadvantaged group is denied (row 2). That single row is what a
@@ -141,3 +141,60 @@ def pair_invariants():
                 assert np.max(np.abs(a[:, cols] - b[:, cols])) <= lam + 1e-12
 
     return check
+
+
+@pytest.fixture(scope="session")
+def dense_pool():
+    """``(d, cfg, call_index) -> (first, second)``: the whole pool, drawn as the
+    ``fairness`` module docstring states it, in plain numpy.
+
+    One stream keyed on (rng_seed, 0) for call_index None, else (rng_seed, 1,
+    call_index), read in order: a draw per seed for each codec, then n*k
+    drift uniforms for each numeric codec. It shares no code with the
+    library's pool, so it checks the draw order, the expansion and the drift.
+    """
+
+    def draw(d, cfg, call_index):
+        key = [cfg.rng_seed, 0] if call_index is None else [cfg.rng_seed, 1, call_index]
+        rng = np.random.default_rng(key)
+        n, k = cfg.pool_multiplier * len(d), 1 if cfg.lam == 0.0 else 2
+        seeds = np.zeros((n, d.width))
+        for codec in d.encoding.codecs:
+            if codec.kind == "numeric":
+                seeds[:, codec.start] = rng.random(n)
+            else:
+                seeds[np.arange(n), codec.start + rng.integers(codec.width, size=n)] = 1.0
+        first = np.repeat(seeds, k, axis=0)  # pair s*k + c is companion c of seed s
+        second = first.copy()
+        sens = d.sensitive_block
+        second[:, sens] = first[:, sens][:, ::-1]
+        if cfg.lam > 0.0:
+            for codec in d.encoding.codecs:
+                if codec.kind == "numeric":
+                    v = first[:, codec.start]
+                    lo, hi = np.maximum(0.0, v - cfg.lam), np.minimum(1.0, v + cfg.lam)
+                    second[:, codec.start] = lo + rng.random(n * k) * (hi - lo)
+        return first, second
+
+    return draw
+
+
+@pytest.fixture(scope="session")
+def dense_scores():
+    """``(m, first, second) -> (flips, features, labels)``: the scoring rule of the
+    ``fairness`` module docstring over whole pair matrices.
+
+    Labels are the argmax of ``predict_proba`` and confidences its maximum; a
+    pair flips when its labels differ, and its influence-set member, with
+    that member's label, is the lower-confidence one, ties to the first.
+    """
+
+    def score(m, first, second):
+        p1, p2 = predict_proba(m, first), predict_proba(m, second)
+        l1, l2 = p1.argmax(axis=1), p2.argmax(axis=1)
+        flips = l1 != l2
+        take_first = p1.max(axis=1) <= p2.max(axis=1)
+        features = np.where(take_first[:, None], first, second)[flips]
+        return flips, features, np.where(take_first, l1, l2)[flips]
+
+    return score

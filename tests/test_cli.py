@@ -165,9 +165,9 @@ def test_diverged_training_is_domain_error(capsys, toy_files, tmp_path, command)
     csv_path, schema_path = toy_files
     argv = [command, csv_path, "--schema", schema_path, "--lr", "1e308", "--epochs", "50",
             "--out-dir", str(tmp_path)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, argv)
+    code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1  # the JSON error, with no numpy warning before it
     assert json.loads(err)["error"] == "RangeError"
     assert "diverged" in json.loads(err)["message"]
     assert list(tmp_path.iterdir()) == []

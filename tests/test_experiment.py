@@ -228,7 +228,7 @@ def test_negative_seed_is_range_error(make):
         make(-1)
 
 
-# an integer setting given a fraction fails where it is given, not later as a TypeError
+# an integer setting given a fraction or a bool fails where it is given, not later
 @pytest.mark.parametrize("make", [
     lambda v: DebiasConfig(SimilarityConfig(), Hyperparameters(4, 2, 7), max_chunks=v),
     lambda v: SimilarityConfig(pool_multiplier=v),
@@ -241,8 +241,9 @@ def test_negative_seed_is_range_error(make):
         "workers", "base_seed"])
 def test_integer_setting_rejects_a_fraction(make):
     make(np.int64(2))  # numpy ints pass
-    with pytest.raises(RangeError):
-        make(2.5)
+    for bad in (2.5, True):
+        with pytest.raises(RangeError):
+            make(bad)
 
 
 def test_full_scale_spec_dimensions():

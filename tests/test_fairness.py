@@ -98,15 +98,18 @@ POOL_DIGESTS = {
 
 
 @pytest.mark.parametrize("block", [None, 7])
-def test_pool_bytes_are_pinned(toy, loans, monkeypatch, block):
+def test_pool_bytes_are_pinned(toy, loans, dense_pool, monkeypatch, block):
     if block is not None:  # drift drawn in blocks that do not divide the pool
         monkeypatch.setattr(fairness, "PREDICT_BLOCK_ROWS", block)
     sets = {"toy": toy, "loans": loans}
     for (name, lam, call), expected in POOL_DIGESTS.items():
         cfg = SimilarityConfig(lam=lam, pool_multiplier=5, rng_seed=7)
-        pool = generate_similar_pairs(sets[name], cfg, call_index=call)
-        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (pool.first, pool.second))
+        reference = dense_pool(sets[name], cfg, call)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in reference)
         assert digests == expected, (name, lam, call)
+        pool = generate_similar_pairs(sets[name], cfg, call_index=call)
+        assert pool.first.tobytes() == reference[0].tobytes(), (name, lam, call)
+        assert pool.second.tobytes() == reference[1].tobytes(), (name, lam, call)
 
 
 def test_pool_requires_sensitive(toy):
@@ -284,40 +287,67 @@ def test_blocked_scoring_is_bitwise_one_block_scoring(loans, monkeypatch):
 
 # --- scoring from the draws --------------------------------------------------
 
+def _odd_model(d):
+    """First-layer weights +w and -w on the two sensitive columns, zero on the
+    others, and no biases: reversing the sensitive one-hot negates every
+    logit, so a pair's members get swapped probabilities. Every pair flips,
+    each with a confidence tie."""
+    theta = np.zeros(param_count(d.width, 4, 3))
+    W1, _, W2, _, W3, _ = model._unpack(theta, d.width, 4, 3)
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=4)
+    W1[d.sensitive_block] = w, -w
+    W2[...] = rng.normal(size=W2.shape)
+    W3[...] = rng.normal(size=W3.shape)
+    return Model(d.width, 4, 3, theta=theta)
+
+
 @pytest.fixture(scope="module")
 def loans_models(loans):
-    """A plain model, one without the sensitive column, and one whose two
-    logits tie on every row (all-zero weights)."""
+    """A plain model, one without the sensitive column, one whose two logits
+    tie on every row (all-zero weights), and one whose confidences tie on
+    every pair (``_odd_model``)."""
     hp = Hyperparameters(8, 4, 32, epochs=100, learning_rate=0.3, weight_init_seed=2)
     masked = mask_sensitive(train(drop_sensitive(loans), hp), loans)
-    return {"plain": train(loans, hp), "masked": masked, "ties": _constant_model(loans)}
+    return {
+        "plain": train(loans, hp), "masked": masked, "ties": _constant_model(loans),
+        "odd": _odd_model(loans),
+    }
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
-@pytest.mark.parametrize("name", ["plain", "masked", "ties"])
+@pytest.mark.parametrize("name", ["plain", "masked", "ties", "odd"])
 @pytest.mark.parametrize("lam", [0.0, 0.1])
-def test_draws_path_equals_the_dense_reference(loans, loans_models, monkeypatch, lam, name, block):
+def test_draws_path_equals_the_dense_reference(
+    loans, loans_models, dense_pool, dense_scores, monkeypatch, lam, name, block
+):
     if block is not None:  # a block of 1 holds fewer pairs than one seed's 2 companions
         monkeypatch.setattr(fairness, "PREDICT_BLOCK_ROWS", block)
         monkeypatch.setattr(model, "PREDICT_BLOCK_ROWS", block)
     m = loans_models[name]
     sim = SimilarityConfig(lam=lam, pool_multiplier=3, rng_seed=4)
-    pool = generate_similar_pairs(loans, sim, call_index=2)
-    assert estimate_discrim(m, loans, sim, call_index=2) == np.mean(flip_mask(m, pool))
-    reference = build_influence_set(m, generate_similar_pairs(loans, sim, call_index=None))
-    assert (len(reference) > 0) == (name == "plain" or (name == "masked" and lam > 0))
+    pool = dense_pool(loans, sim, 2)
+    flips = dense_scores(m, *pool)[0]
+    assert estimate_discrim(m, loans, sim, call_index=2) == np.mean(flips)
+    report = metrics_report(m, loans, sim, call_index=2)
+    assert (report["pool_pairs"], report["discriminatory_pairs"]) == (len(flips), flips.sum())
+    if name == "odd":  # every pair flips on a confidence tie: the tie rule picks each member
+        c1, c2 = (predict_batch(m, X)[1] for X in pool)
+        assert flips.all() and c1.tobytes() == c2.tobytes()
+    sort_flips, ref_features, ref_labels = dense_scores(m, *dense_pool(loans, sim, None))
+    assert sort_flips.any() == (name in ("plain", "odd") or (name == "masked" and lam > 0))
     # the set sort_dataset ranks against, without ranking it
     monkeypatch.setattr(debias, "rank_by_influence", lambda iset, d, m, solver: iset)
-    if len(reference) == 0:
+    if not sort_flips.any():
         with pytest.raises(AlreadyFair):
             debias.sort_dataset(loans, m, sim, SolverConfig())
     else:
         iset = debias.sort_dataset(loans, m, sim, SolverConfig())
-        assert iset.features.tobytes() == reference.features.tobytes()
-        assert iset.labels.tobytes() == reference.labels.tobytes()
-        assert iset.pool_pairs == reference.pool_pairs == len(pool)
+        assert iset.features.tobytes() == ref_features.tobytes()
+        assert iset.labels.tobytes() == ref_labels.tobytes()
+        assert iset.pool_pairs == len(sort_flips) == len(flips)
     # the label rule is argmax's (ties go to class 0), the confidence max's
-    X = np.vstack([pool.first, pool.second])
+    X = np.vstack(pool)
     p = predict_proba(m, X)
     labels, confidence = predict_batch(m, X)
     assert labels.dtype == np.int64

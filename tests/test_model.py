@@ -167,8 +167,9 @@ def test_hyperparameters_validation():
 def test_hyperparameters_reject_non_integral_sizes(field):
     base = dict(hidden1=16, hidden2=8, batch_size=4, epochs=3, weight_init_seed=0)
     Hyperparameters(**dict(base, **{field: np.int64(2)}))  # numpy ints pass
-    with pytest.raises(RangeError):
-        Hyperparameters(**dict(base, **{field: 2.5}))
+    for bad in (2.5, True):
+        with pytest.raises(RangeError):
+            Hyperparameters(**dict(base, **{field: bad}))
 
 
 def test_predict_rejects_wrong_width():
