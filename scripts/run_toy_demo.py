@@ -42,6 +42,10 @@ def main() -> int:
           f"final loss {m.final_train_loss:.4f}")
     full_discm = estimate_discrim(m, d, sim, call_index=1000)
     print(f"full model discrimination on a {100 * len(d)}-pair pool: {full_discm:.2%}")
+    if report.already_fair:
+        print("already fair: the full model flips no pair of the sort pool, "
+              "so there is nothing to rank or remove")
+        return 0
 
     print("influence ranking (most harmful first):",
           ", ".join(f"#{rid}" for rid in report.ranking.row_ids))

@@ -6,9 +6,10 @@ chunks of the most harmful rows (retraining each time) until discrimination
 stops improving. The loop returns the best dataset seen, i.e. the subset one
 chunk *before* the first non-improving measurement.
 
-``debias_group`` runs that loop for several datasets of one shape at once,
-training their models together in stacked ``train_many`` calls;
-``debias_data`` is its one-member case.
+``debias_group`` runs that loop with one config for several datasets of
+one row count at once, each on its own pools, training their chunk models
+together in stacked ``train_many`` calls; ``debias_data`` is its one-member
+case.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import takewhile
 
@@ -131,13 +132,12 @@ def improved(discrimination: list[float]) -> bool:
     return all(last < x for x in before)
 
 
-def drop_first(ranking: InfluenceRanking, d: Dataset, i: int, chunk_percent: float) -> Dataset:
-    """Remove chunk i: the first ceil(i * chunk_percent/100 * |d|) ranked rows."""
-    k = removal_count(i, chunk_percent, len(d))
-    if k > len(d):
-        raise RangeError(f"chunk {i} would remove {k} of {len(d)} rows")
-    drop = set(ranking.row_ids[:k])
-    return d.without_row_ids(drop)
+def drop_first(ranking: InfluenceRanking, d: Dataset, k: int) -> Dataset:
+    """``d`` without its first k ranked rows, 0 <= k <= |d|; chunk i's k is
+    ``chunk_schedule``'s entry i."""
+    if not 0 <= k <= len(d):
+        raise RangeError(f"cannot remove {k} of {len(d)} rows")
+    return d.without_row_ids(set(ranking.row_ids[:k]))
 
 
 def debias_data(d: Dataset, cfg: DebiasConfig) -> tuple[Dataset, DebiasReport]:
@@ -155,84 +155,80 @@ def debias_data(d: Dataset, cfg: DebiasConfig) -> tuple[Dataset, DebiasReport]:
     ``d`` (``full_model``) and the one trained on the returned subset
     (``model``), so callers need not retrain.
 
-    This is ``debias_group`` of one member.
+    This is ``debias_group`` of one member, with ``cfg``'s pool seed.
     """
-    [result] = debias_group([(d, cfg)])
+    [result] = debias_group(
+        [d], cfg, pool_seeds=[cfg.similarity.rng_seed], full_models=train_many([d], cfg.hp)
+    )
     return result
 
 
 def debias_group(
-    members: Sequence[tuple[Dataset, DebiasConfig]],
+    datasets: Sequence[Dataset],
+    cfg: DebiasConfig,
     *,
-    full_models: Sequence[Model] | None = None,
+    pool_seeds: Sequence[int],
+    full_models: Sequence[Model],
 ) -> list[tuple[Dataset, DebiasReport]]:
-    """Run the removal loop of ``debias_data`` on several members at once.
+    """Run the removal loop of ``debias_data`` on several datasets at once.
 
-    Each (dataset, config) member has its own pools, ranking, trace and stop,
-    and its result is the one ``debias_data`` gives it alone. The members
-    share the row count, ``hp``, ``chunk_percent`` and ``max_chunks``, so
-    chunk i removes the same number of rows k from each: the full models,
-    and at each chunk the models of every running member whose k is new,
-    are trained together in one ``train_many`` call. ``full_models``, when
-    given, are those full models, ``train(d, hp)`` of each member's dataset,
-    trained by the caller: the grid trains them in one stack with its
-    sensitive-dropped ``sr`` models. A member leaves the group at its stop,
-    or at once when it is already fair. Training and measurement go through
-    this module's ``train_many`` and ``estimate_discrim``, so a test scripts
-    the loop by replacing those two.
+    Every member runs ``cfg``; member j differs only in its dataset, its
+    pools, drawn with ``replace(cfg.similarity, rng_seed=pool_seeds[j])``,
+    and its full model ``full_models[j]``, which the caller trained on it
+    with ``cfg.hp`` (the grid trains them in one stack with its
+    sensitive-dropped ``sr`` models). Each member has its own ranking, trace
+    and stop, and its result is the one ``debias_data`` gives it alone under
+    that pool seed. The datasets share a row count, so chunk i removes the
+    same number of rows k from each, and the models of every running member
+    whose k is new train together in one ``train_many`` call. A member
+    leaves the group at its stop, or at once when it is already fair.
+    Training and measurement go through this module's ``train_many`` and
+    ``estimate_discrim``, so a test scripts the loop by replacing those two.
     """
-    if not members or any(len(d) == 0 for d, _ in members):
+    if not datasets or any(len(d) == 0 for d in datasets):
         raise EmptyDataset("cannot debias an empty dataset")
-    n, cfg = len(members[0][0]), members[0][1]
-    shared = (n, cfg.hp, cfg.chunk_percent, cfg.max_chunks)
-    if any((len(d), c.hp, c.chunk_percent, c.max_chunks) != shared for d, c in members):
-        raise DimensionMismatch(
-            "a removal group's members must share row count, hp, chunk_percent and max_chunks"
-        )
-    if full_models is None:
-        full_models = train_many([d for d, _ in members], cfg.hp)
-    elif len(full_models) != len(members) or any(
-        m.input_dim != d.width for m, (d, _) in zip(full_models, members)
+    n = len(datasets[0])
+    if any(len(d) != n for d in datasets):
+        raise DimensionMismatch("a removal group's datasets must share a row count")
+    if len(pool_seeds) != len(datasets):
+        raise DimensionMismatch(f"{len(pool_seeds)} pool seeds for {len(datasets)} datasets")
+    if len(full_models) != len(datasets) or any(
+        m.input_dim != d.width for m, d in zip(full_models, datasets)
     ):
-        raise DimensionMismatch("full_models needs one model of each member's width")
+        raise DimensionMismatch("full_models needs one model of each dataset's width")
+    sims = [replace(cfg.similarity, rng_seed=seed) for seed in pool_seeds]
 
     rankings = []
-    for (d, c), full_model in zip(members, full_models):
+    for d, sim, full_model in zip(datasets, sims, full_models):
         try:
-            rankings.append(sort_dataset(d, full_model, c.similarity, c.solver))
+            rankings.append(sort_dataset(d, full_model, sim, cfg.solver))
         except AlreadyFair:
             rankings.append(None)
     models = [{0: m} for m in full_models]  # by removal count: training is deterministic
-    traces = [[] for _ in members]
+    traces = [[] for _ in datasets]
     running = [j for j, ranking in enumerate(rankings) if ranking is not None]
     for i, k in enumerate(chunk_schedule(n, cfg.chunk_percent, cfg.max_chunks)):
         if not running:
             break
         # the running members have run the same chunks, so k is new to all or to none
         if k not in models[running[0]]:
-            subsets = [
-                drop_first(rankings[j], members[j][0], i, cfg.chunk_percent) for j in running
-            ]
+            subsets = [drop_first(rankings[j], datasets[j], k) for j in running]
             for j, m in zip(running, train_many(subsets, cfg.hp)):
                 models[j][k] = m
+        pool = 0 if cfg.freeze_pool else i
         for j in running:
-            d, c = members[j]
-            pool = 0 if c.freeze_pool else i
-            disc = estimate_discrim(models[j][k], d, c.similarity, call_index=pool)
+            disc = estimate_discrim(models[j][k], datasets[j], sims[j], call_index=pool)
             traces[j].append(ChunkMeasurement(i, k, disc))
         running = [j for j in running if improved([t.discrimination for t in traces[j]])]
-    return [
-        _result(d, c.chunk_percent, ranking, trace, by_k)
-        for (d, c), ranking, trace, by_k in zip(members, rankings, traces, models)
-    ]
+    return [_result(*member) for member in zip(datasets, rankings, traces, models)]
 
 
-def _result(d, chunk_percent, ranking, trace, models) -> tuple[Dataset, DebiasReport]:
+def _result(d, ranking, trace, models) -> tuple[Dataset, DebiasReport]:
     """One member's returned subset and report, read off its trace."""
     if ranking is None:
         return d, DebiasReport((), 0, (), None, full_model=models[0], model=models[0])
     stop = trace[-1] if improved([t.discrimination for t in trace]) else trace[-2]
-    return drop_first(ranking, d, stop.chunk_index, chunk_percent), DebiasReport(
+    return drop_first(ranking, d, stop.rows_removed), DebiasReport(
         trace=tuple(trace),
         stop_index=stop.chunk_index,
         removed_row_ids=ranking.row_ids[: stop.rows_removed],

@@ -254,34 +254,30 @@ def _phase_one(args):
     """Train full and sr and debias one shape group; ours is the reports' model.
 
     The group's configs share hidden sizes and batch size, so one stacked
-    training gives every full and sr model, and one removal loop, handed the
-    full models, debiases them all.
+    training gives every full and sr model, and one removal loop runs
+    ``spec.loop`` with the group's hp on every config's train split, each
+    with its own pool seed, from those full models.
     Returns, per config in the group's order, the report's ``_OUTCOME``
     fields, the train-split size, the test split, the models and their
     discrimination by technique.
     """
     d, spec, group = args
     _, _, h1, h2, bs, _ = group[0]
-    hp = replace(spec.loop.hp, hidden1=h1, hidden2=h2, batch_size=bs)
+    loop = replace(spec.loop, hp=replace(spec.loop.hp, hidden1=h1, hidden2=h2, batch_size=bs))
     splits = [
         split(d, SplitSpec(permutation_seed=ps, train_fraction=spec.train_fraction))
         for *_, ps in group
     ]
-    sims = [
-        replace(spec.loop.similarity, rng_seed=_config_seed(spec.base_seed, index))
-        for index, *_ in group
-    ]
+    seeds = [_config_seed(spec.base_seed, index) for index, *_ in group]
     trains = [tr for tr, _ in splits]
-    models = train_many(trains + [drop_sensitive(tr) for tr in trains], hp)
+    models = train_many(trains + [drop_sensitive(tr) for tr in trains], loop.hp)
     fulls, srs = models[: len(trains)], models[len(trains) :]
-    reports = debias_group(
-        [(tr, replace(spec.loop, similarity=sim, hp=hp)) for tr, sim in zip(trains, sims)],
-        full_models=fulls,
-    )
+    reports = debias_group(trains, loop, pool_seeds=seeds, full_models=fulls)
 
     out = []
-    for (tr, te), sim, sr, (_, report) in zip(splits, sims, srs, reports):
+    for (tr, te), seed, sr, (_, report) in zip(splits, seeds, srs, reports):
         models = {"full": report.full_model, "sr": mask_sensitive(sr, tr), "ours": report.model}
+        sim = replace(loop.similarity, rng_seed=seed)
         # final pools: call indices past anything the removal loop used
         discrimination = {
             tech: estimate_discrim(models[tech], tr, sim, call_index=spec.max_chunks + 1 + j)

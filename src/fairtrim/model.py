@@ -6,11 +6,12 @@ of (dataset bytes, hyperparameters); both the init stream and the per-epoch
 shuffle stream are derived from ``weight_init_seed``.
 
 There is one training loop, ``train_many``: it trains P models whose
-datasets share row count and width as one (P, n_params) stack, since their
-init, shuffle and batch boundaries are the same and only the rows differ.
-Each step is one stacked forward pass, one backward pass and one in-place
-update, so numpy's per-call cost is paid once for all P members, and each
-member is bitwise what training it alone gives. ``train`` is P = 1.
+datasets share a row count as one (P, n_params) stack, since they share the
+hyperparameters, the shuffle and the batch boundaries, and each starts from
+the init of its width: only the rows (and the width) differ. Each step is
+one stacked forward pass, one backward pass and one in-place update, so
+numpy's per-call cost is paid once for all P members, and each member is
+bitwise what training it alone gives. ``train`` is P = 1.
 
 That per-call cost is nearly all a step costs on such small arrays, so a
 step allocates no array either: a ``_Workspace`` holds the parameter views
@@ -517,16 +518,14 @@ def _narrow(theta: np.ndarray, width: int, dim: int, h1: int) -> np.ndarray:
     return np.concatenate((theta[: width * h1], theta[dim * h1 :]))
 
 
-def train_many(
-    datasets: Sequence[Dataset], hp: Hyperparameters, inits: Sequence[Model] | None = None
-) -> list[Model]:
+def train_many(datasets: Sequence[Dataset], hp: Hyperparameters) -> list[Model]:
     """Train one model per dataset in a single stacked loop.
 
-    The P members must have the same row count. They share the shuffle
-    stream, and the init of their width (unless ``inits`` gives each member
-    a warm start), so every step is one stacked forward pass, one backward
-    pass and one in-place update over a (P, n_params) parameter stack, and
-    member j comes out bitwise equal to ``train(datasets[j], hp, inits[j])``.
+    The P members must have the same row count. They share ``hp``, the
+    shuffle stream and the init of their width, so every step is one stacked
+    forward pass, one backward pass and one in-place update over a
+    (P, n_params) parameter stack, and member j comes out bitwise equal to
+    ``train(datasets[j], hp)``.
 
     Members may differ in width, as a grid config's ``full`` and ``sr``
     trainings do (``sr`` lacks the sensitive one-hot columns). The stack then
@@ -552,27 +551,14 @@ def train_many(
     if n == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     h1, h2 = hp.hidden1, hp.hidden2
-    if inits is None:
-        starts = {d.width: _init_theta(d.width, h1, h2, hp.weight_init_seed) for d in datasets}
-        inits_theta = [starts[d.width] for d in datasets]
-    else:
-        if len(inits) != len(datasets):
-            raise DimensionMismatch(f"{len(inits)} warm starts for {len(datasets)} datasets")
-        for init, d in zip(inits, datasets):
-            if init.input_dim != d.width:
-                raise DimensionMismatch(
-                    f"warm start expects {init.input_dim} features, dataset has {d.width}"
-                )
-            if (init.hidden1, init.hidden2) != (h1, h2):
-                raise DimensionMismatch("warm start hidden sizes disagree with hyperparameters")
-        inits_theta = [init.theta for init in inits]
+    starts = {d.width: _init_theta(d.width, h1, h2, hp.weight_init_seed) for d in datasets}
     dim = max(d.width for d in datasets)
     parts, top = [], 0  # (stack slice, width) of each run of one width
     for w, run in groupby(d.width for d in datasets):
         count = len(list(run))
         parts.append((slice(top, top + count), w))
         top += count
-    theta = np.stack([_widen(t, d.width, dim, h1) for t, d in zip(inits_theta, datasets)])
+    theta = np.stack([_widen(starts[d.width], d.width, dim, h1) for d in datasets])
     g = np.zeros_like(theta)  # a narrow member's extra rows are never written
     ws = _Workspace(theta, dim, h1, h2, grads=g, parts=parts)
 
@@ -624,14 +610,15 @@ def train_many(
     return out
 
 
-def train(d: Dataset, hp: Hyperparameters, init: Model | None = None) -> Model:
+def train(d: Dataset, hp: Hyperparameters) -> Model:
     """Mini-batch gradient descent on mean cross-entropy: ``train_many`` of one.
 
-    One epoch = one fresh permutation of the rows split into consecutive
-    batches (last batch may be short). The permutation stream is derived from
-    weight_init_seed, so retraining is bit-reproducible.
+    Training starts from the init of ``d``'s width. One epoch = one fresh
+    permutation of the rows split into consecutive batches (last batch may
+    be short). Both streams are derived from weight_init_seed, so retraining
+    is bit-reproducible.
     """
-    return train_many([d], hp, None if init is None else [init])[0]
+    return train_many([d], hp)[0]
 
 
 # --- persistence ------------------------------------------------------------

@@ -388,3 +388,22 @@ def test_script_help_runs(script):
     proc = run_child([str(SCRIPTS / script), "--help"])
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+# each script's cheapest run that does its work, as (argv, a line it prints);
+# run_grid_demo.py and pin_acceptance.py have none that takes under seconds,
+# so test_script_help_runs above is their smoke run
+SCRIPT_RUNS = {
+    "gen-loans-50": (["gen_loans_data.py", "{tmp}/loans.csv", "--rows", "50"], "wrote 50 rows"),
+    # a model that flips no pair: the demo says so instead of ranking nothing
+    "toy-already-fair": (["run_toy_demo.py", "--epochs", "0"], "already fair"),
+    "toy-300-epochs": (["run_toy_demo.py", "--epochs", "300"], "retrained without"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SCRIPT_RUNS))
+def test_script_runs_at_its_cheapest_setting(tmp_path, run):
+    (script, *args), line = SCRIPT_RUNS[run]
+    proc = run_child([str(SCRIPTS / script), *(a.format(tmp=tmp_path) for a in args)])
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout

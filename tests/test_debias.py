@@ -24,13 +24,13 @@ from fairtrim.data import SplitSpec, drop_sensitive, load_dataset, split
 from fairtrim.errors import AlreadyFair, DimensionMismatch, EmptyDataset, RangeError
 from fairtrim.fairness import SimilarityConfig, flip_mask, generate_similar_pairs
 from fairtrim.influence import SolverConfig
-from fairtrim.model import Hyperparameters, mask_sensitive, train
+from fairtrim.model import Hyperparameters, mask_sensitive, train, train_many
 from fairtrim.synthetic import loans_schema, write_loans
 
 
-def stub_cfg(chunk_percent=1.0, max_chunks=100, freeze_pool=False, rng_seed=0):
+def stub_cfg(chunk_percent=1.0, max_chunks=100, freeze_pool=False):
     return DebiasConfig(
-        similarity=SimilarityConfig(lam=0.0, pool_multiplier=10, rng_seed=rng_seed),
+        similarity=SimilarityConfig(lam=0.0, pool_multiplier=10, rng_seed=0),
         hp=Hyperparameters(4, 2, 7, epochs=1, weight_init_seed=0),
         solver=SolverConfig(),
         chunk_percent=chunk_percent,
@@ -114,13 +114,15 @@ def test_drop_first_prefix_semantics(toy, trained):
     ranking = sort_dataset(
         toy, trained, SimilarityConfig(lam=0.0, pool_multiplier=10, rng_seed=0), SolverConfig()
     )
-    d0 = drop_first(ranking, toy, 0, 1.0)
+    d0 = drop_first(ranking, toy, 0)
     assert d0.row_ids.tolist() == toy.row_ids.tolist()
-    d1 = drop_first(ranking, toy, 15, 1.0)  # removes ceil(1.05) = 2 rows
-    dropped = set(toy.row_ids.tolist()) - set(d1.row_ids.tolist())
+    d2 = drop_first(ranking, toy, 2)
+    dropped = set(toy.row_ids.tolist()) - set(d2.row_ids.tolist())
     assert dropped == set(ranking.row_ids[:2])
-    with pytest.raises(RangeError):
-        drop_first(ranking, toy, 101, 100.0)
+    assert len(drop_first(ranking, toy, 7)) == 0
+    for k in (-1, 8):
+        with pytest.raises(RangeError):
+            drop_first(ranking, toy, k)
 
 
 def test_sort_dataset_already_fair_raises(toy):
@@ -320,26 +322,33 @@ def test_group_members_leave_at_their_stop(scripted_loop, toy, trained):
     # each member's pool seed tells the scripted measurement which member it measures
     sequences = {0: [0.3, 0.2, 0.1, 0.2], 1: [0.3, 0.4]}
     sizes = scripted_loop(
-        train=lambda s: fair if s.row_ids[0] > 100 else copy.copy(trained),
+        train=lambda s: copy.copy(trained),
         measure=lambda model, d, similarity, call_index: sequences[similarity.rng_seed][call_index],
     )
-    results = debias_group([
-        (toy, stub_cfg(chunk_percent=15.0, rng_seed=0)),
-        (toy, stub_cfg(chunk_percent=15.0, rng_seed=1)),
-        (shifted, stub_cfg(chunk_percent=15.0, rng_seed=2)),
-    ])
-    assert sizes == [3, 2, 1, 1]  # the full models, then chunks 1, 2 and 3
+    results = debias_group(
+        [toy, toy, shifted], stub_cfg(chunk_percent=15.0),
+        pool_seeds=[0, 1, 2], full_models=[copy.copy(trained), copy.copy(trained), fair],
+    )
+    assert sizes == [2, 1, 1]  # chunks 1, 2 and 3; the caller trained the full models
     assert [len(r.trace) for _, r in results] == [4, 2, 0]
     assert [r.stop_index for _, r in results] == [2, 0, 0]
     assert results[2][1].already_fair and results[2][0] is shifted
 
 
-def test_group_rejects_members_that_do_not_share_the_loop(toy):
+def test_group_rejects_members_that_do_not_share_the_loop(toy, trained):
     cfg = stub_cfg()
-    with pytest.raises(DimensionMismatch):
-        debias_group([(toy, cfg), (toy.subset(np.arange(6)), cfg)])
-    with pytest.raises(DimensionMismatch):
-        debias_group([(toy, cfg), (toy, stub_cfg(chunk_percent=2.0))])
+    narrow = train(drop_sensitive(toy), cfg.hp)
+    for datasets, seeds, fulls in [
+        ([toy, toy.subset(np.arange(6))], [0, 1], [trained, trained]),  # row counts
+        ([toy, toy], [0], [trained, trained]),  # a pool seed short
+        ([toy, toy], [0, 1, 2], [trained, trained]),  # a pool seed over
+        ([toy, toy], [0, 1], [trained]),  # a full model short
+        ([toy, toy], [0, 1], [trained, narrow]),  # a full model of another width
+    ]:
+        with pytest.raises(DimensionMismatch):
+            debias_group(datasets, cfg, pool_seeds=seeds, full_models=fulls)
+    with pytest.raises(EmptyDataset):
+        debias_group([], cfg, pool_seeds=[], full_models=[])
 
 
 @pytest.fixture(scope="module")
@@ -352,17 +361,18 @@ def loans_splits(tmp_path_factory):
 
 def test_group_member_is_its_own_debias_data(loans_splits):
     hp = Hyperparameters(6, 3, 16, epochs=150, learning_rate=0.3, weight_init_seed=0)
-    members = [
-        (tr, DebiasConfig(
-            similarity=SimilarityConfig(lam=0.0, pool_multiplier=3, rng_seed=seed), hp=hp,
-            solver=SolverConfig(cg_max_iter=60), chunk_percent=5.0, max_chunks=6,
-        ))
-        for seed, tr in enumerate(loans_splits)
-    ]
-    grouped = debias_group(members)
+    cfg = DebiasConfig(
+        similarity=SimilarityConfig(lam=0.0, pool_multiplier=3), hp=hp,
+        solver=SolverConfig(cg_max_iter=60), chunk_percent=5.0, max_chunks=6,
+    )
+    seeds = range(len(loans_splits))
+    grouped = debias_group(
+        loans_splits, cfg, pool_seeds=seeds, full_models=train_many(loans_splits, hp)
+    )
     assert len({r.stop_index for _, r in grouped}) > 1  # members stop at different chunks
-    for (d, cfg), (out, report) in zip(members, grouped):
-        alone_out, alone = debias_data(d, cfg)
+    for seed, d, (out, report) in zip(seeds, loans_splits, grouped):
+        own_pools = replace(cfg.similarity, rng_seed=seed)
+        alone_out, alone = debias_data(d, replace(cfg, similarity=own_pools))
         assert report.to_json() == alone.to_json()
         assert out.row_ids.tolist() == alone_out.row_ids.tolist()
         assert report.model.theta.tobytes() == alone.model.theta.tobytes()

@@ -5,6 +5,8 @@ analytic backward pass and the forward-over-reverse Hessian-vector product;
 they recompute everything from the loss alone. The ``ref_*`` functions are
 the allocate-per-step forward, backward and training loop that the model's
 reused workspace replaced; the model must give their bits exactly.
+``ref_train_many`` also takes a warm start per member, which the library's
+training does not: criterion 05's leave-one-out oracle retrains through it.
 """
 
 import hashlib
@@ -113,7 +115,11 @@ def ref_per_example(m, X, dz3):
 
 
 def ref_train_many(datasets, hp, inits=None):
-    """Parameter vectors and final mean losses of the stacked loop, one epoch per gather."""
+    """Parameter vectors and final mean losses of the stacked loop, one epoch per gather.
+
+    The members share a width. Each starts from the init of that width, or
+    from its model in ``inits``, a warm start.
+    """
     n, dim, h1, h2 = len(datasets[0]), datasets[0].width, hp.hidden1, hp.hidden2
     if inits is None:
         theta = np.tile(_init_theta(dim, h1, h2, hp.weight_init_seed), (len(datasets), 1))
@@ -384,14 +390,6 @@ def test_init_bounds_follow_fan_in():
     assert np.abs(W3).max() <= 1 / np.sqrt(3)
 
 
-def test_warm_start_width_mismatch(toy):
-    hp = Hyperparameters(6, 4, 4, epochs=1)
-    m = train(toy, hp)
-    narrower = Model(2, 6, 4, _init_theta(2, 6, 4, 0))
-    with pytest.raises(DimensionMismatch):
-        train(toy, hp, init=narrower)
-
-
 def test_batch_size_larger_than_dataset_is_full_batch(toy):
     hp_big = Hyperparameters(6, 4, 100, epochs=20, weight_init_seed=2)
     hp_full = Hyperparameters(6, 4, 7, epochs=20, weight_init_seed=2)
@@ -411,7 +409,6 @@ TRAINING_PINS = {
     "short_last_batch": "97775bed6d3e28949922b116dcea0aba3edce78b2bf79d7fa508e38a0a90a3b5",
     "batch_above_n": "e101e26038a16f4ac4a6567bec2c63d5dc8d7b9d55b95dbe0508fd0c1c0923c6",
     "zero_epochs": "5e3ddd4da25e9876390160b2ccf3f6dce5cc0005a6b2f0f9276e8639473af9ec",
-    "warm_start": "3017e182e57c1c88e19058163aebcc1d579fe3170ce020954839c90aad47453e",
 }
 
 
@@ -422,10 +419,6 @@ def test_training_bits_are_pinned(toy, case):
         "short_last_batch": lambda: train(toy, replace(hp, batch_size=3, epochs=20)),  # 3+3+1
         "batch_above_n": lambda: train(toy, replace(hp, batch_size=16, epochs=20)),
         "zero_epochs": lambda: train(toy, replace(hp, epochs=0)),
-        "warm_start": lambda: train(
-            toy, replace(hp, batch_size=2, epochs=7, weight_init_seed=5),
-            init=train(toy, replace(hp, epochs=5)),
-        ),
     }[case]()
     assert hashlib.sha256(m.theta.tobytes()).hexdigest() == TRAINING_PINS[case]
 
@@ -448,23 +441,17 @@ def random_dataset(template, rng, n, width):
     batch_size=st.integers(1, 14),
     epochs=st.integers(0, 3),
     seed=st.integers(0, 10_000),
-    warm=st.booleans(),
 )
 # one feature and full batches: a stack gathered with the member axis innermost
 # sent these rows to BLAS strided and changed the gradient's last bits
-@example(members=2, n=4, width=1, batch_size=4, epochs=1, seed=73, warm=False)
-def test_train_many_member_is_its_own_train(
-    toy, members, n, width, batch_size, epochs, seed, warm
-):
+@example(members=2, n=4, width=1, batch_size=4, epochs=1, seed=73)
+def test_train_many_member_is_its_own_train(toy, members, n, width, batch_size, epochs, seed):
     rng = np.random.default_rng(seed)
     datasets = [random_dataset(toy, rng, n, width) for _ in range(members)]
     hp = Hyperparameters(3, 2, batch_size, epochs=epochs, learning_rate=0.5, weight_init_seed=seed)
-    inits = None
-    if warm:
-        inits = [Model(width, 3, 2, rng.normal(size=param_count(width, 3, 2))) for _ in datasets]
-    stacked = train_many(datasets, hp, inits)
+    stacked = train_many(datasets, hp)
     for j, d in enumerate(datasets):
-        alone = train(d, hp, None if inits is None else inits[j])
+        alone = train(d, hp)
         assert stacked[j].theta.tobytes() == alone.theta.tobytes()
         assert stacked[j].final_train_loss == alone.final_train_loss
 
@@ -477,42 +464,36 @@ def test_train_many_member_is_its_own_train(
     batch_size=st.integers(1, 14),
     epochs=st.integers(0, 3),
     seed=st.integers(0, 10_000),
-    warm=st.booleans(),
     extra=st.integers(0, 3),
     wide=st.integers(0, 15),
 )
 # member j is extra columns wider than the others where bit j of wide is set
-@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=1, warm=False, extra=0, wide=0)
-@example(members=2, n=5, width=3, batch_size=9, epochs=2, seed=2, warm=True, extra=0, wide=0)
-@example(members=4, n=6, width=2, batch_size=4, epochs=0, seed=3, warm=True, extra=0, wide=0)
+@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=1, extra=0, wide=0)
+@example(members=2, n=5, width=3, batch_size=9, epochs=2, seed=2, extra=0, wide=0)
+@example(members=4, n=6, width=2, batch_size=4, epochs=0, seed=3, extra=0, wide=0)
 # mixed widths, 3+3+1 batches: the narrow member last, then first
-@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=4, warm=False, extra=2, wide=0b011)
-@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=5, warm=False, extra=2, wide=0b110)
-# mixed widths with batch > n, 0 epochs, and warm starts of each width
-@example(members=2, n=5, width=3, batch_size=9, epochs=2, seed=6, warm=True, extra=1, wide=0b01)
-@example(members=4, n=6, width=1, batch_size=4, epochs=0, seed=7, warm=True, extra=3, wide=0b0101)
-@example(members=4, n=6, width=2, batch_size=4, epochs=0, seed=8, warm=False, extra=1, wide=0b1010)
-@example(members=2, n=9, width=1, batch_size=2, epochs=3, seed=9, warm=True, extra=3, wide=0b10)
+@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=4, extra=2, wide=0b011)
+@example(members=3, n=7, width=2, batch_size=3, epochs=2, seed=5, extra=2, wide=0b110)
+# mixed widths with batch > n and 0 epochs
+@example(members=2, n=5, width=3, batch_size=9, epochs=2, seed=6, extra=1, wide=0b01)
+@example(members=4, n=6, width=1, batch_size=4, epochs=0, seed=7, extra=3, wide=0b0101)
+@example(members=4, n=6, width=2, batch_size=4, epochs=0, seed=8, extra=1, wide=0b1010)
+@example(members=2, n=9, width=1, batch_size=2, epochs=3, seed=9, extra=3, wide=0b10)
 def test_train_many_is_the_reference_loop(
-    toy, members, n, width, batch_size, epochs, seed, warm, extra, wide
+    toy, members, n, width, batch_size, epochs, seed, extra, wide
 ):
     rng = np.random.default_rng(seed)
     widths = [width + extra * (wide >> j & 1) for j in range(members)]
     datasets = [random_dataset(toy, rng, n, w) for w in widths]
     hp = Hyperparameters(3, 2, batch_size, epochs=epochs, learning_rate=0.5, weight_init_seed=seed)
-    inits = None
-    if warm:
-        inits = [Model(w, 3, 2, rng.normal(size=param_count(w, 3, 2))) for w in widths]
     # the reference trains each width's members in a stack of their own
     thetas, losses = [None] * members, [None] * members
     for w in set(widths):
         js = [j for j in range(members) if widths[j] == w]
-        ref = ref_train_many(
-            [datasets[j] for j in js], hp, None if inits is None else [inits[j] for j in js]
-        )
+        ref = ref_train_many([datasets[j] for j in js], hp)
         for j, theta, loss in zip(js, *ref):
             thetas[j], losses[j] = theta, loss
-    trained = train_many(datasets, hp, inits)
+    trained = train_many(datasets, hp)
     assert [m.input_dim for m in trained] == widths
     assert [m.theta.tobytes() for m in trained] == [t.tobytes() for t in thetas]
     assert [m.final_train_loss for m in trained] == losses
@@ -588,12 +569,6 @@ def test_train_many_rejects_members_of_different_shapes(toy):
     d = random_dataset(toy, rng, 6, 3)
     with pytest.raises(DimensionMismatch):  # rows
         train_many([d, random_dataset(toy, rng, 5, 3)], hp)
-    with pytest.raises(DimensionMismatch):  # width of a warm start against its own member
-        wider = random_dataset(toy, rng, 6, 4)
-        train_many([d, wider], hp, inits=[Model(3, 3, 2, _init_theta(3, 3, 2, 0))] * 2)
-    with pytest.raises(DimensionMismatch):  # hidden sizes of a warm start
-        wide = Model(3, 4, 2, _init_theta(3, 4, 2, 0))
-        train_many([d, d], hp, inits=[Model(3, 3, 2, _init_theta(3, 3, 2, 0)), wide])
     with pytest.raises(EmptyDataset):
         train_many([], hp)
 
