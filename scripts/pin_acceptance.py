@@ -27,6 +27,7 @@ import argparse
 import sys
 import tempfile
 import time
+from itertools import product
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -67,32 +68,31 @@ def cmd_golden(args) -> int:
 
 
 def cmd_loo(args) -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="pin_loo_"))
     best = []
-    for n in (16, 20):
-        for data_seed in range(args.data_seeds):
-            for model_seed in range(args.model_seeds):
-                for pool_seed in range(args.pool_seeds):
-                    t0 = time.time()
-                    rho = acceptance.loo_spearman(tmp, n, data_seed, model_seed, pool_seed)
-                    ok = not acceptance.loo_failures(rho, args.threshold)
-                    print(f"n={n} data_seed={data_seed} model_seed={model_seed} "
-                          f"pool_seed={pool_seed}: rho={rho:.4f} "
-                          f"({time.time() - t0:.0f}s){' <== candidate' if ok else ''}", flush=True)
-                    if ok:
-                        best.append((rho, n, data_seed, model_seed, pool_seed))
+    seeds = product((16, 20), range(args.data_seeds), range(args.model_seeds),
+                    range(args.pool_seeds))
+    with tempfile.TemporaryDirectory(prefix="pin_loo_") as tmp:
+        for n, data_seed, model_seed, pool_seed in seeds:
+            t0 = time.time()
+            rho = acceptance.loo_spearman(Path(tmp), n, data_seed, model_seed, pool_seed)
+            ok = not acceptance.loo_failures(rho, args.threshold)
+            print(f"n={n} data_seed={data_seed} model_seed={model_seed} "
+                  f"pool_seed={pool_seed}: rho={rho:.4f} "
+                  f"({time.time() - t0:.0f}s){' <== candidate' if ok else ''}", flush=True)
+            if ok:
+                best.append((rho, n, data_seed, model_seed, pool_seed))
     for rho, n, ds, ms, ps in sorted(best, reverse=True):
         print(f"pin: ({n}, {ds}, {ms}, {ps})  # spearman {rho:.4f}")
     return 0 if best else 1
 
 
 def cmd_grid(args) -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="pin_grid_"))
     hits = 0
-    for pseeds in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]:
-        for base_seed in range(args.base_seeds):
+    settings = product([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], range(args.base_seeds))
+    with tempfile.TemporaryDirectory(prefix="pin_grid_") as tmp:
+        for pseeds, base_seed in settings:
             t0 = time.time()
-            f = acceptance.grid_wins(tmp, args.data_seed, pseeds, base_seed, args.workers)
+            f = acceptance.grid_wins(Path(tmp), args.data_seed, pseeds, base_seed, args.workers)
             ok = not acceptance.grid_failures(f)
             hits += ok
             print(f"pseeds={pseeds} base_seed={base_seed}: discm_wins={f['discm_wins']}/4 "

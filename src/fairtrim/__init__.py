@@ -21,10 +21,7 @@ from .errors import FairtrimError
 from .experiment import ExperimentResult, GridSpec, emit_reports, run_grid, summarize_reports
 from .fairness import (
     SimilarityConfig,
-    build_influence_set,
-    discriminatory_pairs,
     estimate_discrim,
-    generate_similar_pairs,
     statistical_parity_difference,
 )
 from .influence import (
@@ -61,14 +58,11 @@ __all__ = [
     "SimilarityConfig",
     "SolverConfig",
     "SplitSpec",
-    "build_influence_set",
     "debias_data",
-    "discriminatory_pairs",
     "drop_first",
     "drop_sensitive",
     "emit_reports",
     "estimate_discrim",
-    "generate_similar_pairs",
     "load_dataset",
     "load_model",
     "load_schema",

@@ -197,10 +197,7 @@ def cmd_debias(args) -> dict:
     return {
         "rows_before": len(d),
         "rows_after": len(debiased),
-        "removed_row_ids": list(report.removed_row_ids),
-        "stop_index": report.stop_index,
-        "already_fair": report.already_fair,
-        "loop_exhausted": report.loop_exhausted,
+        **report.outcome(),
         "debiased_path": str(out / "debiased.csv"),
     }
 

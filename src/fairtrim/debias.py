@@ -76,6 +76,11 @@ class DebiasReport:
     def loop_exhausted(self) -> bool:  # the last chunk still improved
         return self.ranking is not None and len(self.trace) == self.stop_index + 1
 
+    def outcome(self) -> dict:
+        """The removal and stop, as a grid record and ``fairtrim debias`` name them."""
+        return dict(removed_row_ids=self.removed_row_ids, stop_index=self.stop_index,
+                    already_fair=self.already_fair, loop_exhausted=self.loop_exhausted)
+
     def to_json(self) -> dict:
         return {
             "stop_index": self.stop_index,

@@ -39,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import groupby, product
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -81,13 +82,14 @@ class GridSpec:
     agree unless told otherwise. ``loop`` is the DebiasConfig every config
     passes on, but for its own hp and pool seed; it is built with the spec,
     so a bad loop or pool setting fails before anything trains.
+    ``train_fraction`` is no setting but SplitSpec's, the split every config uses.
     """
 
     hidden1_choices: tuple[int, ...] = (16, 24)
     hidden2_choices: tuple[int, ...] = (8,)
     batch_sizes: tuple[int, ...] | None = None  # None: derive from dataset size
     permutation_seeds: tuple[int, ...] = (0, 1)
-    train_fraction: float = SplitSpec.train_fraction
+    train_fraction: ClassVar[float] = SplitSpec.train_fraction
     epochs: int = Hyperparameters.epochs
     learning_rate: float = Hyperparameters.learning_rate
     lam: float = SimilarityConfig.lam
@@ -246,10 +248,6 @@ def _enumerate_configs(d: Dataset, spec: GridSpec):
     ]
 
 
-# DebiasReport attributes a ConfigRecord carries under the same names
-_OUTCOME = ("removed_row_ids", "stop_index", "already_fair", "loop_exhausted")
-
-
 def _phase_one(args):
     """Train full and sr and debias one shape group; ours is the reports' model.
 
@@ -257,8 +255,8 @@ def _phase_one(args):
     training gives every full and sr model, and one removal loop runs
     ``spec.loop`` with the group's hp on every config's train split, each
     with its own pool seed, from those full models.
-    Returns, per config in the group's order, the report's ``_OUTCOME``
-    fields, the train-split size, the test split, the models and their
+    Returns, per config in the group's order, the report's ``outcome()``,
+    the train-split size, the test split, the models and their
     discrimination by technique.
     """
     d, spec, group = args
@@ -283,8 +281,7 @@ def _phase_one(args):
             tech: estimate_discrim(models[tech], tr, sim, call_index=spec.max_chunks + 1 + j)
             for j, tech in enumerate(TECHNIQUES)
         }
-        outcome = {name: getattr(report, name) for name in _OUTCOME}
-        out.append((outcome, len(tr), te, models, discrimination))
+        out.append((report.outcome(), len(tr), te, models, discrimination))
     return out
 
 
@@ -420,7 +417,10 @@ def summarize_reports(out_dir: str | Path) -> dict:
     if not summary_path.exists() or not configs_path.exists():
         raise FileNotFoundError(f"no grid reports found under {out}")
     with open(summary_path) as fh:
-        summary = json.load(fh)
+        try:
+            summary = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedReport(f"{summary_path} is not valid JSON: {exc}") from exc
     if not (isinstance(summary, dict) and {"picks", "unfair_union"} <= summary.keys()):
         raise MalformedReport(f"{summary_path} needs the fields picks and unfair_union")
     if not isinstance(summary["unfair_union"], list):

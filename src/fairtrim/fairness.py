@@ -235,19 +235,29 @@ def _sort_influence_set(m, d: Dataset, cfg: SimilarityConfig) -> InfluenceSet:
     return _score(m, _pool_blocks(d, cfg, None), influence=True)[1]
 
 
+def _estimate_blocks(d: Dataset, cfg: SimilarityConfig, call_index: int):
+    """``_pool_blocks`` of estimate pool ``call_index``. None, the sort pool's
+    key, is refused: a model measured there is scored on the pairs its
+    ranking was built from."""
+    if call_index is None:
+        raise RangeError("call_index must be a non-negative integer, got None (the sort pool)")
+    return _pool_blocks(d, cfg, call_index)
+
+
 def estimate_discrim(
     m, d: Dataset, cfg: SimilarityConfig, call_index: int = 0
 ) -> float:
     """Fraction of a fresh synthetic pool on which ``m`` flips its prediction.
 
-    call_index, a non-negative integer, picks an independent pool stream;
-    repeated estimates inside a loop should pass distinct indices,
-    re-measurement of the same pool the same index. The pool is scored from
-    its draws a block at a time, so the estimate equals
+    call_index, a non-negative integer (not None, the sort pool's key),
+    picks an independent pool stream; repeated estimates inside a loop
+    should pass distinct indices, re-measurement of the same pool the same
+    index. The pool is scored from its draws a block at a time, so the
+    estimate equals
     ``np.mean(flip_mask(m, generate_similar_pairs(d, cfg, call_index)))``
     without building the dense pool.
     """
-    return float(np.mean(_score(m, _pool_blocks(d, cfg, call_index))[0]))
+    return float(np.mean(_score(m, _estimate_blocks(d, cfg, call_index))[0]))
 
 
 def accuracy_and_parity(m, d: Dataset) -> tuple[float, float | None]:
@@ -288,7 +298,7 @@ def metrics_report(m, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) ->
     """Discrimination, accuracy, and (when group metadata exists) parity.
     The pool is scored from its draws a block at a time, as in
     ``estimate_discrim``."""
-    flips = _score(m, _pool_blocks(d, cfg, call_index))[0]
+    flips = _score(m, _estimate_blocks(d, cfg, call_index))[0]
     acc, parity = accuracy_and_parity(m, d)
     return {
         "individual_discrimination": float(np.mean(flips)),

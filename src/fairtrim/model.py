@@ -21,9 +21,10 @@ short last one), the buffers every operation writes with ``out=``. The
 each, since an axis reduction pays that cost several times; they give the
 bits of the reductions they replace.
 
-The flat parameter layout (W1,b1,W2,b2,W3,b3) has one owner, ``_unpack``;
-``param_count`` gives its length. Everything that reads or writes a
-parameter-sized vector, or a row of per-example gradients, goes through
+The flat parameter layout (W1,b1,W2,b2,W3,b3) has one owner, the shape
+table ``_shapes``: ``param_count`` sums it and ``_unpack`` cuts a vector
+along it. Everything that reads or writes a parameter-sized vector, a row
+of per-example gradients or a member of a training stack goes through
 ``_unpack`` views of it.
 
 The Hessian-vector product uses the forward-over-reverse (Pearlmutter)
@@ -35,6 +36,7 @@ are checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
@@ -82,12 +84,13 @@ class Hyperparameters:
             raise RangeError(f"weight_init_seed must be >= 0, got {self.weight_init_seed}")
 
 
+def _shapes(d: int, h1: int, h2: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of W1, b1, W2, b2, W3, b3, in their order in the flat vector."""
+    return (d, h1), (h1,), (h1, h2), (h2,), (h2, N_CLASSES), (N_CLASSES,)
+
+
 def param_count(input_dim: int, hidden1: int, hidden2: int) -> int:
-    return (
-        input_dim * hidden1 + hidden1
-        + hidden1 * hidden2 + hidden2
-        + hidden2 * N_CLASSES + N_CLASSES
-    )
+    return sum(math.prod(shape) for shape in _shapes(input_dim, hidden1, hidden2))
 
 
 def _unpack(theta: np.ndarray, d: int, h1: int, h2: int):
@@ -96,15 +99,12 @@ def _unpack(theta: np.ndarray, d: int, h1: int, h2: int):
     A stack of vectors, shape (P, n_params), gives stacked views: W1 is then
     (P, d, h1) and b1 (P, h1), one slice per member.
     """
-    lead = theta.shape[:-1]
-    o = 0
-    W1 = theta[..., o : o + d * h1].reshape(*lead, d, h1); o += d * h1
-    b1 = theta[..., o : o + h1]; o += h1
-    W2 = theta[..., o : o + h1 * h2].reshape(*lead, h1, h2); o += h1 * h2
-    b2 = theta[..., o : o + h2]; o += h2
-    W3 = theta[..., o : o + h2 * N_CLASSES].reshape(*lead, h2, N_CLASSES); o += h2 * N_CLASSES
-    b3 = theta[..., o : o + N_CLASSES]
-    return W1, b1, W2, b2, W3, b3
+    lead, views, o = theta.shape[:-1], [], 0
+    for shape in _shapes(d, h1, h2):
+        size = math.prod(shape)
+        views.append(theta[..., o : o + size].reshape(*lead, *shape))
+        o += size
+    return tuple(views)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,15 +507,9 @@ def _init_theta(input_dim: int, h1: int, h2: int, seed: int) -> np.ndarray:
     return theta
 
 
-def _widen(theta: np.ndarray, width: int, dim: int, h1: int) -> np.ndarray:
-    """A width-feature parameter vector laid out for dim features: the extra
-    first-layer weight rows are zero, every other parameter is ``theta``'s."""
-    return np.concatenate((theta[: width * h1], np.zeros((dim - width) * h1), theta[width * h1 :]))
-
-
-def _narrow(theta: np.ndarray, width: int, dim: int, h1: int) -> np.ndarray:
-    """The inverse of ``_widen``: a fresh width-feature vector."""
-    return np.concatenate((theta[: width * h1], theta[dim * h1 :]))
+def _member_views(stack, j: int, member):
+    """(member j's corner of a stack's wide view, its own ``member`` view), per parameter."""
+    return [(W[j][tuple(map(slice, V.shape))], V) for W, V in zip(stack, member)]
 
 
 def train_many(datasets: Sequence[Dataset], hp: Hyperparameters) -> list[Model]:
@@ -551,14 +545,18 @@ def train_many(datasets: Sequence[Dataset], hp: Hyperparameters) -> list[Model]:
     if n == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     h1, h2 = hp.hidden1, hp.hidden2
-    starts = {d.width: _init_theta(d.width, h1, h2, hp.weight_init_seed) for d in datasets}
     dim = max(d.width for d in datasets)
     parts, top = [], 0  # (stack slice, width) of each run of one width
     for w, run in groupby(d.width for d in datasets):
         count = len(list(run))
         parts.append((slice(top, top + count), w))
         top += count
-    theta = np.stack([_widen(starts[d.width], d.width, dim, h1) for d in datasets])
+    theta = np.zeros((len(datasets), param_count(dim, h1, h2)))
+    stack = _unpack(theta, dim, h1, h2)
+    for j, d in enumerate(datasets):
+        init = _init_theta(d.width, h1, h2, hp.weight_init_seed)
+        for W, V in _member_views(stack, j, _unpack(init, d.width, h1, h2)):
+            W[...] = V
     g = np.zeros_like(theta)  # a narrow member's extra rows are never written
     ws = _Workspace(theta, dim, h1, h2, grads=g, parts=parts)
 
@@ -594,8 +592,11 @@ def train_many(datasets: Sequence[Dataset], hp: Hyperparameters) -> list[Model]:
                     theta -= g
 
     out = []
-    for j, (theta_p, d) in enumerate(zip(theta, datasets)):
-        m = Model(d.width, h1, h2, theta=_narrow(theta_p, d.width, dim, h1))
+    for j, d in enumerate(datasets):
+        theta_j = np.empty(param_count(d.width, h1, h2))
+        for W, V in _member_views(stack, j, _unpack(theta_j, d.width, h1, h2)):
+            V[...] = W
+        m = Model(d.width, h1, h2, theta=theta_j)
         if not np.isfinite(m.theta).all():
             # a nan model predicts class 0 everywhere, so it would read as perfectly fair
             raise RangeError(
@@ -640,7 +641,10 @@ def save_model(m: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DimensionMismatch(f"model file {path} is not valid JSON: {exc}") from exc
     if not (
         isinstance(obj, dict)
         and obj.get("format") == MODEL_FORMAT

@@ -311,6 +311,7 @@ def model_json(**fields):
     "command, files, error",
     [
         ("discrim", {"model.json": "[1, 2]"}, "DimensionMismatch"),
+        ("discrim", {"model.json": "not json"}, "DimensionMismatch"),
         ("discrim", {"model.json": '{"format": "fairtrim-model", "version": 1, '
                                    '"activation": "tanh"}'}, "DimensionMismatch"),
         ("discrim", {"model.json": '{"format": "fairtrim-model", "version": 1, '
@@ -329,11 +330,14 @@ def model_json(**fields):
                     "configs.csv": "technique,discrimination\nfull,high\n"}, "MalformedReport"),
         ("report", {"summary.json": '{"picks": {}, "unfair_union": 5}',
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
+        ("report", {"summary.json": "not json",
+                    "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
     ],
-    ids=["model-list", "model-no-input-dim", "model-relu", "model-theta-strings",
-         "model-input-dim-word", "model-input-dim-fraction", "model-hidden1-bool",
-         "model-theta-nan", "model-loss-word", "summary-no-picks",
-         "configs-no-columns", "configs-non-numeric-discrimination", "summary-union-not-list"],
+    ids=["model-list", "model-not-json", "model-no-input-dim", "model-relu",
+         "model-theta-strings", "model-input-dim-word", "model-input-dim-fraction",
+         "model-hidden1-bool", "model-theta-nan", "model-loss-word", "summary-no-picks",
+         "configs-no-columns", "configs-non-numeric-discrimination", "summary-union-not-list",
+         "summary-not-json"],
 )
 def test_malformed_file_is_domain_error(capsys, toy_files, tmp_path, command, files, error):
     for name, text in files.items():

@@ -117,8 +117,9 @@ def test_pool_requires_sensitive(toy):
         generate_similar_pairs(drop_sensitive(toy), SimilarityConfig())
 
 
-# before, numpy's SeedSequence raised an untyped ValueError for a negative index
-@pytest.mark.parametrize("call_index", [-1, 1.0, "0", True])
+# before, numpy's SeedSequence raised an untyped ValueError for a negative index,
+# and None, the sort pool's key, measured on the pairs a ranking was built from
+@pytest.mark.parametrize("call_index", [-1, 1.0, "0", True, None])
 def test_bad_call_index_is_range_error(toy, trained, call_index):
     cfg = SimilarityConfig(pool_multiplier=2)
     for measure in (estimate_discrim, metrics_report):
