@@ -93,14 +93,21 @@ class FeatureSchema:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FeatureSchema":
+        """The schema of a decoded schema file. ``label`` and ``positive_label``
+        must be JSON strings and ``sensitive`` a string or null, since CSV
+        headers and cells are strings: ``["decision"]`` is no column name,
+        and null is no label value."""
         try:
             cols = tuple((c["name"], c["kind"]) for c in obj["columns"])
-            return cls(
-                columns=cols,
-                sensitive=obj.get("sensitive"),
-                label=obj["label"],
-                positive_label=str(obj["positive_label"]),
-            )
+            label, positive, sensitive = obj["label"], obj["positive_label"], obj.get("sensitive")
+            for name, value in (("label", label), ("positive_label", positive)):
+                if not isinstance(value, str):
+                    raise SchemaMismatch(f"schema field {name} is {value!r}, not a string")
+            if not (sensitive is None or isinstance(sensitive, str)):
+                raise SchemaMismatch(
+                    f"schema field sensitive is {sensitive!r}, not a string or null"
+                )
+            return cls(columns=cols, sensitive=sensitive, label=label, positive_label=positive)
         except (KeyError, TypeError) as exc:
             raise SchemaMismatch(f"malformed schema JSON: {exc}") from exc
 
@@ -109,7 +116,7 @@ def load_schema(path: str | Path) -> FeatureSchema:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise SchemaMismatch(f"schema file {path} is not valid JSON: {exc}") from exc
     return FeatureSchema.from_json(obj)
 

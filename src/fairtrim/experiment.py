@@ -419,7 +419,7 @@ def summarize_reports(out_dir: str | Path) -> dict:
     with open(summary_path) as fh:
         try:
             summary = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise MalformedReport(f"{summary_path} is not valid JSON: {exc}") from exc
     if not (isinstance(summary, dict) and {"picks", "unfair_union"} <= summary.keys()):
         raise MalformedReport(f"{summary_path} needs the fields picks and unfair_union")

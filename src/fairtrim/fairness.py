@@ -17,11 +17,13 @@ Memory contract: the run path (``estimate_discrim``, ``metrics_report`` and
 ``debias.sort_dataset``) builds no pool. One block generator,
 ``_pool_blocks``, holds the pool's draws, one 8-byte draw per column per
 seed, and expands them one block of at most model.PREDICT_BLOCK_ROWS pairs
-at a time into two buffers reused from block to block; beyond that the run
-path keeps per-pair flips (and, for the sort pool, the influence set). Only
-``generate_similar_pairs`` builds a dense pool: N pairs at encoded width w
-take 2*N*w*8 bytes. Scoring one (``flip_mask``, ``build_influence_set``)
-adds only a transient set by PREDICT_BLOCK_ROWS.
+at a time into two buffers reused from block to block, each at most
+PREDICT_BLOCK_ROWS*w*8 bytes at encoded width w. Scoring a block adds one
+block's activations (about 0.9 MB at 16/8 hidden units); beyond that the
+run path keeps per-pair flips (and, for the sort pool, the influence set).
+Only ``generate_similar_pairs`` builds a dense pool: N pairs take 2*N*w*8
+bytes. Scoring one (``flip_mask``, ``build_influence_set``) adds only a
+transient set by PREDICT_BLOCK_ROWS.
 
 Determinism: a pool is one random stream, keyed on (rng_seed, 0) for the
 sort pool (call_index None) and on (rng_seed, 1, call_index) otherwise,

@@ -53,8 +53,12 @@ _SHUFFLE_STREAM = 1
 MODEL_FORMAT = "fairtrim-model"
 MODEL_FORMAT_VERSION = 1
 # rows per forward pass in predict_proba: scoring memory beyond its input and
-# output is set by this, not by the number of rows
-PREDICT_BLOCK_ROWS = 32768
+# output is set by this, not by the number of rows. At 16/8 hidden units one
+# block's activations take about 0.9 MB, so they stay in a core's L2 cache
+# from one elementwise pass (bias add, tanh, softmax) to the next; a larger
+# block streams them from memory on every pass, a smaller one pays numpy's
+# per-call cost more often
+PREDICT_BLOCK_ROWS = 4096
 # bytes of shuffled feature rows train_many gathers at a time, over all members:
 # a small input's epoch is one gather, a large one's training memory stays
 # bounded by this
@@ -293,13 +297,18 @@ def _forward(ws: _Workspace, X) -> _Activations:
 
 
 def _logp_blocks(m, X: np.ndarray):
-    """(rows, class log-probabilities) of checked X, PREDICT_BLOCK_ROWS rows at a time."""
+    """(rows, class log-probabilities) of checked X, PREDICT_BLOCK_ROWS rows at a time.
+
+    One workspace serves every block of the call, so its buffers (one set for
+    full blocks, one for a short last block) are allocated once; a block's
+    log-probabilities are valid until the next block is made.
+    """
     inner, keep = (m.inner, m.keep) if isinstance(m, FeatureMaskedModel) else (m, None)
+    ws = _workspace(inner)
     for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
         block = X[rows] if keep is None else X[rows, keep]
-        # a workspace per block: its buffers are freed before the next block's
-        yield rows, _forward(_workspace(inner), (block,)).logp
+        yield rows, _forward(ws, (block,)).logp
 
 
 def predict_proba(m, X: np.ndarray) -> np.ndarray:
@@ -336,10 +345,14 @@ def _batch(m: Model, X: np.ndarray, y: np.ndarray | None = None):
 
 
 def mean_loss(m: Model, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy of the batch: the sum over PREDICT_BLOCK_ROWS blocks, over n."""
+    """Mean cross-entropy of the batch: each row's log-probability of its label,
+    gathered block by block into one vector and summed once, over n. The sum
+    sees the whole vector, so the loss does not depend on PREDICT_BLOCK_ROWS."""
     X, y = _batch(m, X, y)
-    sums = [logp[np.arange(logp.shape[0]), y[rows]].sum() for rows, logp in _logp_blocks(m, X)]
-    return float(-np.sum(sums) / X.shape[0])
+    picked = np.empty(X.shape[0])
+    for rows, logp in _logp_blocks(m, X):
+        picked[rows] = logp[np.arange(logp.shape[0]), y[rows]]
+    return float(-picked.sum() / X.shape[0])
 
 
 # --- gradients --------------------------------------------------------------
@@ -639,11 +652,15 @@ def save_model(m: Model, path: str | Path) -> None:
         json.dump(obj, fh)
 
 
+def _is_json_number(value) -> bool:
+    return type(value) in (int, float)
+
+
 def load_model(path: str | Path) -> Model:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise DimensionMismatch(f"model file {path} is not valid JSON: {exc}") from exc
     if not (
         isinstance(obj, dict)
@@ -655,19 +672,27 @@ def load_model(path: str | Path) -> Model:
         )
     if obj.get("activation") != "tanh":
         raise RangeError(f"unsupported activation {obj.get('activation')!r}")
-    sizes = [obj.get(name) for name in ("input_dim", "hidden1", "hidden2")]
+    names = ("input_dim", "hidden1", "hidden2")
+    sizes = [obj.get(name) for name in names]
     if not all(is_integer(size) for size in sizes):  # not 3.9, true or "4"
         raise DimensionMismatch(f"{path} has layer sizes {sizes}, not JSON integers")
+    for name, size in zip(names, sizes):
+        if size < 1:
+            raise DimensionMismatch(f"{path} has {name} {size}, not a layer size >= 1")
+    theta = obj.get("theta")
+    # not "0.123" or true, which numpy would read as numbers
+    if not (isinstance(theta, list) and all(_is_json_number(v) for v in theta)):
+        raise DimensionMismatch(f"{path} has a theta that is not a list of JSON numbers")
     try:
         m = Model(
             *sizes,
-            theta=np.asarray(obj["theta"], dtype=np.float64),
+            theta=np.asarray(theta, dtype=np.float64),
             final_train_loss=obj["final_train_loss"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{path} has a missing or malformed field: {exc}") from exc
     loss = m.final_train_loss
-    if loss is not None and (type(loss) not in (int, float) or not np.isfinite(loss)):
+    if loss is not None and not (_is_json_number(loss) and np.isfinite(loss)):
         raise DimensionMismatch(f"{path} has final_train_loss {loss!r}, not null or finite")
     if not np.isfinite(m.theta).all():
         # a nan model predicts class 0 everywhere, so it would read as perfectly fair

@@ -307,6 +307,23 @@ def model_json(**fields):
     return json.dumps({**obj, **fields})
 
 
+def schema_json(**fields):
+    """The toy's schema file but for ``fields``."""
+    obj = {"columns": [{"name": "income", "kind": "numeric"},
+                       {"name": "wealth", "kind": "numeric"},
+                       {"name": "race", "kind": "categorical"}],
+           "sensitive": "race", "label": "decision", "positive_label": "approved"}
+    return json.dumps({**obj, **fields})
+
+
+NOT_UTF8 = b"\xff\xfe\x00{"  # a UTF-16 byte-order mark: no UTF-8 text
+
+
+def test_schema_json_fits_the_toy(capsys, toy_files, tmp_path):
+    (tmp_path / "schema.json").write_text(schema_json())
+    run_json(capsys, ["load-check", toy_files[0], "--schema", str(tmp_path / "schema.json")])
+
+
 @pytest.mark.parametrize(
     "command, files, error",
     [
@@ -322,6 +339,12 @@ def model_json(**fields):
         ("discrim", {"model.json": model_json(hidden1=True)}, "DimensionMismatch"),
         ("discrim", {"model.json": model_json(theta=[float("nan")] * 11)}, "RangeError"),
         ("discrim", {"model.json": model_json(final_train_loss="low")}, "DimensionMismatch"),
+        ("discrim", {"model.json": model_json(theta=["0.123"] * 11)}, "DimensionMismatch"),
+        ("discrim", {"model.json": model_json(hidden1=0)}, "DimensionMismatch"),
+        ("discrim", {"model.json": NOT_UTF8}, "DimensionMismatch"),
+        ("load-check", {"schema.json": schema_json(label=["decision"])}, "SchemaMismatch"),
+        ("load-check", {"schema.json": schema_json(positive_label=None)}, "SchemaMismatch"),
+        ("load-check", {"schema.json": NOT_UTF8}, "SchemaMismatch"),
         ("report", {"summary.json": '{"unfair_union": []}',
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
         ("report", {"summary.json": '{"picks": {}, "unfair_union": []}',
@@ -332,20 +355,28 @@ def model_json(**fields):
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
         ("report", {"summary.json": "not json",
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
+        ("report", {"summary.json": NOT_UTF8,
+                    "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
     ],
     ids=["model-list", "model-not-json", "model-no-input-dim", "model-relu",
          "model-theta-strings", "model-input-dim-word", "model-input-dim-fraction",
-         "model-hidden1-bool", "model-theta-nan", "model-loss-word", "summary-no-picks",
-         "configs-no-columns", "configs-non-numeric-discrimination", "summary-union-not-list",
-         "summary-not-json"],
+         "model-hidden1-bool", "model-theta-nan", "model-loss-word",
+         "model-theta-numeric-strings", "model-hidden1-zero", "model-not-utf8",
+         "schema-label-list", "schema-positive-label-null", "schema-not-utf8",
+         "summary-no-picks", "configs-no-columns", "configs-non-numeric-discrimination",
+         "summary-union-not-list", "summary-not-json", "summary-not-utf8"],
 )
 def test_malformed_file_is_domain_error(capsys, toy_files, tmp_path, command, files, error):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     csv_path, schema_path = toy_files
     argv = {
         "discrim": ["discrim", csv_path, "--schema", schema_path,
                     "--model", str(tmp_path / "model.json")],
+        "load-check": ["load-check", csv_path, "--schema", str(tmp_path / "schema.json")],
         "report": ["report", "--out-dir", str(tmp_path)],
     }[command]
     code, _, err = run(capsys, argv)

@@ -62,6 +62,16 @@ def test_schema_rejects_label_among_features():
         FeatureSchema((("y", "numeric"),), None, "y", "1")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("label", ["decision"]), ("positive_label", None), ("positive_label", 1), ("sensitive", 5)],
+    ids=["label-list", "positive-label-null", "positive-label-number", "sensitive-number"],
+)
+def test_schema_json_fields_must_be_strings(toy_schema, field, value):
+    with pytest.raises(SchemaMismatch, match=f"schema field {field} is"):
+        FeatureSchema.from_json({**toy_schema.to_json(), field: value})
+
+
 # --- loading and encoding ---------------------------------------------------
 
 def test_toy_loads_with_expected_encoding(toy):

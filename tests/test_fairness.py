@@ -377,8 +377,8 @@ def test_pool_memory_is_bounded_by_the_block(tmp_path):
     small, large = d.subset(np.arange(500)), d  # 100k and 400k pairs
     (peak_s, draws_s), (peak_l, draws_l) = (_peak_and_draw_bytes(m, sub, cfg) for sub in (small, large))
     over_s, over_l = peak_s - draws_s, peak_l - draws_l
-    # beyond the draws: one block's buffers and activations, about 15 MB at
-    # 16/8 hidden units, and the per-pair flips
+    # beyond the draws: one block's buffers and activations, and the per-pair
+    # flips; 1.8 and 2.1 MB here at 4,096 rows, 16/8 hidden units and width 10
     bound = model.PREDICT_BLOCK_ROWS * 1024
     assert over_s < bound and over_l < bound, (over_s, over_l)
     dense_s, dense_l = (

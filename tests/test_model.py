@@ -10,6 +10,7 @@ training does not: criterion 05's leave-one-out oracle retrains through it.
 """
 
 import hashlib
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -232,6 +233,42 @@ def test_extreme_logits_are_stable():
     p = predict_proba(m, np.zeros((1, dim)))
     assert p[0, 1] == pytest.approx(1.0 - 2.061153622438558e-09, rel=1e-6)
     assert np.isfinite(p).all()
+
+
+# --- blocked prediction -----------------------------------------------------
+
+def test_mean_loss_does_not_depend_on_the_block_size(monkeypatch):
+    import fairtrim.model
+
+    m, X, y = random_problem(6, n=53)  # blocks of 7 leave a short last block of 4
+    losses = {}
+    for block in (7, len(X) + 1):
+        monkeypatch.setattr(fairtrim.model, "PREDICT_BLOCK_ROWS", block)
+        losses[block] = mean_loss(m, X, y)
+    assert losses[7] == losses[len(X) + 1]
+
+
+def test_predict_builds_one_workspace_per_call(monkeypatch):
+    import fairtrim.model
+
+    built = []
+
+    class CountedWorkspace(fairtrim.model._Workspace):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    m, X, _ = random_problem(7, n=30)
+    masked = fairtrim.model.FeatureMaskedModel(
+        inner=random_problem(8, dim=3)[0], keep=np.array([0, 2, 4]), input_dim=5
+    )
+    whole = {name: predict_proba(mm, X) for name, mm in (("plain", m), ("masked", masked))}
+    monkeypatch.setattr(fairtrim.model, "_Workspace", CountedWorkspace)
+    monkeypatch.setattr(fairtrim.model, "PREDICT_BLOCK_ROWS", 7)  # 5 blocks, the last short
+    for name, mm in (("plain", m), ("masked", masked)):
+        built.clear()
+        assert predict_proba(mm, X).tobytes() == whole[name].tobytes()
+        assert len(built) == 1, name
 
 
 # --- gradient oracle --------------------------------------------------------
@@ -590,6 +627,25 @@ def test_load_rejects_foreign_json(tmp_path):
     p = tmp_path / "x.json"
     p.write_text('{"hello": 1}')
     with pytest.raises(DimensionMismatch):
+        load_model(p)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("hidden1", 0, "hidden1 0, not a layer size"),
+     ("input_dim", -3, "input_dim -3, not a layer size"),
+     ("theta", ["0.123"] * 11, "theta that is not a list of JSON numbers"),
+     ("theta", [True] * 11, "theta that is not a list of JSON numbers"),
+     ("theta", "0.123", "theta that is not a list of JSON numbers")],
+    ids=["hidden1-zero", "input-dim-negative", "theta-numeric-strings", "theta-bools",
+         "theta-string"],
+)
+def test_load_names_the_malformed_field(tmp_path, field, value, message):
+    obj = {"format": "fairtrim-model", "version": 1, "activation": "tanh", "input_dim": 4,
+           "hidden1": 1, "hidden2": 1, "final_train_loss": None, "theta": [0.0] * 11}
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps({**obj, field: value}))
+    with pytest.raises(DimensionMismatch, match=message):
         load_model(p)
 
 
