@@ -31,7 +31,6 @@ from .influence import (
     rank_by_influence,
 )
 from .model import (
-    FeatureMaskedModel,
     Hyperparameters,
     Model,
     load_model,
@@ -48,7 +47,6 @@ __all__ = [
     "DebiasReport",
     "ExperimentResult",
     "FairtrimError",
-    "FeatureMaskedModel",
     "FeatureSchema",
     "GridSpec",
     "Hyperparameters",

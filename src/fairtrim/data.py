@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     EmptyDataset,
+    FairtrimError,
     LabelError,
     ParseError,
     RangeError,
@@ -112,13 +113,35 @@ class FeatureSchema:
             raise SchemaMismatch(f"malformed schema JSON: {exc}") from exc
 
 
+def read_json(path: str | Path, error: type[FairtrimError]):
+    """The value of a UTF-8 JSON file; text that is not UTF-8 or not JSON, or
+    that nests deeper than the decoder's recursion limit, raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # ValueError: a JSON or a UTF-8 decode error
+        raise error(f"{path} is not UTF-8 JSON: {exc}") from exc
+
+
+def read_csv(
+    path: str | Path, error: type[FairtrimError]
+) -> tuple[tuple[str, ...] | None, list[tuple[str, ...]]]:
+    """(header, rows) of a UTF-8 CSV file, each a tuple of cells, in one pass.
+
+    The header is None for an empty file. Text that is not UTF-8, or that the
+    csv module refuses (a field over its size limit), raises ``error``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            return None if header is None else tuple(header), [tuple(r) for r in reader]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"{path} is not UTF-8 CSV: {exc}") from exc
+
+
 def load_schema(path: str | Path) -> FeatureSchema:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise SchemaMismatch(f"schema file {path} is not valid JSON: {exc}") from exc
-    return FeatureSchema.from_json(obj)
+    return FeatureSchema.from_json(read_json(path, SchemaMismatch))
 
 
 @dataclass(frozen=True)
@@ -255,7 +278,7 @@ class Dataset:
 
     def to_csv(self, path: str | Path) -> None:
         """Write raw rows with original values, prefixed by row_id."""
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(("row_id",) + self.raw_header)
             for rid, row in zip(self.row_ids, self.raw_rows):
@@ -263,13 +286,9 @@ class Dataset:
 
 
 def load_dataset(path: str | Path, schema: FeatureSchema) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise EmptyDataset(f"{path} has no header row") from None
-        rows = [tuple(r) for r in reader]
+    header, rows = read_csv(path, ParseError)
+    if header is None:
+        raise EmptyDataset(f"{path} has no header row")
 
     expected = set(schema.feature_names) | {schema.label}
     got = set(header)

@@ -93,7 +93,7 @@ class DebiasReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2)
 
 

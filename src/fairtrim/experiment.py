@@ -3,8 +3,9 @@
 Per grid config (hidden sizes x batch size x split permutation seed):
 
 * ``full``: trained on the train split as-is;
-* ``sr``:   trained after dropping the sensitive column, evaluated through a
-            feature mask so it lives in the original space;
+* ``sr``:   trained after dropping the sensitive column, then widened by
+            ``mask_sensitive`` to the original space with zero weights on
+            the sensitive columns;
 * ``ours``: trained on the debiased train split (influence-ranked removal).
 
 ``full`` is the model the removal loop starts from and ``ours`` the one it
@@ -36,14 +37,14 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import groupby, product
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, drop_sensitive, split
+from .data import Dataset, SplitSpec, drop_sensitive, read_csv, read_json, split
 from .debias import DebiasConfig, debias_group
 from .errors import EmptyResult, MalformedReport, RangeError, require_integers
 from .fairness import SimilarityConfig, accuracy_and_parity, estimate_discrim
@@ -79,9 +80,9 @@ class GridSpec:
     Every setting a config passes on takes the library's default from the
     class that owns it (SplitSpec, Hyperparameters, SimilarityConfig,
     SolverConfig, DebiasConfig), so a grid run and a single ``debias`` run
-    agree unless told otherwise. ``loop`` is the DebiasConfig every config
-    passes on, but for its own hp and pool seed; it is built with the spec,
-    so a bad loop or pool setting fails before anything trains.
+    agree unless told otherwise. ``loop`` builds the DebiasConfig of a shape;
+    the spec builds every axis shape's at construction, so a bad loop, pool
+    or axis setting fails before anything trains.
     ``train_fraction`` is no setting but SplitSpec's, the split every config uses.
     """
 
@@ -100,7 +101,6 @@ class GridSpec:
     freeze_pool: bool = DebiasConfig.freeze_pool
     base_seed: int = 0
     workers: int = 1
-    loop: DebiasConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.hidden1_choices and self.hidden2_choices and self.permutation_seeds
@@ -115,23 +115,26 @@ class GridSpec:
             raise RangeError("workers must be >= 1")
         if self.base_seed < 0:
             raise RangeError(f"base_seed must be >= 0, got {self.base_seed}")
-        object.__setattr__(self, "loop", DebiasConfig(
+        # every axis value passes its owning class's checks now, not when its
+        # shape group starts after the earlier groups have trained; derived
+        # batch sizes are powers of two, so 1 stands in for them
+        for shape in product(self.hidden1_choices, self.hidden2_choices, self.batch_sizes or (1,)):
+            self.loop(*shape)
+        for seed in self.permutation_seeds:
+            SplitSpec(permutation_seed=seed, train_fraction=self.train_fraction)
+
+    def loop(self, hidden1: int, hidden2: int, batch_size: int) -> DebiasConfig:
+        """The DebiasConfig of every config of one shape; each config passes
+        it on with its own pool seed."""
+        return DebiasConfig(
             similarity=SimilarityConfig(lam=self.lam, pool_multiplier=self.pool_multiplier),
-            hp=Hyperparameters(  # the first config's; each shape group sets its own
-                hidden1=self.hidden1_choices[0], hidden2=self.hidden2_choices[0],
-                batch_size=(self.batch_sizes or (1,))[0], epochs=self.epochs,
+            hp=Hyperparameters(
+                hidden1=hidden1, hidden2=hidden2, batch_size=batch_size, epochs=self.epochs,
                 learning_rate=self.learning_rate, weight_init_seed=self.base_seed,
             ),
             solver=self.solver, chunk_percent=self.chunk_percent,
             max_chunks=self.max_chunks, freeze_pool=self.freeze_pool,
-        ))
-        # every axis value passes its owning class's checks now, not when its
-        # shape group starts after the earlier groups have trained
-        batch_sizes = self.batch_sizes or (self.loop.hp.batch_size,)
-        for h1, h2, bs in product(self.hidden1_choices, self.hidden2_choices, batch_sizes):
-            replace(self.loop.hp, hidden1=h1, hidden2=h2, batch_size=bs)
-        for seed in self.permutation_seeds:
-            SplitSpec(permutation_seed=seed, train_fraction=self.train_fraction)
+        )
 
     @classmethod
     def full_scale(cls, **overrides) -> "GridSpec":
@@ -252,8 +255,8 @@ def _phase_one(args):
     """Train full and sr and debias one shape group; ours is the reports' model.
 
     The group's configs share hidden sizes and batch size, so one stacked
-    training gives every full and sr model, and one removal loop runs
-    ``spec.loop`` with the group's hp on every config's train split, each
+    training gives every full and sr model, and one removal loop runs the
+    group's ``spec.loop`` on every config's train split, each
     with its own pool seed, from those full models.
     Returns, per config in the group's order, the report's ``outcome()``,
     the train-split size, the test split, the models and their
@@ -261,7 +264,7 @@ def _phase_one(args):
     """
     d, spec, group = args
     _, _, h1, h2, bs, _ = group[0]
-    loop = replace(spec.loop, hp=replace(spec.loop.hp, hidden1=h1, hidden2=h2, batch_size=bs))
+    loop = spec.loop(h1, h2, bs)
     splits = [
         split(d, SplitSpec(permutation_seed=ps, train_fraction=spec.train_fraction))
         for *_, ps in group
@@ -357,7 +360,7 @@ def _cell(v) -> str:
 
 def write_config_csv(result: ExperimentResult, path: str | Path) -> None:
     """One row per (config, technique), each from one field mapping."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(_CONFIG_COLUMNS)
         for r in result.records:
@@ -381,7 +384,7 @@ def write_boxplot_csv(result: ExperimentResult, path: str | Path) -> None:
                 continue
             q = np.quantile(np.asarray(vals, dtype=np.float64), [0.0, 0.25, 0.5, 0.75, 1.0])
             rows.append([tech, metric] + [repr(float(x)) for x in q])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(("technique", "metric", "min", "q1", "median", "q3", "max"))
         w.writerows(rows)
@@ -393,7 +396,7 @@ def write_summary_json(result: ExperimentResult, path: str | Path) -> None:
         "unfair_union": list(result.unfair_union),
         "picks": result.picks(),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
@@ -416,26 +419,24 @@ def summarize_reports(out_dir: str | Path) -> dict:
     configs_path = out / REPORT_FILES["configs"]
     if not summary_path.exists() or not configs_path.exists():
         raise FileNotFoundError(f"no grid reports found under {out}")
-    with open(summary_path) as fh:
-        try:
-            summary = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise MalformedReport(f"{summary_path} is not valid JSON: {exc}") from exc
+    summary = read_json(summary_path, MalformedReport)
     if not (isinstance(summary, dict) and {"picks", "unfair_union"} <= summary.keys()):
         raise MalformedReport(f"{summary_path} needs the fields picks and unfair_union")
     if not isinstance(summary["unfair_union"], list):
         raise MalformedReport(f"{summary_path}: unfair_union must be a list of row ids")
+    header, rows = read_csv(configs_path, MalformedReport)
+    if not {"technique", "discrimination"} <= set(header or ()):
+        raise MalformedReport(f"{configs_path} needs the columns technique and discrimination")
+    technique, discrimination = header.index("technique"), header.index("discrimination")
     by_technique: dict[str, list[float]] = {}
-    with open(configs_path, newline="") as fh:
-        rows = csv.DictReader(fh)
-        if not {"technique", "discrimination"} <= set(rows.fieldnames or ()):
-            raise MalformedReport(f"{configs_path} needs the columns technique and discrimination")
-        for row in rows:
-            try:
-                disc = float(row["discrimination"])
-            except (TypeError, ValueError) as exc:
-                raise MalformedReport(f"{configs_path} line {rows.line_num}: {exc}") from exc
-            by_technique.setdefault(row["technique"], []).append(disc)
+    for i, row in enumerate(rows, start=1):
+        if not row:  # a blank line
+            continue
+        try:
+            tech, disc = row[technique], float(row[discrimination])
+        except (IndexError, ValueError) as exc:
+            raise MalformedReport(f"{configs_path} row {i}: {exc}") from exc
+        by_technique.setdefault(tech, []).append(disc)
     return {
         "picks": summary["picks"],
         "unfair_union_size": len(summary["unfair_union"]),

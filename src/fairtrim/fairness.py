@@ -55,7 +55,7 @@ from .errors import (
     require_integers,
 )
 from .influence import InfluenceSet
-from .model import PREDICT_BLOCK_ROWS, predict_batch
+from .model import PREDICT_BLOCK_ROWS, Model, predict_batch
 
 _POOL_STREAM_SORT = 0
 _POOL_STREAM_ESTIMATE = 1
@@ -187,7 +187,7 @@ def _dense_blocks(pool: PairPool):
         yield pool.first[rows], 1, pool.second[rows]
 
 
-def _score(m, blocks, influence: bool = False) -> tuple[np.ndarray, InfluenceSet | None]:
+def _score(m: Model, blocks, influence: bool = False) -> tuple[np.ndarray, InfluenceSet | None]:
     """The pool-scoring loop over (seed rows, k, second rows) blocks.
 
     Pair (s, c) of a block is seed row s against second row s*k + c, and it
@@ -212,18 +212,18 @@ def _score(m, blocks, influence: bool = False) -> tuple[np.ndarray, InfluenceSet
     return flips, InfluenceSet(np.concatenate(rows), np.concatenate(labels), len(flips))
 
 
-def flip_mask(m, pool: PairPool) -> np.ndarray:
+def flip_mask(m: Model, pool: PairPool) -> np.ndarray:
     """True for each pair of ``pool`` on which ``m`` predicts different labels."""
     return _score(m, _dense_blocks(pool))[0]
 
 
-def discriminatory_pairs(m, pool: PairPool) -> PairPool:
+def discriminatory_pairs(m: Model, pool: PairPool) -> PairPool:
     """The subset of ``pool`` on which ``m`` predicts different labels."""
     flips = flip_mask(m, pool)
     return PairPool(pool.first[flips], pool.second[flips])
 
 
-def build_influence_set(m, pool: PairPool) -> InfluenceSet:
+def build_influence_set(m: Model, pool: PairPool) -> InfluenceSet:
     """Lower-confidence member of each pair of ``pool`` on which ``m``
     discriminates, with its predicted label as tentative ground truth.
     Confidence ties take the first member. The set is empty when ``m``
@@ -231,7 +231,7 @@ def build_influence_set(m, pool: PairPool) -> InfluenceSet:
     return _score(m, _dense_blocks(pool), influence=True)[1]
 
 
-def _sort_influence_set(m, d: Dataset, cfg: SimilarityConfig) -> InfluenceSet:
+def _sort_influence_set(m: Model, d: Dataset, cfg: SimilarityConfig) -> InfluenceSet:
     """``build_influence_set`` of ``d``'s sort pool (call_index None), scored
     from its draws a block at a time, for ``debias.sort_dataset``."""
     return _score(m, _pool_blocks(d, cfg, None), influence=True)[1]
@@ -247,7 +247,7 @@ def _estimate_blocks(d: Dataset, cfg: SimilarityConfig, call_index: int):
 
 
 def estimate_discrim(
-    m, d: Dataset, cfg: SimilarityConfig, call_index: int = 0
+    m: Model, d: Dataset, cfg: SimilarityConfig, call_index: int = 0
 ) -> float:
     """Fraction of a fresh synthetic pool on which ``m`` flips its prediction.
 
@@ -262,7 +262,7 @@ def estimate_discrim(
     return float(np.mean(_score(m, _estimate_blocks(d, cfg, call_index))[0]))
 
 
-def accuracy_and_parity(m, d: Dataset) -> tuple[float, float | None]:
+def accuracy_and_parity(m: Model, d: Dataset) -> tuple[float, float | None]:
     """Accuracy of ``m`` on ``d`` and its statistical parity difference, from
     one prediction of the rows. Parity is None when ``d`` carries no group
     metadata or has no rows of one group."""
@@ -280,11 +280,11 @@ def accuracy_and_parity(m, d: Dataset) -> tuple[float, float | None]:
     return acc, abs(rate0 - rate1)
 
 
-def accuracy(m, d: Dataset) -> float:
+def accuracy(m: Model, d: Dataset) -> float:
     return accuracy_and_parity(m, d)[0]
 
 
-def statistical_parity_difference(m, d: Dataset) -> float:
+def statistical_parity_difference(m: Model, d: Dataset) -> float:
     """Absolute gap in positive-prediction rate between the two groups."""
     if d.group_values is None or d.sensitive_categories is None:
         raise SensitiveAbsent("dataset carries no sensitive-group metadata")
@@ -296,7 +296,7 @@ def statistical_parity_difference(m, d: Dataset) -> float:
     return accuracy_and_parity(m, d)[1]
 
 
-def metrics_report(m, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) -> dict:
+def metrics_report(m: Model, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) -> dict:
     """Discrimination, accuracy, and (when group metadata exists) parity.
     The pool is scored from its draws a block at a time, as in
     ``estimate_discrim``."""

@@ -169,7 +169,7 @@ class InfluenceRanking:
         return tuple(e.row_id for e in self.entries)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(("rank", "row_id", "score"))
             for rank, e in enumerate(self.entries, start=1):
@@ -186,7 +186,7 @@ class InfluenceRanking:
 
     def save_diagnostics(self, path: str | Path) -> None:
         obj = {"method": CG, "damping": self.damping, **self.solve_health()}
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2)
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, kept_columns_after_drop
+from .data import Dataset, kept_columns_after_drop, read_json
 from .errors import DimensionMismatch, EmptyDataset, RangeError, is_integer, require_integers
 
 N_CLASSES = 2
@@ -135,36 +136,31 @@ class Model:
         return _unpack(self.theta, self.input_dim, self.hidden1, self.hidden2)
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureMaskedModel:
-    """Predicts on full-width vectors by selecting the columns ``inner`` saw.
+def mask_sensitive(inner: Model, original: Dataset) -> Model:
+    """A model trained after drop_sensitive(original), widened to original's columns.
 
-    Built for models retrained after drop_sensitive: the wrapper lives in the
-    original feature space, so it can be evaluated on the same synthetic pools
-    as unmasked models while provably ignoring the masked columns.
+    Its first-layer weight rows at the kept columns are ``inner``'s and its
+    rows at the sensitive one-hot are zero; every other layer and the final
+    loss are ``inner``'s. A sensitive column then adds exactly 0 to every
+    unit, so flipping the one-hot changes no probability bit, and the model
+    scores the same full-width pools as unmasked models.
     """
-
-    inner: Model
-    keep: np.ndarray  # indices into full-width vectors
-    input_dim: int  # full width
-
-    def __post_init__(self):
-        if self.inner.input_dim != self.keep.size:
-            raise DimensionMismatch(
-                f"mask keeps {self.keep.size} columns but inner model "
-                f"expects {self.inner.input_dim}"
-            )
-        self.keep.setflags(write=False)
-
-
-def mask_sensitive(inner: Model, original: Dataset) -> FeatureMaskedModel:
-    """Wrap a model trained after drop_sensitive(original)."""
-    return FeatureMaskedModel(
-        inner=inner, keep=kept_columns_after_drop(original), input_dim=original.width
-    )
+    keep = kept_columns_after_drop(original)
+    if inner.input_dim != keep.size:
+        raise DimensionMismatch(
+            f"mask keeps {keep.size} columns but inner model expects {inner.input_dim}"
+        )
+    h1, h2 = inner.hidden1, inner.hidden2
+    theta = np.zeros(param_count(original.width, h1, h2))
+    W1, *rest = _unpack(theta, original.width, h1, h2)
+    V1, *inner_rest = inner.unpack()
+    W1[keep] = V1
+    for W, V in zip(rest, inner_rest):
+        W[...] = V
+    return Model(original.width, h1, h2, theta, final_train_loss=inner.final_train_loss)
 
 
-def _check_features(m, X: np.ndarray) -> np.ndarray:
+def _check_features(m: Model, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.input_dim:
         raise DimensionMismatch(
@@ -296,22 +292,20 @@ def _forward(ws: _Workspace, X) -> _Activations:
     return f
 
 
-def _logp_blocks(m, X: np.ndarray):
+def _logp_blocks(m: Model, X: np.ndarray):
     """(rows, class log-probabilities) of checked X, PREDICT_BLOCK_ROWS rows at a time.
 
     One workspace serves every block of the call, so its buffers (one set for
     full blocks, one for a short last block) are allocated once; a block's
     log-probabilities are valid until the next block is made.
     """
-    inner, keep = (m.inner, m.keep) if isinstance(m, FeatureMaskedModel) else (m, None)
-    ws = _workspace(inner)
+    ws = _workspace(m)
     for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
-        block = X[rows] if keep is None else X[rows, keep]
-        yield rows, _forward(ws, (block,)).logp
+        yield rows, _forward(ws, (X[rows],)).logp
 
 
-def predict_proba(m, X: np.ndarray) -> np.ndarray:
+def predict_proba(m: Model, X: np.ndarray) -> np.ndarray:
     """(n, 2) class probabilities, computed PREDICT_BLOCK_ROWS rows at a time."""
     X = _check_features(m, X)
     p = np.empty((X.shape[0], N_CLASSES))
@@ -320,7 +314,7 @@ def predict_proba(m, X: np.ndarray) -> np.ndarray:
     return p
 
 
-def predict_batch(m, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(m: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predicted labels and winning-class probabilities (confidence >= 0.5).
 
     With two classes the label is one comparison, class 1 only where it
@@ -648,20 +642,18 @@ def save_model(m: Model, path: str | Path) -> None:
         "final_train_loss": m.final_train_loss,
         "theta": m.theta.tolist(),  # repr-exact floats, round-trips bitwise
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
 
 
 def _is_json_number(value) -> bool:
-    return type(value) in (int, float)
+    """A JSON number float64 holds: not true or "0.123", which numpy would read
+    as numbers, nor an integer past float64's range, which it cannot read."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def load_model(path: str | Path) -> Model:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise DimensionMismatch(f"model file {path} is not valid JSON: {exc}") from exc
+    obj = read_json(path, DimensionMismatch)
     if not (
         isinstance(obj, dict)
         and obj.get("format") == MODEL_FORMAT
@@ -680,9 +672,10 @@ def load_model(path: str | Path) -> Model:
         if size < 1:
             raise DimensionMismatch(f"{path} has {name} {size}, not a layer size >= 1")
     theta = obj.get("theta")
-    # not "0.123" or true, which numpy would read as numbers
     if not (isinstance(theta, list) and all(_is_json_number(v) for v in theta)):
-        raise DimensionMismatch(f"{path} has a theta that is not a list of JSON numbers")
+        raise DimensionMismatch(
+            f"{path} has a theta that is not a list of JSON numbers in float64's range"
+        )
     try:
         m = Model(
             *sizes,

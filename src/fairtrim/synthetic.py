@@ -84,10 +84,10 @@ def write_loans(
 ) -> list[int]:
     """Write the biased loans CSV + schema JSON; returns flipped row ids."""
     header, rows, flipped = make_loans_rows(n, seed=seed, flip_rate=flip_rate)
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    with open(schema_path, "w") as fh:
+    with open(schema_path, "w", encoding="utf-8") as fh:
         json.dump(loans_schema().to_json(), fh, indent=2)
     return flipped

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fairtrim
+from conftest import TOY_CSV
 from fairtrim.cli import main
 from fairtrim.model import Model, load_model, param_count, save_model
 from fairtrim.synthetic import write_loans
@@ -317,6 +318,8 @@ def schema_json(**fields):
 
 
 NOT_UTF8 = b"\xff\xfe\x00{"  # a UTF-16 byte-order mark: no UTF-8 text
+TOY_BYTES = TOY_CSV.read_bytes()
+HEADER = b"income,wealth,race,decision\n"
 
 
 def test_schema_json_fits_the_toy(capsys, toy_files, tmp_path):
@@ -345,6 +348,11 @@ def test_schema_json_fits_the_toy(capsys, toy_files, tmp_path):
         ("load-check", {"schema.json": schema_json(label=["decision"])}, "SchemaMismatch"),
         ("load-check", {"schema.json": schema_json(positive_label=None)}, "SchemaMismatch"),
         ("load-check", {"schema.json": NOT_UTF8}, "SchemaMismatch"),
+        ("load-check", {"schema.json": "[" * 100_000 + "]" * 100_000}, "SchemaMismatch"),
+        ("load-check", {"data.csv": TOY_BYTES[:40] + b"\xff" + TOY_BYTES[41:]}, "ParseError"),
+        # over the csv module's default field size limit of 131,072 characters
+        ("load-check", {"data.csv": HEADER + b"1" * 131_073 + b",0.1,white,approved\n"},
+         "ParseError"),
         ("report", {"summary.json": '{"unfair_union": []}',
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
         ("report", {"summary.json": '{"picks": {}, "unfair_union": []}',
@@ -357,14 +365,18 @@ def test_schema_json_fits_the_toy(capsys, toy_files, tmp_path):
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
         ("report", {"summary.json": NOT_UTF8,
                     "configs.csv": "technique,discrimination\n"}, "MalformedReport"),
+        ("report", {"summary.json": '{"picks": {}, "unfair_union": []}',
+                    "configs.csv": NOT_UTF8}, "MalformedReport"),
     ],
     ids=["model-list", "model-not-json", "model-no-input-dim", "model-relu",
          "model-theta-strings", "model-input-dim-word", "model-input-dim-fraction",
          "model-hidden1-bool", "model-theta-nan", "model-loss-word",
          "model-theta-numeric-strings", "model-hidden1-zero", "model-not-utf8",
          "schema-label-list", "schema-positive-label-null", "schema-not-utf8",
+         "schema-nested-too-deep",
+         "data-not-utf8", "data-field-over-limit",
          "summary-no-picks", "configs-no-columns", "configs-non-numeric-discrimination",
-         "summary-union-not-list", "summary-not-json", "summary-not-utf8"],
+         "summary-union-not-list", "summary-not-json", "summary-not-utf8", "configs-not-utf8"],
 )
 def test_malformed_file_is_domain_error(capsys, toy_files, tmp_path, command, files, error):
     for name, content in files.items():
@@ -372,11 +384,15 @@ def test_malformed_file_is_domain_error(capsys, toy_files, tmp_path, command, fi
             (tmp_path / name).write_bytes(content)
         else:
             (tmp_path / name).write_text(content)
-    csv_path, schema_path = toy_files
+    # the toy's own file wherever the case writes none
+    csv_path, schema_path = (
+        str(tmp_path / name) if name in files else toy
+        for name, toy in zip(("data.csv", "schema.json"), toy_files)
+    )
     argv = {
         "discrim": ["discrim", csv_path, "--schema", schema_path,
                     "--model", str(tmp_path / "model.json")],
-        "load-check": ["load-check", csv_path, "--schema", str(tmp_path / "schema.json")],
+        "load-check": ["load-check", csv_path, "--schema", schema_path],
         "report": ["report", "--out-dir", str(tmp_path)],
     }[command]
     code, _, err = run(capsys, argv)
@@ -396,14 +412,14 @@ def test_unknown_command_rejected():
     assert exc.value.code == 2
 
 
-def run_child(argv):
-    """Run ``argv`` under this interpreter; the child finds the package where
-    this process imported it from."""
+def run_child(argv, **env):
+    """Run ``argv`` under this interpreter, with ``env`` added to the
+    environment; the child finds the package where this process imported it from."""
     src = str(Path(fairtrim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -412,6 +428,26 @@ def test_module_invocation_subprocess(toy_files):
     proc = run_child(["-m", "fairtrim.cli", "load-check", csv_path, "--schema", schema_path])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"] == 7
+
+
+def test_files_are_utf8_under_the_c_locale(capsys, toy_files, tmp_path):
+    # the toy with a non-ASCII column name and category, which sort as the toy's do
+    csv_path, schema_path = tmp_path / "loans.csv", tmp_path / "loans.schema.json"
+    for path, toy in zip((csv_path, schema_path), toy_files):
+        text = Path(toy).read_text(encoding="utf-8")
+        path.write_text(
+            text.replace("wealth", "patrimonio-ñ").replace("white", "blanco-ñ"), encoding="utf-8"
+        )
+    flags = ["debias", str(csv_path), "--schema", str(schema_path), "--seed", "3", *FAST]
+    run_json(capsys, [*flags, "--out-dir", str(tmp_path / "here")])
+    # the locale's encoding is ASCII, and Python's UTF-8 mode is off
+    proc = run_child(["-m", "fairtrim.cli", *flags, "--out-dir", str(tmp_path / "child")],
+                     LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert proc.returncode == 0, proc.stderr
+    for name in ("debiased.csv", "debias_report.json"):
+        here = (tmp_path / "here" / name).read_bytes()
+        assert (tmp_path / "child" / name).read_bytes() == here
+    assert "blanco-ñ".encode() in (tmp_path / "here" / "debiased.csv").read_bytes()
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

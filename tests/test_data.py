@@ -303,3 +303,39 @@ def test_drop_sensitive_middle_column(tmp_path):
     assert dropped.width == 2
     np.testing.assert_allclose(dropped.encoded, [[0.0, 0.0], [1.0, 1.0]])
     assert kept_columns_after_drop(d).tolist() == [0, 3]
+
+
+# --- typed errors -----------------------------------------------------------
+
+def _load_text(tmp_path, toy, text):
+    (tmp_path / "r.csv").write_text(text)
+    return load_dataset(tmp_path / "r.csv", toy.schema)
+
+
+# each raise that no other test reaches, as (call on the toy and a tmp dir, error)
+DATA_ERRORS = {
+    "schema-no-columns": (
+        lambda toy, tmp: FeatureSchema((), None, "decision", "approved"), SchemaMismatch),
+    "schema-sensitive-not-a-column": (
+        lambda toy, tmp: FeatureSchema((("income", "numeric"),), "race", "decision", "approved"),
+        SchemaMismatch),
+    "csv-no-header": (lambda toy, tmp: _load_text(tmp, toy, ""), EmptyDataset),
+    "csv-duplicate-header": (
+        lambda toy, tmp: _load_text(
+            tmp, toy, "income,wealth,race,race,decision\n1,1,white,white,approved\n"),
+        SchemaMismatch),
+    "csv-ragged-row": (
+        lambda toy, tmp: _load_text(tmp, toy, "income,wealth,race,decision\n1,1,white\n"),
+        ParseError),
+    "split-empty": (lambda toy, tmp: split(toy.subset([]), SplitSpec(0)), EmptyDataset),
+    "codec-unknown-column": (lambda toy, tmp: toy.encoding.codec("age"), SchemaMismatch),
+    "sensitive-block-after-drop": (
+        lambda toy, tmp: drop_sensitive(toy).sensitive_block, SensitiveAbsent),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_ERRORS))
+def test_typed_errors(toy, tmp_path, case):
+    call, error = DATA_ERRORS[case]
+    with pytest.raises(error):
+        call(toy, tmp_path)

@@ -376,3 +376,20 @@ def test_group_member_is_its_own_debias_data(loans_splits):
         assert report.to_json() == alone.to_json()
         assert out.row_ids.tolist() == alone_out.row_ids.tolist()
         assert report.model.theta.tobytes() == alone.model.theta.tobytes()
+
+
+# --- typed errors -----------------------------------------------------------
+
+# the loop settings' typed errors, as (settings, error)
+DEBIAS_ERRORS = {
+    "max-chunks-zero": (dict(max_chunks=0), RangeError),
+    "max-chunks-fraction": (dict(max_chunks=1.5), RangeError),
+    "chunk-percent-over-100": (dict(chunk_percent=100.5), RangeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEBIAS_ERRORS))
+def test_typed_errors(case):
+    fields, error = DEBIAS_ERRORS[case]
+    with pytest.raises(error):
+        stub_cfg(**fields)

@@ -29,7 +29,7 @@ from fairtrim.experiment import (
 )
 from fairtrim.fairness import SimilarityConfig
 from fairtrim.influence import SolverConfig
-from fairtrim.model import Hyperparameters, train
+from fairtrim.model import Hyperparameters, mask_sensitive, train
 from fairtrim.synthetic import loans_schema, write_loans
 
 
@@ -292,15 +292,16 @@ def test_phase_one_full_and_sr_models_are_their_own_trainings(tmp_path):
     assert d.sensitive_block.start == 0
     spec = tiny_spec(max_chunks=1)
     configs = _enumerate_configs(d, spec)
-    hp = replace(spec.loop.hp, hidden1=6, hidden2=3, batch_size=16)
+    hp = spec.loop(6, 3, 16).hp
     for (*_, ps), (_, _, _, models, _) in zip(configs, _phase_one((d, spec, configs))):
         tr, _ = split(d, SplitSpec(ps, train_fraction=spec.train_fraction))
-        full, sr = train(tr, hp), train(drop_sensitive(tr), hp)
+        full, sr = train(tr, hp), mask_sensitive(train(drop_sensitive(tr), hp), tr)
         assert models["full"].theta.tobytes() == full.theta.tobytes()
         assert models["full"].final_train_loss == full.final_train_loss
-        assert models["sr"].inner.theta.tobytes() == sr.theta.tobytes()
-        assert models["sr"].inner.final_train_loss == sr.final_train_loss
-        assert models["sr"].keep.tolist() == list(range(2, d.width))
+        assert models["sr"].theta.tobytes() == sr.theta.tobytes()
+        assert models["sr"].final_train_loss == sr.final_train_loss
+        W1 = models["sr"].unpack()[0]
+        assert not W1[d.sensitive_block].any()  # zero rows at the sensitive one-hot
 
 
 def test_shape_groups_cut_seeds_only_for_idle_workers(small):

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from fairtrim import debias, fairness, model
 from fairtrim.data import drop_sensitive, load_dataset
-from fairtrim.errors import AlreadyFair, MissingGroup, RangeError, SensitiveAbsent
+from fairtrim.errors import (
+    AlreadyFair,
+    DimensionMismatch,
+    EmptyDataset,
+    MissingGroup,
+    RangeError,
+    SensitiveAbsent,
+)
 from fairtrim.fairness import (
     PairPool,
     SimilarityConfig,
@@ -387,3 +395,27 @@ def test_pool_memory_is_bounded_by_the_block(tmp_path):
     # no dense pool is built: the 400k-pair estimate stays well under its 64 MB
     assert peak_l < 0.6 * dense_l, (peak_l, dense_l)
     assert over_l - over_s < (dense_l - dense_s) / 16, (over_s, over_l)
+
+
+# --- typed errors -----------------------------------------------------------
+
+# each raise that no other test reaches, as (call on the toy and its model, error)
+FAIRNESS_ERRORS = {
+    "pair-pool-shapes": (
+        lambda toy, m: PairPool(toy.encoded[:2], toy.encoded[:1]), DimensionMismatch),
+    "parity-without-groups": (
+        lambda toy, m: statistical_parity_difference(m, replace(toy, group_values=None)),
+        SensitiveAbsent),
+    "parity-empty": (
+        lambda toy, m: statistical_parity_difference(m, toy.subset([])), EmptyDataset),
+    "accuracy-empty": (lambda toy, m: accuracy(m, toy.subset([])), EmptyDataset),
+    "pool-from-empty-dataset": (
+        lambda toy, m: estimate_discrim(m, toy.subset([]), SimilarityConfig()), EmptyDataset),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIRNESS_ERRORS))
+def test_typed_errors(toy, trained, case):
+    call, error = FAIRNESS_ERRORS[case]
+    with pytest.raises(error):
+        call(toy, trained)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fairtrim.data import load_dataset
-from fairtrim.errors import DimensionMismatch, EmptyInfluenceSet, NotPositiveDefinite, RangeError
+from fairtrim.errors import (
+    DimensionMismatch,
+    EmptyDataset,
+    EmptyInfluenceSet,
+    NotPositiveDefinite,
+    RangeError,
+)
 from fairtrim.debias import sort_dataset
 from fairtrim.fairness import SimilarityConfig
 import fairtrim.influence
@@ -287,3 +293,24 @@ def test_ranking_solves_once_whatever_the_set_size(monkeypatch, trained, toy):
             "logit_gap_jacobian": 1, "conjugate_gradient": 1, "per_example_grads": 0
         }
     assert len(sizes) == 2  # the two sets really differ in size
+
+
+# --- typed errors -----------------------------------------------------------
+
+# each raise that no other test reaches, as (call on the toy and its model, error)
+INFLUENCE_ERRORS = {
+    "cg-max-iter-zero": (lambda toy, m: SolverConfig(cg_max_iter=0), RangeError),
+    "empty-training-set": (
+        lambda toy, m: rank_by_influence(
+            InfluenceSet(toy.encoded[:1], toy.labels[:1], 1), toy.subset([]), m, SolverConfig()),
+        EmptyDataset),
+    "influence-set-shapes": (
+        lambda toy, m: InfluenceSet(toy.encoded[:2], toy.labels[:1], 2), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFLUENCE_ERRORS))
+def test_typed_errors(toy, trained, case):
+    call, error = INFLUENCE_ERRORS[case]
+    with pytest.raises(error):
+        call(toy, trained)

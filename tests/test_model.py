@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtrim.data import SplitSpec, load_dataset, split
+from fairtrim.data import SplitSpec, drop_sensitive, load_dataset, split
 from fairtrim.errors import DimensionMismatch, EmptyDataset, RangeError
 from fairtrim.model import (
     _SHUFFLE_STREAM,
@@ -259,16 +259,11 @@ def test_predict_builds_one_workspace_per_call(monkeypatch):
             super().__init__(*args, **kwargs)
 
     m, X, _ = random_problem(7, n=30)
-    masked = fairtrim.model.FeatureMaskedModel(
-        inner=random_problem(8, dim=3)[0], keep=np.array([0, 2, 4]), input_dim=5
-    )
-    whole = {name: predict_proba(mm, X) for name, mm in (("plain", m), ("masked", masked))}
+    whole = predict_proba(m, X)
     monkeypatch.setattr(fairtrim.model, "_Workspace", CountedWorkspace)
     monkeypatch.setattr(fairtrim.model, "PREDICT_BLOCK_ROWS", 7)  # 5 blocks, the last short
-    for name, mm in (("plain", m), ("masked", masked)):
-        built.clear()
-        assert predict_proba(mm, X).tobytes() == whole[name].tobytes()
-        assert len(built) == 1, name
+    assert predict_proba(m, X).tobytes() == whole.tobytes()
+    assert len(built) == 1
 
 
 # --- gradient oracle --------------------------------------------------------
@@ -666,6 +661,39 @@ def test_masked_model_ignores_masked_columns(toy):
     np.testing.assert_array_equal(conf_a, conf_b)
 
 
+@pytest.mark.parametrize("hidden1", [1, 4, 16])
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_masked_model_is_a_plain_model_blind_to_the_sensitive_columns(
+    tmp_path, monkeypatch, position, hidden1
+):
+    import fairtrim.model
+    from fairtrim.data import drop_sensitive, kept_columns_after_drop
+
+    columns = [c for c in loans_schema().columns if c[0] != "group"]
+    columns.insert({"first": 0, "middle": 2, "last": len(columns)}[position],
+                   ("group", "categorical"))
+    write_loans(tmp_path / "d.csv", tmp_path / "s.json", n=60, seed=0, flip_rate=0.5)
+    d = load_dataset(tmp_path / "d.csv", replace(loans_schema(), columns=tuple(columns)))
+    inner = train(drop_sensitive(d), Hyperparameters(hidden1, 3, 16, epochs=30))
+    sr = mask_sensitive(inner, d)
+    assert isinstance(sr, Model) and sr.input_dim == d.width
+    rng = np.random.default_rng(hidden1)
+    X = rng.random((33, d.width))
+    X[:, d.sensitive_block] = np.eye(2)[rng.integers(0, 2, size=33)]
+    flipped = X.copy()
+    flipped[:, d.sensitive_block] = X[:, d.sensitive_block][:, ::-1]
+    keep = kept_columns_after_drop(d)
+    monkeypatch.setattr(fairtrim.model, "PREDICT_BLOCK_ROWS", 16)  # blocks of 16, 16 and 1 rows
+    p = predict_proba(sr, X)
+    np.testing.assert_array_equal(predict_batch(sr, X)[0], predict_batch(inner, X[:, keep])[0])
+    np.testing.assert_allclose(p, predict_proba(inner, X[:, keep]), rtol=0, atol=1e-12)
+    assert predict_proba(sr, flipped).tobytes() == p.tobytes()
+    save_model(sr, tmp_path / "sr.json")
+    loaded = load_model(tmp_path / "sr.json")
+    assert loaded.theta.tobytes() == sr.theta.tobytes()
+    assert loaded.final_train_loss == sr.final_train_loss == inner.final_train_loss
+
+
 def test_masked_model_width_check(toy):
     from fairtrim.data import drop_sensitive
 
@@ -674,3 +702,33 @@ def test_masked_model_width_check(toy):
     wrapped = mask_sensitive(inner, toy)
     with pytest.raises(DimensionMismatch):
         predict_batch(wrapped, toy.encoded[:, :3])
+
+
+# --- typed errors -----------------------------------------------------------
+
+def _load_obj(tmp_path, obj):
+    (tmp_path / "model.json").write_text(json.dumps(obj))
+    return load_model(tmp_path / "model.json")
+
+
+# each raise that no other test reaches, as (call on the toy and a tmp dir, error)
+MODEL_ERRORS = {
+    "negative-epochs": (lambda toy, tmp: Hyperparameters(4, 3, 2, epochs=-1), RangeError),
+    "hvp-wrong-length": (
+        lambda toy, tmp: hvp(random_problem(0)[0], np.zeros(3), random_problem(0)[1:]),
+        DimensionMismatch),
+    "model-file-without-final-loss": (
+        lambda toy, tmp: _load_obj(tmp, {
+            "format": "fairtrim-model", "version": 1, "activation": "tanh", "input_dim": 4,
+            "hidden1": 1, "hidden2": 1, "theta": [0.0] * 11}),
+        DimensionMismatch),
+    "mask-wrong-width-inner": (
+        lambda toy, tmp: mask_sensitive(random_problem(0, dim=3)[0], toy), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_ERRORS))
+def test_typed_errors(toy, tmp_path, case):
+    call, error = MODEL_ERRORS[case]
+    with pytest.raises(error):
+        call(toy, tmp_path)
