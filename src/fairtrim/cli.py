@@ -3,7 +3,8 @@
 Every subcommand prints a JSON object on stdout and exits 0 on success: each
 ``cmd_*`` returns that object and ``main`` prints it.
 Expected failures print one JSON object {"error": <type>, "message": ...} on
-stderr and exit 2 (domain errors) or 1 (file/OS errors).
+stderr and exit 2 (domain errors) or 1 (file/OS errors, and a request too
+large to allocate, as "MemoryError").
 
 Each subcommand accepts only the flags it reads, drawn from the groups in
 ``_FLAG_GROUPS``. All but report take the dataset and --schema. train adds
@@ -257,8 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         obj = _COMMANDS[args.command][0](args)
-    except (FairtrimError, OSError, ValueError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+    except (FairtrimError, OSError, ValueError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; name the public class
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2 if isinstance(exc, FairtrimError) else 1
     json.dump(obj, sys.stdout, indent=2)

@@ -22,17 +22,19 @@ PREDICT_BLOCK_ROWS*w*8 bytes at encoded width w. Scoring a block adds one
 block's activations (about 0.9 MB at 16/8 hidden units); beyond that the
 run path keeps per-pair flips (and, for the sort pool, the influence set).
 Only ``generate_similar_pairs`` builds a dense pool: N pairs take 2*N*w*8
-bytes. Scoring one (``flip_mask``, ``build_influence_set``) adds only a
-transient set by PREDICT_BLOCK_ROWS.
+bytes. Scoring one (``discriminatory_pairs``, ``build_influence_set``) adds
+only a transient set by PREDICT_BLOCK_ROWS.
 
-Determinism: a pool is one random stream, keyed on (rng_seed, 0) for the
-sort pool (call_index None) and on (rng_seed, 1, call_index) otherwise,
-read in order: first one draw per seed for each codec in encoding-layout
-order (a uniform for a numeric, a category code for a categorical), then,
-at lam > 0, n_seeds*k drift uniforms u for each numeric codec in turn,
-pair s*k + c being companion c of seed s. A drifted numeric is
-lo + u*(hi - lo), where [lo, hi] is [v - lam, v + lam] clipped to [0, 1].
-So any pool is reproducible from its config and call index.
+Determinism: a pool is one random stream, seeded with (rng_seed, *key).
+The sort pool's key is the constant ``_SORT_POOL``, (0,); estimate pool
+call_index's is (1, call_index), from ``_estimate_key``, the one validator
+of an estimate index. The stream is read in order: first one draw per seed
+for each codec in encoding-layout order (a uniform for a numeric, a
+category code for a categorical), then, at lam > 0, n_seeds*k drift
+uniforms u for each numeric codec in turn, pair s*k + c being companion c
+of seed s. A drifted numeric is lo + u*(hi - lo), where [lo, hi] is
+[v - lam, v + lam] clipped to [0, 1]. So any pool is reproducible from its
+config and call index.
 
 Scoring: a pair flips when the model's labels for its two members differ.
 Its influence-set member is the one of lower confidence, ties to the first.
@@ -57,8 +59,7 @@ from .errors import (
 from .influence import InfluenceSet
 from .model import PREDICT_BLOCK_ROWS, Model, predict_batch
 
-_POOL_STREAM_SORT = 0
-_POOL_STREAM_ESTIMATE = 1
+_SORT_POOL = (0,)  # the sort pool's stream key; see _estimate_key for the others
 
 
 @dataclass(frozen=True)
@@ -99,19 +100,20 @@ class PairPool:
         return int(self.first.shape[0])
 
 
-def _pool_rng(cfg: SimilarityConfig, call_index: int | None) -> np.random.Generator:
-    if call_index is None:
-        return np.random.default_rng([cfg.rng_seed, _POOL_STREAM_SORT])
+def _estimate_key(call_index: int) -> tuple[int, int]:
+    """The stream key of estimate pool ``call_index``, a non-negative integer.
+    None is refused: a model measured on the sort pool is scored on the pairs
+    its ranking was built from."""
     if not is_integer(call_index) or call_index < 0:
         raise RangeError(f"call_index must be a non-negative integer, got {call_index!r}")
-    return np.random.default_rng([cfg.rng_seed, _POOL_STREAM_ESTIMATE, call_index])
+    return (1, call_index)
 
 
-def _pool_blocks(d: Dataset, cfg: SimilarityConfig, call_index: int | None):
-    """``d``'s pool (see module docstring for contract) as a generator of
-    (seed rows, k, second rows) blocks of consecutive seeds, at most
-    PREDICT_BLOCK_ROWS pairs and at least one seed per block. Second row
-    s*k + c is companion c of seed row s: the seed with the sensitive
+def _pool_blocks(d: Dataset, cfg: SimilarityConfig, key: tuple[int, ...]):
+    """``d``'s pool on stream ``key`` (see module docstring for contract) as
+    a generator of (seed rows, k, second rows) blocks of consecutive seeds,
+    at most PREDICT_BLOCK_ROWS pairs and at least one seed per block. Second
+    row s*k + c is companion c of seed row s: the seed with the sensitive
     one-hot reversed and each numeric drifted. The draws are made by the
     call and a block is expanded from them when it is reached, into two
     buffers reused from block to block, so a block is valid until the next
@@ -125,7 +127,7 @@ def _pool_blocks(d: Dataset, cfg: SimilarityConfig, call_index: int | None):
         raise SensitiveAbsent("similar pairs require a sensitive column")
     if len(d) == 0:
         raise EmptyDataset("cannot size a pool from an empty dataset")
-    rng = _pool_rng(cfg, call_index)
+    rng = np.random.default_rng([cfg.rng_seed, *key])
     codecs, n, k, lam = d.encoding.codecs, cfg.pool_multiplier * len(d), cfg.companions, cfg.lam
     columns = [
         rng.random(n) if c.kind == NUMERIC else rng.integers(c.width, size=n) for c in codecs
@@ -167,11 +169,13 @@ def _pool_blocks(d: Dataset, cfg: SimilarityConfig, call_index: int | None):
 def generate_similar_pairs(
     d: Dataset, cfg: SimilarityConfig, call_index: int | None = None
 ) -> PairPool:
-    """Draw the synthetic pool for ``d`` (see module docstring for contract)."""
+    """Draw estimate pool ``call_index`` for ``d``, or the sort pool for None
+    (see module docstring for contract)."""
+    key = _SORT_POOL if call_index is None else _estimate_key(call_index)
     first = np.empty((cfg.pool_multiplier * len(d) * cfg.companions, d.width))
     second = np.empty_like(first)
     stop = 0
-    for seeds, k, block in _pool_blocks(d, cfg, call_index):
+    for seeds, k, block in _pool_blocks(d, cfg, key):
         rows = slice(stop, stop + len(block))
         first[rows] = np.repeat(seeds, k, axis=0)
         second[rows] = block
@@ -212,14 +216,9 @@ def _score(m: Model, blocks, influence: bool = False) -> tuple[np.ndarray, Influ
     return flips, InfluenceSet(np.concatenate(rows), np.concatenate(labels), len(flips))
 
 
-def flip_mask(m: Model, pool: PairPool) -> np.ndarray:
-    """True for each pair of ``pool`` on which ``m`` predicts different labels."""
-    return _score(m, _dense_blocks(pool))[0]
-
-
 def discriminatory_pairs(m: Model, pool: PairPool) -> PairPool:
     """The subset of ``pool`` on which ``m`` predicts different labels."""
-    flips = flip_mask(m, pool)
+    flips = _score(m, _dense_blocks(pool))[0]
     return PairPool(pool.first[flips], pool.second[flips])
 
 
@@ -232,18 +231,9 @@ def build_influence_set(m: Model, pool: PairPool) -> InfluenceSet:
 
 
 def _sort_influence_set(m: Model, d: Dataset, cfg: SimilarityConfig) -> InfluenceSet:
-    """``build_influence_set`` of ``d``'s sort pool (call_index None), scored
-    from its draws a block at a time, for ``debias.sort_dataset``."""
-    return _score(m, _pool_blocks(d, cfg, None), influence=True)[1]
-
-
-def _estimate_blocks(d: Dataset, cfg: SimilarityConfig, call_index: int):
-    """``_pool_blocks`` of estimate pool ``call_index``. None, the sort pool's
-    key, is refused: a model measured there is scored on the pairs its
-    ranking was built from."""
-    if call_index is None:
-        raise RangeError("call_index must be a non-negative integer, got None (the sort pool)")
-    return _pool_blocks(d, cfg, call_index)
+    """``build_influence_set`` of ``d``'s sort pool (key ``_SORT_POOL``),
+    scored from its draws a block at a time, for ``debias.sort_dataset``."""
+    return _score(m, _pool_blocks(d, cfg, _SORT_POOL), influence=True)[1]
 
 
 def estimate_discrim(
@@ -255,11 +245,11 @@ def estimate_discrim(
     picks an independent pool stream; repeated estimates inside a loop
     should pass distinct indices, re-measurement of the same pool the same
     index. The pool is scored from its draws a block at a time, so the
-    estimate equals
-    ``np.mean(flip_mask(m, generate_similar_pairs(d, cfg, call_index)))``
-    without building the dense pool.
+    estimate is the share of ``generate_similar_pairs(d, cfg, call_index)``'s
+    pairs that ``discriminatory_pairs`` keeps for ``m``, without building
+    the dense pool.
     """
-    return float(np.mean(_score(m, _estimate_blocks(d, cfg, call_index))[0]))
+    return float(np.mean(_score(m, _pool_blocks(d, cfg, _estimate_key(call_index)))[0]))
 
 
 def accuracy_and_parity(m: Model, d: Dataset) -> tuple[float, float | None]:
@@ -300,7 +290,7 @@ def metrics_report(m: Model, d: Dataset, cfg: SimilarityConfig, call_index: int 
     """Discrimination, accuracy, and (when group metadata exists) parity.
     The pool is scored from its draws a block at a time, as in
     ``estimate_discrim``."""
-    flips = _score(m, _estimate_blocks(d, cfg, call_index))[0]
+    flips = _score(m, _pool_blocks(d, cfg, _estimate_key(call_index)))[0]
     acc, parity = accuracy_and_parity(m, d)
     return {
         "individual_discrimination": float(np.mean(flips)),

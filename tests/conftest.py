@@ -3,6 +3,10 @@ a model trained on it, a scripted removal loop, finite-difference references
 for the loss gradient and the logit-gap Jacobian, the synthetic-pair
 contract check, and a dense reference for drawing and scoring a pool.
 
+Every property test runs under one hypothesis profile: derandomized, with no
+example database and no deadline, so each run draws the same examples (a
+failure reproduces) and a slow host cannot fail a test on time alone.
+
 Approvals track income except that one high-income, high-wealth applicant
 from the disadvantaged group is denied (row 2). That single row is what a
 debiasing run is expected to find and remove.
@@ -13,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import fairtrim.debias
 from fairtrim.data import load_dataset, load_schema
@@ -20,6 +25,9 @@ from fairtrim.model import Hyperparameters, mean_loss, predict_proba, train
 
 TOY_CSV = Path(__file__).resolve().parent / "data" / "loans.csv"
 TOY_SCHEMA = TOY_CSV.with_name("loans.schema.json")
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -98,6 +98,19 @@ def test_load_check_missing_file_is_environment_error(capsys, toy_files):
     assert "error" in json.loads(err)
 
 
+# a 4.97 PiB pool, which the allocator refuses at once; before, numpy's
+# _ArrayMemoryError escaped as a traceback with no JSON
+def test_unallocatable_pool_is_environment_error(capsys, toy_files):
+    csv_path, schema_path = toy_files
+    argv = ["discrim", csv_path, "--schema", schema_path, "--epochs", "1",
+            "--pool-multiplier", str(10**14)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "MemoryError"
+    assert "PiB" in payload["message"]
+
+
 def test_bad_flag_value_is_domain_error(capsys, toy_files):
     csv_path, schema_path = toy_files
     code, _, err = run(

@@ -27,7 +27,6 @@ from fairtrim.fairness import (
     build_influence_set,
     discriminatory_pairs,
     estimate_discrim,
-    flip_mask,
     generate_similar_pairs,
     metrics_report,
     statistical_parity_difference,
@@ -126,13 +125,17 @@ def test_pool_requires_sensitive(toy):
 
 
 # before, numpy's SeedSequence raised an untyped ValueError for a negative index,
-# and None, the sort pool's key, measured on the pairs a ranking was built from
+# and None, the sort pool's key, measured on the pairs a ranking was built from;
+# generate_similar_pairs applies the same rule, except that None draws the sort pool
 @pytest.mark.parametrize("call_index", [-1, 1.0, "0", True, None])
 def test_bad_call_index_is_range_error(toy, trained, call_index):
     cfg = SimilarityConfig(pool_multiplier=2)
     for measure in (estimate_discrim, metrics_report):
         with pytest.raises(RangeError, match="call_index"):
             measure(trained, toy, cfg, call_index=call_index)
+    if call_index is not None:
+        with pytest.raises(RangeError, match="call_index"):
+            generate_similar_pairs(toy, cfg, call_index=call_index)
     assert estimate_discrim(trained, toy, cfg, call_index=np.int64(3)) == estimate_discrim(
         trained, toy, cfg, call_index=3
     )
@@ -179,7 +182,7 @@ def test_estimate_discrim_matches_manual_count(toy, trained):
     pool = generate_similar_pairs(toy, cfg, call_index=4)
     l1, _ = predict_batch(trained, pool.first)
     l2, _ = predict_batch(trained, pool.second)
-    np.testing.assert_array_equal(flip_mask(trained, pool), l1 != l2)
+    assert discriminatory_pairs(trained, pool).first.tobytes() == pool.first[l1 != l2].tobytes()
     assert estimate_discrim(trained, toy, cfg, call_index=4) == pytest.approx(
         float(np.mean(l1 != l2))
     )
@@ -272,7 +275,8 @@ def test_metrics_report_keys(toy, trained):
 def _scores(m, pool):
     """Every pool score, as bytes: probabilities, flips and the influence set."""
     iset = build_influence_set(m, pool)
-    out = [predict_proba(m, pool.first), predict_proba(m, pool.second), flip_mask(m, pool)]
+    discm = discriminatory_pairs(m, pool)
+    out = [predict_proba(m, pool.first), predict_proba(m, pool.second), discm.first, discm.second]
     return [a.tobytes() for a in out + [iset.features, iset.labels]]
 
 
@@ -284,7 +288,7 @@ def test_blocked_scoring_is_bitwise_one_block_scoring(loans, monkeypatch):
     assert len(pool) % 7 != 0
     empty = PairPool(pool.first[:0], pool.second[:0])
     for m in (plain, masked):
-        assert flip_mask(m, pool).any()
+        assert len(discriminatory_pairs(m, pool))
         scores = {}
         for block in (7, len(pool) + 1):
             monkeypatch.setattr(model, "PREDICT_BLOCK_ROWS", block)

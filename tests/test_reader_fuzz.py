@@ -102,7 +102,7 @@ def mutate(content: bytes, op: str, at: int, value: int) -> bytes:
     return json.dumps(_replace(obj, path, others[value % len(others)])).encode()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None)
 @given(
     name=st.sampled_from(sorted(COMMANDS)),
     op=st.sampled_from(OPS),
