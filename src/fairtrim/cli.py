@@ -112,7 +112,12 @@ def _solver(args) -> SolverConfig:
 
 
 def _load(args):
-    return load_dataset(args.dataset, load_schema(args.schema))
+    """The dataset; a command that draws pools (it takes the pool flags)
+    refuses one with no sensitive column here, before it trains."""
+    d = load_dataset(args.dataset, load_schema(args.schema))
+    if "pool" in _COMMANDS[args.command][2]:
+        d.sensitive_block  # raises SensitiveAbsent
+    return d
 
 
 def _get_model(args, d):
@@ -128,11 +133,9 @@ def cmd_load_check(args) -> dict:
         "negative": int(len(d) - d.labels.sum()),
     }
     groups = None
-    if d.group_values is not None:
-        groups = {
-            cat: int(sum(g == cat for g in d.group_values))
-            for cat in d.sensitive_categories
-        }
+    if d.schema.sensitive is not None:  # rows per group: the sums of the one-hot's columns
+        counts = d.encoded[:, d.sensitive_block].sum(axis=0)
+        groups = {cat: int(c) for cat, c in zip(d.sensitive_categories, counts)}
     return {
         "rows": len(d),
         "encoded_width": d.width,

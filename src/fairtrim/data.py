@@ -140,6 +140,21 @@ def read_csv(
         raise error(f"{path} is not UTF-8 CSV: {exc}") from exc
 
 
+def write_json(path: str | Path, obj, **layout) -> None:
+    """Write ``obj`` as a UTF-8 JSON file, laid out by ``json.dump``'s
+    ``layout`` keywords (indent, sort_keys)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, **layout)
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as a UTF-8 CSV file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def load_schema(path: str | Path) -> FeatureSchema:
     return FeatureSchema.from_json(read_json(path, SchemaMismatch))
 
@@ -225,9 +240,9 @@ def _encode_columns(
 class Dataset:
     """Immutable encoded dataset plus enough raw material to export subsets.
 
-    ``group_values`` (the raw sensitive value per row) and
-    ``sensitive_categories`` survive drop_sensitive so group metrics remain
-    computable on models that no longer see the attribute.
+    A row's group is its sensitive one-hot block, ``sensitive_block``. The
+    group properties are read off that block and its codec, and raise
+    SensitiveAbsent when the schema declares no sensitive column.
     """
 
     schema: FeatureSchema
@@ -237,8 +252,6 @@ class Dataset:
     labels: np.ndarray  # (n,) int64 in {0, 1}
     raw_header: tuple[str, ...]
     raw_rows: tuple[tuple[str, ...], ...]
-    group_values: tuple[str, ...] | None
-    sensitive_categories: tuple[str, str] | None
 
     def __post_init__(self):
         _readonly(self.row_ids)
@@ -252,11 +265,27 @@ class Dataset:
     def width(self) -> int:
         return int(self.encoded.shape[1])
 
-    @property
-    def sensitive_block(self) -> slice:
+    def _sensitive_codec(self) -> ColumnCodec:
         if self.schema.sensitive is None:
             raise SensitiveAbsent("dataset schema declares no sensitive column")
-        return self.encoding.block(self.schema.sensitive)
+        return self.encoding.codec(self.schema.sensitive)
+
+    @property
+    def sensitive_block(self) -> slice:
+        """The columns of the sensitive one-hot, one per category."""
+        c = self._sensitive_codec()
+        return slice(c.start, c.stop)
+
+    @property
+    def sensitive_categories(self) -> tuple[str, str]:
+        """The sensitive column's two values, in its one-hot columns' order."""
+        return self._sensitive_codec().categories
+
+    @property
+    def group_values(self) -> tuple[str, ...]:
+        """Each row's sensitive value: the category of its one-hot's set column."""
+        codes = self.encoded[:, self.sensitive_block].argmax(axis=1)
+        return tuple(self.sensitive_categories[i] for i in codes)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """New Dataset holding the rows at ``indices`` (positional), in order."""
@@ -267,8 +296,6 @@ class Dataset:
             encoded=self.encoded[idx],
             labels=self.labels[idx],
             raw_rows=tuple(self.raw_rows[i] for i in idx),
-            group_values=None if self.group_values is None
-            else tuple(self.group_values[i] for i in idx),
         )
 
     def without_row_ids(self, drop) -> "Dataset":
@@ -278,11 +305,8 @@ class Dataset:
 
     def to_csv(self, path: str | Path) -> None:
         """Write raw rows with original values, prefixed by row_id."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(("row_id",) + self.raw_header)
-            for rid, row in zip(self.row_ids, self.raw_rows):
-                w.writerow((int(rid),) + row)
+        write_csv(path, ("row_id",) + self.raw_header,
+                  ((int(rid),) + row for rid, row in zip(self.row_ids, self.raw_rows)))
 
 
 def load_dataset(path: str | Path, schema: FeatureSchema) -> Dataset:
@@ -324,8 +348,6 @@ def load_dataset(path: str | Path, schema: FeatureSchema) -> Dataset:
 
     encoding, encoded = _encode_columns(schema, header, rows)
 
-    group_values = None
-    sensitive_categories = None
     if schema.sensitive is not None:
         codec = encoding.codec(schema.sensitive)
         if len(codec.categories) != 2:
@@ -333,8 +355,6 @@ def load_dataset(path: str | Path, schema: FeatureSchema) -> Dataset:
                 f"sensitive column {schema.sensitive!r} must take exactly 2 "
                 f"values, found {codec.categories}"
             )
-        sensitive_categories = codec.categories
-        group_values = tuple(row[col_idx[schema.sensitive]] for row in rows)
 
     return Dataset(
         schema=schema,
@@ -344,8 +364,6 @@ def load_dataset(path: str | Path, schema: FeatureSchema) -> Dataset:
         labels=labels,
         raw_header=header,
         raw_rows=tuple(rows),
-        group_values=group_values,
-        sensitive_categories=sensitive_categories,
     )
 
 
@@ -378,12 +396,11 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 def drop_sensitive(d: Dataset) -> Dataset:
     """Remove the sensitive column from the feature space (not from raw rows).
 
-    The result's schema declares no sensitive column; encoded width shrinks by
-    the one-hot block. group_values / sensitive_categories are retained so
-    group metrics still work on the result.
+    The result's schema declares no sensitive column, so it has no groups;
+    encoded width shrinks by the one-hot block. Raises SensitiveAbsent when
+    ``d`` has no sensitive column.
     """
-    if d.schema.sensitive is None:
-        raise SensitiveAbsent("dataset schema declares no sensitive column")
+    kept = kept_columns_after_drop(d)
     name = d.schema.sensitive
 
     new_schema = FeatureSchema(
@@ -404,7 +421,7 @@ def drop_sensitive(d: Dataset) -> Dataset:
         schema=new_schema,
         encoding=EncodingSpec(tuple(codecs)),
         # one C-ordered copy; d.encoded[:, kept] would be F-ordered
-        encoded=np.take(d.encoded, kept_columns_after_drop(d), axis=1),
+        encoded=np.take(d.encoded, kept, axis=1),
     )
 
 

@@ -14,14 +14,13 @@ case.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import takewhile
 
-from .data import Dataset
+from .data import Dataset, write_json
 from .errors import AlreadyFair, DimensionMismatch, EmptyDataset, RangeError, require_integers
 from .fairness import SimilarityConfig, _sort_influence_set, estimate_discrim
 from .influence import InfluenceRanking, SolverConfig, rank_by_influence
@@ -93,8 +92,7 @@ class DebiasReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
+        write_json(path, self.to_json(), indent=2)
 
 
 def sort_dataset(

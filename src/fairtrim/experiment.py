@@ -33,8 +33,6 @@ across reruns of the same spec; ``summarize_reports`` reads them back.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -44,7 +42,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, drop_sensitive, read_csv, read_json, split
+from .data import (
+    Dataset, SplitSpec, drop_sensitive, read_csv, read_json, split, write_csv, write_json,
+)
 from .debias import DebiasConfig, debias_group
 from .errors import EmptyResult, MalformedReport, RangeError, require_integers
 from .fairness import SimilarityConfig, accuracy_and_parity, estimate_discrim
@@ -360,14 +360,13 @@ def _cell(v) -> str:
 
 def write_config_csv(result: ExperimentResult, path: str | Path) -> None:
     """One row per (config, technique), each from one field mapping."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CONFIG_COLUMNS)
-        for r in result.records:
-            config_fields = dict(asdict(r), removed_count=len(r.removed_row_ids))
-            for tech in TECHNIQUES:
-                row = dict(config_fields, technique=tech, **asdict(r.metrics[tech]))
-                w.writerow([_cell(row[c]) for c in _CONFIG_COLUMNS])
+    rows = []
+    for r in result.records:
+        config_fields = dict(asdict(r), removed_count=len(r.removed_row_ids))
+        for tech in TECHNIQUES:
+            row = dict(config_fields, technique=tech, **asdict(r.metrics[tech]))
+            rows.append([_cell(row[c]) for c in _CONFIG_COLUMNS])
+    write_csv(path, _CONFIG_COLUMNS, rows)
 
 
 def write_boxplot_csv(result: ExperimentResult, path: str | Path) -> None:
@@ -384,10 +383,7 @@ def write_boxplot_csv(result: ExperimentResult, path: str | Path) -> None:
                 continue
             q = np.quantile(np.asarray(vals, dtype=np.float64), [0.0, 0.25, 0.5, 0.75, 1.0])
             rows.append([tech, metric] + [repr(float(x)) for x in q])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("technique", "metric", "min", "q1", "median", "q3", "max"))
-        w.writerows(rows)
+    write_csv(path, ("technique", "metric", "min", "q1", "median", "q3", "max"), rows)
 
 
 def write_summary_json(result: ExperimentResult, path: str | Path) -> None:
@@ -396,8 +392,7 @@ def write_summary_json(result: ExperimentResult, path: str | Path) -> None:
         "unfair_union": list(result.unfair_union),
         "picks": result.picks(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+    write_json(path, obj, indent=2, sort_keys=True)
 
 
 def emit_reports(result: ExperimentResult, out_dir: str | Path) -> dict:

@@ -17,13 +17,14 @@ Memory contract: the run path (``estimate_discrim``, ``metrics_report`` and
 ``debias.sort_dataset``) builds no pool. One block generator,
 ``_pool_blocks``, holds the pool's draws, one 8-byte draw per column per
 seed, and expands them one block of at most model.PREDICT_BLOCK_ROWS pairs
-at a time into two buffers reused from block to block, each at most
+(read at call time, the one block size of pools and predictions) at a time
+into two buffers reused from block to block, each at most
 PREDICT_BLOCK_ROWS*w*8 bytes at encoded width w. Scoring a block adds one
 block's activations (about 0.9 MB at 16/8 hidden units); beyond that the
 run path keeps per-pair flips (and, for the sort pool, the influence set).
-Only ``generate_similar_pairs`` builds a dense pool: N pairs take 2*N*w*8
-bytes. Scoring one (``discriminatory_pairs``, ``build_influence_set``) adds
-only a transient set by PREDICT_BLOCK_ROWS.
+Only ``generate_similar_pairs`` builds a dense pool, and only an estimate
+pool: N pairs take 2*N*w*8 bytes. Scoring one (``discriminatory_pairs``,
+``build_influence_set``) adds only a transient set by PREDICT_BLOCK_ROWS.
 
 Determinism: a pool is one random stream, seeded with (rng_seed, *key).
 The sort pool's key is the constant ``_SORT_POOL``, (0,); estimate pool
@@ -46,18 +47,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .data import NUMERIC, Dataset
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
     MissingGroup,
     RangeError,
-    SensitiveAbsent,
     is_integer,
     require_integers,
 )
 from .influence import InfluenceSet
-from .model import PREDICT_BLOCK_ROWS, Model, predict_batch
+from .model import Model, predict_batch
 
 _SORT_POOL = (0,)  # the sort pool's stream key; see _estimate_key for the others
 
@@ -101,9 +102,8 @@ class PairPool:
 
 
 def _estimate_key(call_index: int) -> tuple[int, int]:
-    """The stream key of estimate pool ``call_index``, a non-negative integer.
-    None is refused: a model measured on the sort pool is scored on the pairs
-    its ranking was built from."""
+    """The stream key of estimate pool ``call_index``, a non-negative integer;
+    anything else, None included, raises RangeError."""
     if not is_integer(call_index) or call_index < 0:
         raise RangeError(f"call_index must be a non-negative integer, got {call_index!r}")
     return (1, call_index)
@@ -123,8 +123,7 @@ def _pool_blocks(d: Dataset, cfg: SimilarityConfig, key: tuple[int, ...]):
     drifts: each uniform is one 64-bit output, so numeric codec j's drifts
     come from a copy of the stream advanced past the j codecs before it.
     """
-    if d.schema.sensitive is None:
-        raise SensitiveAbsent("similar pairs require a sensitive column")
+    sens = d.sensitive_block
     if len(d) == 0:
         raise EmptyDataset("cannot size a pool from an empty dataset")
     rng = np.random.default_rng([cfg.rng_seed, *key])
@@ -138,7 +137,7 @@ def _pool_blocks(d: Dataset, cfg: SimilarityConfig, key: tuple[int, ...]):
         bits = np.random.PCG64()
         bits.state = rng.bit_generator.state
         drifts.append(np.random.Generator(bits.advance(j * n * k)))
-    sens, step = d.sensitive_block, max(1, PREDICT_BLOCK_ROWS // k)
+    step = max(1, model.PREDICT_BLOCK_ROWS // k)
     seed_buffer = np.empty((min(step, n), d.width))
     second_buffer = np.empty((min(step, n) * k, d.width))
 
@@ -166,16 +165,12 @@ def _pool_blocks(d: Dataset, cfg: SimilarityConfig, key: tuple[int, ...]):
     return (expand(start) for start in range(0, n, step))
 
 
-def generate_similar_pairs(
-    d: Dataset, cfg: SimilarityConfig, call_index: int | None = None
-) -> PairPool:
-    """Draw estimate pool ``call_index`` for ``d``, or the sort pool for None
-    (see module docstring for contract)."""
-    key = _SORT_POOL if call_index is None else _estimate_key(call_index)
+def generate_similar_pairs(d: Dataset, cfg: SimilarityConfig, call_index: int) -> PairPool:
+    """Draw estimate pool ``call_index`` for ``d`` (see module docstring for contract)."""
     first = np.empty((cfg.pool_multiplier * len(d) * cfg.companions, d.width))
     second = np.empty_like(first)
     stop = 0
-    for seeds, k, block in _pool_blocks(d, cfg, key):
+    for seeds, k, block in _pool_blocks(d, cfg, _estimate_key(call_index)):
         rows = slice(stop, stop + len(block))
         first[rows] = np.repeat(seeds, k, axis=0)
         second[rows] = block
@@ -186,8 +181,9 @@ def generate_similar_pairs(
 def _dense_blocks(pool: PairPool):
     """(first rows, 1, second rows) of ``pool``, PREDICT_BLOCK_ROWS pairs at
     a time; an empty pool is one empty block."""
-    for start in range(0, max(len(pool), 1), PREDICT_BLOCK_ROWS):
-        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+    step = model.PREDICT_BLOCK_ROWS
+    for start in range(0, max(len(pool), 1), step):
+        rows = slice(start, start + step)
         yield pool.first[rows], 1, pool.second[rows]
 
 
@@ -241,32 +237,32 @@ def estimate_discrim(
 ) -> float:
     """Fraction of a fresh synthetic pool on which ``m`` flips its prediction.
 
-    call_index, a non-negative integer (not None, the sort pool's key),
-    picks an independent pool stream; repeated estimates inside a loop
-    should pass distinct indices, re-measurement of the same pool the same
-    index. The pool is scored from its draws a block at a time, so the
-    estimate is the share of ``generate_similar_pairs(d, cfg, call_index)``'s
-    pairs that ``discriminatory_pairs`` keeps for ``m``, without building
-    the dense pool.
+    call_index, a non-negative integer, picks an independent pool stream;
+    repeated estimates inside a loop should pass distinct indices, and
+    re-measurement of the same pool the same index. The pool is scored from
+    its draws a block at a time, so the estimate is the share of
+    ``generate_similar_pairs(d, cfg, call_index)``'s pairs that
+    ``discriminatory_pairs`` keeps for ``m``, without building the dense
+    pool.
     """
     return float(np.mean(_score(m, _pool_blocks(d, cfg, _estimate_key(call_index)))[0]))
 
 
 def accuracy_and_parity(m: Model, d: Dataset) -> tuple[float, float | None]:
     """Accuracy of ``m`` on ``d`` and its statistical parity difference, from
-    one prediction of the rows. Parity is None when ``d`` carries no group
-    metadata or has no rows of one group."""
+    one prediction of the rows. A row's group is the set column of its
+    sensitive one-hot. Parity is None when ``d``'s schema declares no
+    sensitive column or ``d`` has no rows of one group."""
     if len(d) == 0:
         raise EmptyDataset("accuracy over an empty dataset is undefined")
     labels, _ = predict_batch(m, d.encoded)
     acc = float(np.mean(labels == d.labels))
-    if d.group_values is None or d.sensitive_categories is None:
+    if d.schema.sensitive is None:
         return acc, None
-    groups = np.asarray(d.group_values)
-    masks = [groups == cat for cat in d.sensitive_categories]
-    if not all(mask.any() for mask in masks):
+    members = d.encoded[:, d.sensitive_block].T == 1.0  # one row mask per group
+    if not members.any(axis=1).all():
         return acc, None
-    rate0, rate1 = (float(labels[mask].mean()) for mask in masks)
+    rate0, rate1 = (float(labels[mask].mean()) for mask in members)
     return acc, abs(rate0 - rate1)
 
 
@@ -276,18 +272,17 @@ def accuracy(m: Model, d: Dataset) -> float:
 
 def statistical_parity_difference(m: Model, d: Dataset) -> float:
     """Absolute gap in positive-prediction rate between the two groups."""
-    if d.group_values is None or d.sensitive_categories is None:
-        raise SensitiveAbsent("dataset carries no sensitive-group metadata")
+    members = d.encoded[:, d.sensitive_block] == 1.0
     if len(d) == 0:
         raise EmptyDataset("parity over an empty dataset is undefined")
-    for cat in d.sensitive_categories:
-        if cat not in d.group_values:
+    for cat, present in zip(d.sensitive_categories, members.any(axis=0)):
+        if not present:
             raise MissingGroup(f"group {cat!r} has no rows in the evaluation set")
     return accuracy_and_parity(m, d)[1]
 
 
 def metrics_report(m: Model, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) -> dict:
-    """Discrimination, accuracy, and (when group metadata exists) parity.
+    """Discrimination, accuracy, and (when both groups have rows) parity.
     The pool is scored from its draws a block at a time, as in
     ``estimate_discrim``."""
     flips = _score(m, _pool_blocks(d, cfg, _estimate_key(call_index)))[0]

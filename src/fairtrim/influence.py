@@ -23,14 +23,12 @@ points); rankings therefore sort ascending so the most harmful come first.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv, write_json
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -169,11 +167,8 @@ class InfluenceRanking:
         return tuple(e.row_id for e in self.entries)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(("rank", "row_id", "score"))
-            for rank, e in enumerate(self.entries, start=1):
-                w.writerow((rank, e.row_id, repr(e.score)))
+        write_csv(path, ("rank", "row_id", "score"),
+                  ((rank, e.row_id, repr(e.score)) for rank, e in enumerate(self.entries, start=1)))
 
     def solve_health(self) -> dict:
         """Convergence, iterations and residual norm of the ranking's one solve."""
@@ -186,8 +181,7 @@ class InfluenceRanking:
 
     def save_diagnostics(self, path: str | Path) -> None:
         obj = {"method": CG, "damping": self.damping, **self.solve_health()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
+        write_json(path, obj, indent=2)
 
 
 def rank_by_influence(

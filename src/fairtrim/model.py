@@ -35,7 +35,6 @@ are checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections.abc import Sequence
@@ -45,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, kept_columns_after_drop, read_json
+from .data import Dataset, kept_columns_after_drop, read_json, write_json
 from .errors import DimensionMismatch, EmptyDataset, RangeError, is_integer, require_integers
 
 N_CLASSES = 2
@@ -642,8 +641,7 @@ def save_model(m: Model, path: str | Path) -> None:
         "final_train_loss": m.final_train_loss,
         "theta": m.theta.tolist(),  # repr-exact floats, round-trips bitwise
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+    write_json(path, obj)
 
 
 def _is_json_number(value) -> bool:

@@ -8,13 +8,11 @@ fixture with the same pathology is committed under ``tests/data``.)
 
 from __future__ import annotations
 
-import csv
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSchema
+from .data import FeatureSchema, write_csv, write_json
 
 
 def loans_schema() -> FeatureSchema:
@@ -84,10 +82,6 @@ def write_loans(
 ) -> list[int]:
     """Write the biased loans CSV + schema JSON; returns flipped row ids."""
     header, rows, flipped = make_loans_rows(n, seed=seed, flip_rate=flip_rate)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    with open(schema_path, "w", encoding="utf-8") as fh:
-        json.dump(loans_schema().to_json(), fh, indent=2)
+    write_csv(csv_path, header, rows)
+    write_json(schema_path, loans_schema().to_json(), indent=2)
     return flipped

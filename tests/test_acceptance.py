@@ -305,14 +305,16 @@ def test_criterion_07_pair_generator_contracts(tmp_path, pair_invariants):
     d = synthetic_loans(tmp_path, 100, 3, flip_rate=0.4)
 
     # default multiplier sizes: one companion per seed at lam=0, two above
-    assert len(generate_similar_pairs(d, SimilarityConfig(lam=0.0, rng_seed=5))) == 100 * len(d)
-    assert len(generate_similar_pairs(d, SimilarityConfig(lam=0.2, rng_seed=5))) == 200 * len(d)
+    assert len(generate_similar_pairs(d, SimilarityConfig(lam=0.0, rng_seed=5), 0)) == 100 * len(d)
+    assert len(generate_similar_pairs(d, SimilarityConfig(lam=0.2, rng_seed=5), 0)) == 200 * len(d)
 
-    pool0 = generate_similar_pairs(d, SimilarityConfig(lam=0.0, pool_multiplier=1000, rng_seed=5))
+    pool0 = generate_similar_pairs(
+        d, SimilarityConfig(lam=0.0, pool_multiplier=1000, rng_seed=5), 0
+    )
     assert len(pool0) == 100_000
     pair_invariants(d, pool0, 0.0)
 
-    pool1 = generate_similar_pairs(d, SimilarityConfig(lam=0.3, pool_multiplier=500, rng_seed=5))
+    pool1 = generate_similar_pairs(d, SimilarityConfig(lam=0.3, pool_multiplier=500, rng_seed=5), 0)
     assert len(pool1) == 100_000
     pair_invariants(d, pool1, 0.3)
     _pass(7, "100k pairs per regime satisfy all pair invariants")

@@ -121,6 +121,18 @@ def test_bad_flag_value_is_domain_error(capsys, toy_files):
     assert json.loads(err)["error"] == "RangeError"
 
 
+@pytest.fixture
+def refuse_training(monkeypatch):
+    """Every training entry point raises, so a test fails if a command trains."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before checking the input")
+
+    for module in (fairtrim.cli, fairtrim.model, fairtrim.debias, fairtrim.experiment):
+        for name in ("train", "train_many"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
 # a bad pool or loop flag fails before any model trains
 @pytest.mark.parametrize("command, flag, value", [
     ("discrim", "--lambda", "2"),
@@ -131,15 +143,8 @@ def test_bad_flag_value_is_domain_error(capsys, toy_files):
     ("grid", "--pool-multiplier", "0"),
     ("grid", "--chunk-percent", "0"),
 ])
-def test_bad_flag_fails_before_training(capsys, toy_files, tmp_path, monkeypatch,
+def test_bad_flag_fails_before_training(capsys, toy_files, tmp_path, refuse_training,
                                         command, flag, value):
-    def refuse(*args, **kwargs):
-        raise AssertionError("trained before checking the flags")
-
-    for module in (fairtrim.cli, fairtrim.model, fairtrim.debias, fairtrim.experiment):
-        for name in ("train", "train_many"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
     csv_path, schema_path = toy_files
     argv = [command, csv_path, "--schema", schema_path, flag, value]
     if command != "discrim":  # the one of the three that writes no files
@@ -147,6 +152,22 @@ def test_bad_flag_fails_before_training(capsys, toy_files, tmp_path, monkeypatch
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "RangeError"
+
+
+# before, these trained a model and only then found no sensitive column to
+# flip; load-check and train still accept such a schema
+@pytest.mark.parametrize("command", ["discrim", "rank", "debias"])
+def test_no_sensitive_column_fails_before_training(capsys, toy_files, tmp_path,
+                                                   refuse_training, command):
+    (tmp_path / "schema.json").write_text(schema_json(sensitive=None))
+    argv = [command, toy_files[0], "--schema", str(tmp_path / "schema.json")]
+    assert run_json(capsys, ["load-check", *argv[1:]])["groups"] is None
+    if command != "discrim":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "SensitiveAbsent"
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_is_domain_error(capsys, toy_files, tmp_path):
@@ -443,24 +464,45 @@ def test_module_invocation_subprocess(toy_files):
     assert json.loads(proc.stdout)["rows"] == 7
 
 
-def test_files_are_utf8_under_the_c_locale(capsys, toy_files, tmp_path):
-    # the toy with a non-ASCII column name and category, which sort as the toy's do
-    csv_path, schema_path = tmp_path / "loans.csv", tmp_path / "loans.schema.json"
-    for path, toy in zip((csv_path, schema_path), toy_files):
-        text = Path(toy).read_text(encoding="utf-8")
-        path.write_text(
-            text.replace("wealth", "patrimonio-ñ").replace("white", "blanco-ñ"), encoding="utf-8"
-        )
-    flags = ["debias", str(csv_path), "--schema", str(schema_path), "--seed", "3", *FAST]
-    run_json(capsys, [*flags, "--out-dir", str(tmp_path / "here")])
+# run -> (its short flags, the files it writes); gen-loans is a child run of
+# scripts/gen_loans_data.py against write_loans in this process
+LOCALE_RUNS = {
+    "train": (TRAIN_FAST, ("model.json",)),
+    "rank": (FAST, ("ranking.csv", "ranking_diagnostics.json")),
+    "debias": (FAST, ("debiased.csv", "debias_report.json")),
+    "grid": (FAST, ("configs.csv", "boxplot.csv", "summary.json")),
+    "gen-loans": ((), ("loans.csv", "loans.schema.json")),
+}
+
+
+@pytest.mark.parametrize("run_name", sorted(LOCALE_RUNS))
+def test_files_are_utf8_under_the_c_locale(capsys, toy_files, tmp_path, run_name):
+    flags, files = LOCALE_RUNS[run_name]
+    here, child = tmp_path / "here", tmp_path / "child"
+    if run_name == "gen-loans":
+        here.mkdir()
+        child.mkdir()
+        write_loans(here / "loans.csv", here / "loans.schema.json", n=50)
+        argv = [str(SCRIPTS / "gen_loans_data.py"), str(child / "loans.csv"), "--rows", "50"]
+    else:
+        # the toy with a non-ASCII column name and category, which sort as the toy's do
+        csv_path, schema_path = tmp_path / "loans.csv", tmp_path / "loans.schema.json"
+        for path, toy in zip((csv_path, schema_path), toy_files):
+            text = Path(toy).read_text(encoding="utf-8")
+            path.write_text(
+                text.replace("wealth", "patrimonio-ñ").replace("white", "blanco-ñ"),
+                encoding="utf-8",
+            )
+        command = [run_name, str(csv_path), "--schema", str(schema_path), "--seed", "3", *flags]
+        run_json(capsys, [*command, "--out-dir", str(here)])
+        argv = ["-m", "fairtrim.cli", *command, "--out-dir", str(child)]
     # the locale's encoding is ASCII, and Python's UTF-8 mode is off
-    proc = run_child(["-m", "fairtrim.cli", *flags, "--out-dir", str(tmp_path / "child")],
-                     LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = run_child(argv, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     assert proc.returncode == 0, proc.stderr
-    for name in ("debiased.csv", "debias_report.json"):
-        here = (tmp_path / "here" / name).read_bytes()
-        assert (tmp_path / "child" / name).read_bytes() == here
-    assert "blanco-ñ".encode() in (tmp_path / "here" / "debiased.csv").read_bytes()
+    for name in files:
+        assert (child / name).read_bytes() == (here / name).read_bytes(), name
+    if run_name == "debias":
+        assert "blanco-ñ".encode() in (here / "debiased.csv").read_bytes()
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

@@ -87,6 +87,10 @@ def test_toy_loads_with_expected_encoding(toy):
     assert toy.sensitive_categories == ("black", "white")
     assert toy.encoded[0, 2:].tolist() == [0.0, 1.0]  # white
     assert toy.encoded[1, 2:].tolist() == [1.0, 0.0]  # black
+    # a row's group, read off its one-hot, is its raw sensitive value
+    race = toy.raw_header.index("race")
+    assert toy.group_values == tuple(row[race] for row in toy.raw_rows)
+    assert toy.subset([4, 1]).group_values == (toy.raw_rows[4][race], toy.raw_rows[1][race])
 
 
 def test_one_hot_blocks_sum_to_one(toy):
@@ -276,9 +280,8 @@ def test_drop_sensitive_removes_block(toy):
     assert dropped.schema.sensitive is None
     assert [c[0] for c in dropped.schema.columns] == ["income", "wealth"]
     np.testing.assert_array_equal(dropped.encoded, toy.encoded[:, :2])
-    # group metadata survives for parity computations
-    assert dropped.group_values == toy.group_values
-    assert dropped.sensitive_categories == ("black", "white")
+    with pytest.raises(SensitiveAbsent):  # the result has no groups
+        dropped.group_values
 
 
 def test_drop_sensitive_twice_raises(toy):

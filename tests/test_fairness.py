@@ -2,7 +2,6 @@
 
 import hashlib
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,20 +52,30 @@ def loans(tmp_path_factory):
 
 # --- pool contracts ----------------------------------------------------------
 
+def _sort_pool(d, cfg):
+    """The library's sort pool, whole, as (first, second): generate_similar_pairs
+    draws estimate pools only, so its blocks are stacked here."""
+    blocks = [
+        (np.repeat(seeds, k, axis=0), second.copy())  # the block buffers are reused
+        for seeds, k, second in fairness._pool_blocks(d, cfg, fairness._SORT_POOL)
+    ]
+    return tuple(np.vstack(member) for member in zip(*blocks))
+
+
 def test_pool_size_lambda_zero(toy, pair_invariants):
-    pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.0, pool_multiplier=100))
+    pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.0, pool_multiplier=100), 0)
     assert len(pool) == 100 * len(toy)  # one companion per seed
     pair_invariants(toy, pool, 0.0)
 
 
 def test_pool_size_lambda_positive(toy, pair_invariants):
-    pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.05, pool_multiplier=100))
+    pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.05, pool_multiplier=100), 0)
     assert len(pool) == 200 * len(toy)  # two companions per seed
     pair_invariants(toy, pool, 0.05)
 
 
 def test_lambda_zero_companions_copy_numerics_bitwise(toy):
-    pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.0, pool_multiplier=50))
+    pool = generate_similar_pairs(toy, SimilarityConfig(lam=0.0, pool_multiplier=50), 0)
     assert pool.first[:, 0].tobytes() == pool.second[:, 0].tobytes()
     assert pool.first[:, 1].tobytes() == pool.second[:, 1].tobytes()
 
@@ -78,8 +87,7 @@ def test_pool_deterministic_per_call_index(toy):
     c = generate_similar_pairs(toy, cfg, call_index=3)
     assert a.first.tobytes() == b.first.tobytes()
     assert a.first.tobytes() != c.first.tobytes()
-    d_ = generate_similar_pairs(toy, cfg, call_index=None)
-    assert d_.first.tobytes() != a.first.tobytes()
+    assert _sort_pool(toy, cfg)[0].tobytes() != a.first.tobytes()
 
 
 # sha256 of (first, second) for pool_multiplier=5, rng_seed=7: any change to
@@ -107,35 +115,37 @@ POOL_DIGESTS = {
 @pytest.mark.parametrize("block", [None, 7])
 def test_pool_bytes_are_pinned(toy, loans, dense_pool, monkeypatch, block):
     if block is not None:  # drift drawn in blocks that do not divide the pool
-        monkeypatch.setattr(fairness, "PREDICT_BLOCK_ROWS", block)
+        monkeypatch.setattr(model, "PREDICT_BLOCK_ROWS", block)
     sets = {"toy": toy, "loans": loans}
     for (name, lam, call), expected in POOL_DIGESTS.items():
         cfg = SimilarityConfig(lam=lam, pool_multiplier=5, rng_seed=7)
         reference = dense_pool(sets[name], cfg, call)
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in reference)
         assert digests == expected, (name, lam, call)
-        pool = generate_similar_pairs(sets[name], cfg, call_index=call)
-        assert pool.first.tobytes() == reference[0].tobytes(), (name, lam, call)
-        assert pool.second.tobytes() == reference[1].tobytes(), (name, lam, call)
+        if call is None:
+            first, second = _sort_pool(sets[name], cfg)
+        else:
+            pool = generate_similar_pairs(sets[name], cfg, call_index=call)
+            first, second = pool.first, pool.second
+        assert first.tobytes() == reference[0].tobytes(), (name, lam, call)
+        assert second.tobytes() == reference[1].tobytes(), (name, lam, call)
 
 
 def test_pool_requires_sensitive(toy):
     with pytest.raises(SensitiveAbsent):
-        generate_similar_pairs(drop_sensitive(toy), SimilarityConfig())
+        generate_similar_pairs(drop_sensitive(toy), SimilarityConfig(), 0)
 
 
 # before, numpy's SeedSequence raised an untyped ValueError for a negative index,
-# and None, the sort pool's key, measured on the pairs a ranking was built from;
-# generate_similar_pairs applies the same rule, except that None draws the sort pool
+# and None, the sort pool's key, measured on the pairs a ranking was built from
 @pytest.mark.parametrize("call_index", [-1, 1.0, "0", True, None])
 def test_bad_call_index_is_range_error(toy, trained, call_index):
     cfg = SimilarityConfig(pool_multiplier=2)
     for measure in (estimate_discrim, metrics_report):
         with pytest.raises(RangeError, match="call_index"):
             measure(trained, toy, cfg, call_index=call_index)
-    if call_index is not None:
-        with pytest.raises(RangeError, match="call_index"):
-            generate_similar_pairs(toy, cfg, call_index=call_index)
+    with pytest.raises(RangeError, match="call_index"):
+        generate_similar_pairs(toy, cfg, call_index=call_index)
     assert estimate_discrim(trained, toy, cfg, call_index=np.int64(3)) == estimate_discrim(
         trained, toy, cfg, call_index=3
     )
@@ -157,7 +167,7 @@ def test_similarity_config_validation():
 )
 def test_pair_invariants_property(toy, pair_invariants, lam, seed):
     cfg = SimilarityConfig(lam=lam, pool_multiplier=3, rng_seed=seed)
-    pool = generate_similar_pairs(toy, cfg)
+    pool = generate_similar_pairs(toy, cfg, 0)
     expected = 3 * len(toy) * (1 if lam == 0.0 else 2)
     assert len(pool) == expected
     pair_invariants(toy, pool, lam)
@@ -166,15 +176,11 @@ def test_pair_invariants_property(toy, pair_invariants, lam, seed):
 # --- discrimination ----------------------------------------------------------
 
 def test_discriminatory_pairs_subset_semantics(toy, trained):
-    pool = generate_similar_pairs(toy, SimilarityConfig(pool_multiplier=20))
+    pool = generate_similar_pairs(toy, SimilarityConfig(pool_multiplier=20), 0)
     discm = discriminatory_pairs(trained, pool)
     l1, _ = predict_batch(trained, discm.first)
     l2, _ = predict_batch(trained, discm.second)
     assert np.all(l1 != l2)
-    rate = estimate_discrim(trained, toy, SimilarityConfig(pool_multiplier=20))
-    # same stream as generate(call_index=0)? estimate uses its own stream;
-    # just sanity: both in [0,1] and consistent with the DP count of its pool
-    assert 0.0 <= rate <= 1.0
 
 
 def test_estimate_discrim_matches_manual_count(toy, trained):
@@ -189,7 +195,7 @@ def test_estimate_discrim_matches_manual_count(toy, trained):
 
 
 def test_influence_set_members_are_lower_confidence(toy, trained):
-    pool = generate_similar_pairs(toy, SimilarityConfig(pool_multiplier=30))
+    pool = generate_similar_pairs(toy, SimilarityConfig(pool_multiplier=30), 0)
     discm = discriminatory_pairs(trained, pool)
     iset = build_influence_set(trained, pool)
     assert len(iset) == len(discm)
@@ -252,14 +258,6 @@ def test_parity_missing_group_raises(toy):
     assert accuracy_and_parity(m, whites_only) == (accuracy(m, whites_only), None)
 
 
-def test_parity_works_after_drop_sensitive(toy):
-    hp = Hyperparameters(8, 4, 7, epochs=200, weight_init_seed=0)
-    dropped = drop_sensitive(toy)
-    m = train(dropped, hp)
-    gap = statistical_parity_difference(m, dropped)
-    assert 0.0 <= gap <= 1.0
-
-
 def test_metrics_report_keys(toy, trained):
     rep = metrics_report(trained, toy, SimilarityConfig(pool_multiplier=5))
     assert set(rep) == {
@@ -284,7 +282,7 @@ def test_blocked_scoring_is_bitwise_one_block_scoring(loans, monkeypatch):
     hp = Hyperparameters(8, 4, 32, epochs=100, learning_rate=0.3, weight_init_seed=2)
     plain = train(loans, hp)
     masked = mask_sensitive(train(drop_sensitive(loans), hp), loans)
-    pool = generate_similar_pairs(loans, SimilarityConfig(lam=0.1, pool_multiplier=5))
+    pool = generate_similar_pairs(loans, SimilarityConfig(lam=0.1, pool_multiplier=5), 0)
     assert len(pool) % 7 != 0
     empty = PairPool(pool.first[:0], pool.second[:0])
     for m in (plain, masked):
@@ -335,7 +333,6 @@ def test_draws_path_equals_the_dense_reference(
     loans, loans_models, dense_pool, dense_scores, monkeypatch, lam, name, block
 ):
     if block is not None:  # a block of 1 holds fewer pairs than one seed's 2 companions
-        monkeypatch.setattr(fairness, "PREDICT_BLOCK_ROWS", block)
         monkeypatch.setattr(model, "PREDICT_BLOCK_ROWS", block)
     m = loans_models[name]
     sim = SimilarityConfig(lam=lam, pool_multiplier=3, rng_seed=4)
@@ -408,7 +405,7 @@ FAIRNESS_ERRORS = {
     "pair-pool-shapes": (
         lambda toy, m: PairPool(toy.encoded[:2], toy.encoded[:1]), DimensionMismatch),
     "parity-without-groups": (
-        lambda toy, m: statistical_parity_difference(m, replace(toy, group_values=None)),
+        lambda toy, m: statistical_parity_difference(m, drop_sensitive(toy)),
         SensitiveAbsent),
     "parity-empty": (
         lambda toy, m: statistical_parity_difference(m, toy.subset([])), EmptyDataset),
