@@ -6,14 +6,9 @@ Expected failures print one JSON object {"error": <type>, "message": ...} on
 stderr and exit 2 (domain errors) or 1 (file/OS errors, and a request too
 large to allocate, as "MemoryError").
 
-Each subcommand accepts only the flags it reads, drawn from the groups in
-``_FLAG_GROUPS``. All but report take the dataset and --schema. train adds
-the hyperparameters (--seed, --hidden1, --hidden2, --batch-size, --epochs,
---lr) and --out-dir; discrim the hyperparameters, the pool (--lambda,
---pool-multiplier) and --model; rank discrim's plus the solver (--damping,
---cg-tol) and --out-dir; debias rank's less --model plus the loop
-(--chunk-percent, --freeze-pool); grid debias's plus --workers. report
-takes only --out-dir.
+Each subcommand accepts only the flag groups ``_COMMANDS`` lists for it,
+each group declared once in ``_FLAG_GROUPS``; the README's command table
+shows them.
 
 rank and debias rank the rows through the same ``debias.sort_dataset``, so
 with the same flags they produce the same order. On a model that already
@@ -120,6 +115,13 @@ def _load(args):
     return d
 
 
+def _out_dir(args) -> Path:
+    """--out-dir, created with its parents if missing."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _get_model(args, d):
     if args.model:
         return load_model(args.model)
@@ -149,9 +151,7 @@ def cmd_load_check(args) -> dict:
 def cmd_train(args) -> dict:
     d = _load(args)
     m = train(d, _hp(args, len(d)))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "model.json"
+    path = _out_dir(args) / "model.json"
     save_model(m, path)
     return {
         "model_path": str(path),
@@ -171,8 +171,7 @@ def cmd_rank(args) -> dict:
     sim, solver = _sim(args), _solver(args)  # reject a bad flag before training
     d = _load(args)
     ranking = sort_dataset(d, _get_model(args, d), sim, solver)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     ranking.to_csv(out / "ranking.csv")
     ranking.save_diagnostics(out / "ranking_diagnostics.json")
     return {
@@ -194,8 +193,7 @@ def cmd_debias(args) -> dict:
         freeze_pool=args.freeze_pool,
     )
     debiased, report = debias_data(d, cfg)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     debiased.to_csv(out / "debiased.csv")
     report.save(out / "debias_report.json")
     return {

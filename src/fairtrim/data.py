@@ -188,10 +188,6 @@ class EncodingSpec:
                 return c
         raise SchemaMismatch(f"no codec for column {name!r}")
 
-    def block(self, name: str) -> slice:
-        c = self.codec(name)
-        return slice(c.start, c.stop)
-
 
 def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
     """The column as float64; a ParseError names the first cell that is not a finite number."""
@@ -211,10 +207,9 @@ def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
 
 
 def _encode_columns(
-    schema: FeatureSchema, header: tuple[str, ...], rows: list[tuple[str, ...]]
+    schema: FeatureSchema, col_idx: dict[str, int], rows: list[tuple[str, ...]]
 ) -> tuple[EncodingSpec, np.ndarray]:
-    """Fit each column's codec and encode its values in the same pass."""
-    col_idx = {name: i for i, name in enumerate(header)}
+    """Fit each column's codec and encode its values in one pass, cells found by ``col_idx``."""
     codecs, blocks = [], []
     offset = 0
     for name, kind in schema.columns:
@@ -346,7 +341,7 @@ def load_dataset(path: str | Path, schema: FeatureSchema) -> Dataset:
         dtype=np.int64, count=len(raw_labels),
     )
 
-    encoding, encoded = _encode_columns(schema, header, rows)
+    encoding, encoded = _encode_columns(schema, col_idx, rows)
 
     if schema.sensitive is not None:
         codec = encoding.codec(schema.sensitive)

@@ -271,14 +271,15 @@ def accuracy(m: Model, d: Dataset) -> float:
 
 
 def statistical_parity_difference(m: Model, d: Dataset) -> float:
-    """Absolute gap in positive-prediction rate between the two groups."""
-    members = d.encoded[:, d.sensitive_block] == 1.0
-    if len(d) == 0:
-        raise EmptyDataset("parity over an empty dataset is undefined")
-    for cat, present in zip(d.sensitive_categories, members.any(axis=0)):
-        if not present:
-            raise MissingGroup(f"group {cat!r} has no rows in the evaluation set")
-    return accuracy_and_parity(m, d)[1]
+    """Absolute gap in positive-prediction rate between the two groups, as
+    ``accuracy_and_parity`` gives it; a group with no rows raises MissingGroup."""
+    groups = d.sensitive_categories  # SensitiveAbsent before any other error
+    parity = accuracy_and_parity(m, d)[1]
+    if parity is None:
+        present = (d.encoded[:, d.sensitive_block] == 1.0).any(axis=0)
+        missing = next(g for g, has_rows in zip(groups, present) if not has_rows)
+        raise MissingGroup(f"group {missing!r} has no rows in the evaluation set")
+    return parity
 
 
 def metrics_report(m: Model, d: Dataset, cfg: SimilarityConfig, call_index: int = 0) -> dict:

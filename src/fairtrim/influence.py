@@ -37,7 +37,7 @@ from .errors import (
     RangeError,
     require_integers,
 )
-from .model import Model, logit_gap_jacobian, loss_residual, mean_grad
+from .model import Model, logit_gap_jacobian, loss_residual, mean_grad, param_vector
 
 CG = "cg"
 
@@ -110,9 +110,7 @@ def inverse_hvp_detailed(
     m: Model, v: np.ndarray, train: Dataset, cfg: SolverConfig
 ) -> tuple[np.ndarray, SolveInfo]:
     """Solve (G + damping*I) x = v by CG; G is the Gauss-Newton matrix over ``train``."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (m.n_params,):
-        raise DimensionMismatch(f"v has shape {v.shape}, expected ({m.n_params},)")
+    v = param_vector(m, v)
     return _gauss_newton_solve(*logit_gap_jacobian(m, train.encoded), v, cfg)
 
 
@@ -200,13 +198,10 @@ def rank_by_influence(
         raise EmptyInfluenceSet("cannot rank against an empty influence set")
     if len(train) == 0:
         raise EmptyDataset("cannot rank an empty training set")
-    if iset.features.shape[1] != m.input_dim:
-        raise DimensionMismatch(
-            f"influence set width {iset.features.shape[1]} != model input {m.input_dim}"
-        )
 
-    J, p = logit_gap_jacobian(m, train.encoded)
-    s_test, info = _gauss_newton_solve(J, p, mean_grad(m, iset.features, iset.labels), cfg)
+    g_set = mean_grad(m, iset.features, iset.labels)  # a set of another width fails here,
+    J, p = logit_gap_jacobian(m, train.encoded)  # before the n x p J is allocated
+    s_test, info = _gauss_newton_solve(J, p, g_set, cfg)
     scores = -loss_residual(p, train.labels) * (J @ s_test)  # row i's gradient is r_i J[i]
 
     order = np.lexsort((train.row_ids, scores))  # score asc, then row_id asc

@@ -113,6 +113,9 @@ def _unpack(theta: np.ndarray, d: int, h1: int, h2: int):
 
 @dataclass(frozen=True, eq=False)
 class Model:
+    """Layer sizes and flat parameters. A Model is finite by construction: a theta of the
+    wrong shape raises DimensionMismatch, one with a nan or an infinity RangeError."""
+
     input_dim: int
     hidden1: int
     hidden2: int
@@ -125,6 +128,9 @@ class Model:
             raise DimensionMismatch(
                 f"theta has shape {self.theta.shape}, expected ({expected},)"
             )
+        if not np.isfinite(self.theta).all():
+            # a nan model predicts class 0 everywhere, so it would read as perfectly fair
+            raise RangeError("model has non-finite weights")
         self.theta.setflags(write=False)
 
     @property
@@ -166,6 +172,14 @@ def _check_features(m: Model, X: np.ndarray) -> np.ndarray:
             f"feature matrix has shape {X.shape}, model expects (*, {m.input_dim})"
         )
     return X
+
+
+def param_vector(m: Model, v: np.ndarray) -> np.ndarray:
+    """v as float64; anything but one value per parameter of ``m`` raises DimensionMismatch."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (m.n_params,):
+        raise DimensionMismatch(f"v has shape {v.shape}, expected ({m.n_params},)")
+    return v
 
 
 # --- forward / loss ---------------------------------------------------------
@@ -454,9 +468,7 @@ def hvp(m: Model, v: np.ndarray, batch: tuple[np.ndarray, np.ndarray]) -> np.nda
     """
     X, y = _batch(m, *batch)
     n = X.shape[0]
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (m.n_params,):
-        raise DimensionMismatch(f"v has shape {v.shape}, expected ({m.n_params},)")
+    v = param_vector(m, v)
 
     d, h1, h2 = m.input_dim, m.hidden1, m.hidden2
     W1, b1, W2, b2, W3, b3 = m.unpack()
@@ -602,13 +614,12 @@ def train_many(datasets: Sequence[Dataset], hp: Hyperparameters) -> list[Model]:
         theta_j = np.empty(param_count(d.width, h1, h2))
         for W, V in _member_views(stack, j, _unpack(theta_j, d.width, h1, h2)):
             V[...] = W
-        m = Model(d.width, h1, h2, theta=theta_j)
-        if not np.isfinite(m.theta).all():
-            # a nan model predicts class 0 everywhere, so it would read as perfectly fair
+        try:
+            m = Model(d.width, h1, h2, theta=theta_j)
+        except RangeError as exc:
             raise RangeError(
-                f"training diverged: member {j} has non-finite weights "
-                f"(learning_rate {hp.learning_rate})"
-            )
+                f"training diverged: member {j}: {exc} (learning_rate {hp.learning_rate})"
+            ) from exc
         with np.errstate(over="ignore", invalid="ignore"):
             loss = mean_loss(m, d.encoded, d.labels)
         if not np.isfinite(loss):
@@ -682,10 +693,9 @@ def load_model(path: str | Path) -> Model:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{path} has a missing or malformed field: {exc}") from exc
+    except (DimensionMismatch, RangeError) as exc:  # Model's shape and finite checks
+        raise type(exc)(f"{path}: {exc}") from exc
     loss = m.final_train_loss
     if loss is not None and not (_is_json_number(loss) and np.isfinite(loss)):
         raise DimensionMismatch(f"{path} has final_train_loss {loss!r}, not null or finite")
-    if not np.isfinite(m.theta).all():
-        # a nan model predicts class 0 everywhere, so it would read as perfectly fair
-        raise RangeError(f"{path} has non-finite weights")
     return m

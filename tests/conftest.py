@@ -1,7 +1,8 @@
 """Fixtures shared by the test modules: the 7-row toy loans file in ``data/``,
-a model trained on it, a scripted removal loop, finite-difference references
-for the loss gradient and the logit-gap Jacobian, the synthetic-pair
-contract check, and a dense reference for drawing and scoring a pool.
+a model trained on it, one 60-row synthetic loans file, a scripted removal
+loop, finite-difference references for the loss gradient and the logit-gap
+Jacobian, the synthetic-pair contract check, and a dense reference for
+drawing and scoring a pool.
 
 Every property test runs under one hypothesis profile: derandomized, with no
 example database and no deadline, so each run draws the same examples (a
@@ -22,6 +23,7 @@ from hypothesis import settings
 import fairtrim.debias
 from fairtrim.data import load_dataset, load_schema
 from fairtrim.model import Hyperparameters, mean_loss, predict_proba, train
+from fairtrim.synthetic import loans_schema, write_loans
 
 TOY_CSV = Path(__file__).resolve().parent / "data" / "loans.csv"
 TOY_SCHEMA = TOY_CSV.with_name("loans.schema.json")
@@ -44,6 +46,22 @@ def toy_schema():
 @pytest.fixture(scope="session")
 def toy(toy_schema):
     return load_dataset(TOY_CSV, toy_schema)
+
+
+@pytest.fixture(scope="session")
+def loans60_files(tmp_path_factory):
+    """A 60-row synthetic loans CSV (seed 0, flip rate 0.5) and its schema
+    sidecar, as path strings, written once for the session."""
+    tmp = tmp_path_factory.mktemp("loans60")
+    csv_path, schema_path = tmp / "loans.csv", tmp / "loans.schema.json"
+    write_loans(csv_path, schema_path, n=60, seed=0, flip_rate=0.5)
+    return str(csv_path), str(schema_path)
+
+
+@pytest.fixture(scope="session")
+def loans60(loans60_files):
+    """``loans60_files`` loaded with ``loans_schema()``."""
+    return load_dataset(loans60_files[0], loans_schema())
 
 
 @pytest.fixture(scope="session")

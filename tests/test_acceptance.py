@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy.stats import spearmanr
 
 from fairtrim.data import load_dataset, drop_sensitive
@@ -55,7 +54,7 @@ from fairtrim.model import (
     train,
 )
 from fairtrim.synthetic import loans_schema, write_loans
-from test_model import ref_train_many
+from test_model import random_problem, ref_train_many
 
 # pinned by `pin_acceptance.py golden`: the one seed in 0..299 whose (16, 8)
 # init both discriminates heavily with the sensitive column and drops below 2%
@@ -185,19 +184,6 @@ def grid_failures(f: dict) -> list[str]:
 
 def _pass(k: int, msg: str) -> None:
     print(f"criterion {k:02d}: PASS ({msg})")
-
-
-@pytest.fixture(scope="module")
-def loans60(tmp_path_factory):
-    return synthetic_loans(tmp_path_factory.mktemp("loans60"), 60, 0, flip_rate=0.5)
-
-
-def random_problem(rng, d=5, h1=4, h2=3, n=6):
-    theta = rng.normal(0.0, 0.6, size=param_count(d, h1, h2))
-    m = Model(input_dim=d, hidden1=h1, hidden2=h2, theta=theta)
-    X = rng.uniform(0.0, 1.0, size=(n, d))
-    y = rng.integers(0, 2, size=n)
-    return m, X, y
 
 
 def test_criterion_01_golden_fixture(toy):

@@ -17,14 +17,6 @@ from fairtrim.model import Model, load_model, param_count, save_model
 from fairtrim.synthetic import write_loans
 
 
-@pytest.fixture(scope="module")
-def loans_files(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("loans")
-    csv_path, schema_path = tmp / "loans.csv", tmp / "loans.schema.json"
-    write_loans(csv_path, schema_path, n=60, seed=0, flip_rate=0.5)
-    return str(csv_path), str(schema_path)
-
-
 def run(capsys, argv):
     code = main(argv)
     cap = capsys.readouterr()
@@ -81,9 +73,9 @@ def test_load_check(capsys, toy_files):
     assert obj["derived_batch_sizes"] == [1]
 
 
-def test_load_check_wrong_schema_is_domain_error(capsys, toy_files, loans_files):
+def test_load_check_wrong_schema_is_domain_error(capsys, toy_files, loans60_files):
     csv_path, _ = toy_files
-    _, schema_path = loans_files
+    _, schema_path = loans60_files
     code, out, err = run(capsys, ["load-check", csv_path, "--schema", schema_path])
     assert code == 2
     payload = json.loads(err)
@@ -307,8 +299,8 @@ def test_debias_outputs(capsys, toy_files, tmp_path):
     assert report["ranking_solve"]["converged"] is True
 
 
-def test_grid_and_report(capsys, loans_files, tmp_path):
-    csv_path, schema_path = loans_files
+def test_grid_and_report(capsys, loans60_files, tmp_path):
+    csv_path, schema_path = loans60_files
     obj = run_json(
         capsys,
         ["grid", csv_path, "--schema", schema_path, "--out-dir", str(tmp_path),

@@ -17,6 +17,7 @@ from fairtrim.data import (
     load_dataset,
     load_schema,
     split,
+    write_json,
 )
 from fairtrim.errors import (
     EmptyDataset,
@@ -211,6 +212,16 @@ def test_to_csv_round_trips_raw_values(toy, tmp_path):
     assert rows[0] == ["row_id", "income", "wealth", "race", "decision"]
     assert rows[1] == ["1", "1.0", "0.1", "white", "approved"]
     assert [r[0] for r in rows[1:]] == ["1", "3", "4", "5", "6", "7"]
+
+
+def test_write_json_is_ascii_in_any_locale(tmp_path):
+    # json.dump escapes every non-ASCII character, so no JSON file's bytes depend
+    # on the locale's encoding; CSV files are checked under the C locale in test_cli
+    obj = {"patrimonio-ñ": ["blanco-ñ", "négro", "日本"], "ñ": 1.5}
+    write_json(tmp_path / "out.json", obj, indent=2)
+    raw = (tmp_path / "out.json").read_bytes()
+    assert raw.isascii()
+    assert json.loads(raw) == obj
 
 
 # --- split ------------------------------------------------------------------

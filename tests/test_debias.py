@@ -20,12 +20,11 @@ from fairtrim.debias import (
     removal_count,
     sort_dataset,
 )
-from fairtrim.data import SplitSpec, drop_sensitive, load_dataset, split
+from fairtrim.data import SplitSpec, drop_sensitive, split
 from fairtrim.errors import AlreadyFair, DimensionMismatch, EmptyDataset, RangeError
 from fairtrim.fairness import SimilarityConfig, discriminatory_pairs, generate_similar_pairs
 from fairtrim.influence import SolverConfig
 from fairtrim.model import Hyperparameters, mask_sensitive, train, train_many
-from fairtrim.synthetic import loans_schema, write_loans
 
 
 def stub_cfg(chunk_percent=1.0, max_chunks=100, freeze_pool=False):
@@ -127,13 +126,10 @@ def test_drop_first_prefix_semantics(toy, trained):
 
 def test_sort_dataset_already_fair_raises(toy):
     # a masked model cannot discriminate at lam=0, so there is nothing to sort
-    from fairtrim.data import drop_sensitive
-    from fairtrim.model import mask_sensitive
-
-    hp = Hyperparameters(6, 3, 7, epochs=300, weight_init_seed=0)
-    wrapped = mask_sensitive(train(drop_sensitive(toy), hp), toy)
     with pytest.raises(AlreadyFair):
-        sort_dataset(toy, wrapped, SimilarityConfig(lam=0.0, pool_multiplier=20), SolverConfig())
+        sort_dataset(
+            toy, fair_model(toy), SimilarityConfig(lam=0.0, pool_multiplier=20), SolverConfig()
+        )
 
 
 # --- scripted loop behaviour --------------------------------------------------
@@ -352,11 +348,8 @@ def test_group_rejects_members_that_do_not_share_the_loop(toy, trained):
 
 
 @pytest.fixture(scope="module")
-def loans_splits(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("loans")
-    write_loans(tmp / "d.csv", tmp / "s.json", n=60, seed=0, flip_rate=0.5)
-    d = load_dataset(tmp / "d.csv", loans_schema())
-    return [split(d, SplitSpec(permutation_seed=s))[0] for s in range(4)]
+def loans_splits(loans60):
+    return [split(loans60, SplitSpec(permutation_seed=s))[0] for s in range(4)]
 
 
 def test_group_member_is_its_own_debias_data(loans_splits):

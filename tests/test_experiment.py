@@ -30,14 +30,7 @@ from fairtrim.experiment import (
 from fairtrim.fairness import SimilarityConfig
 from fairtrim.influence import SolverConfig
 from fairtrim.model import Hyperparameters, mask_sensitive, train
-from fairtrim.synthetic import loans_schema, write_loans
-
-
-@pytest.fixture(scope="module")
-def small(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("loans")
-    write_loans(tmp / "d.csv", tmp / "s.json", n=60, seed=0, flip_rate=0.5)
-    return load_dataset(tmp / "d.csv", loans_schema())
+from fairtrim.synthetic import loans_schema
 
 
 def tiny_spec(**overrides):
@@ -88,8 +81,8 @@ def test_unfair_points_union_sorted_dedup():
     assert unfair_points_union([]) == ()
 
 
-def test_debiased_test_set_filters(small):
-    sub = small.subset(np.arange(10))
+def test_debiased_test_set_filters(loans60):
+    sub = loans60.subset(np.arange(10))
     ids = sub.row_ids.tolist()
     out = debiased_test_set(sub, tuple(ids[:3]))
     assert out.row_ids.tolist() == ids[3:]
@@ -99,8 +92,8 @@ def test_debiased_test_set_filters(small):
 # --- grid run -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def grid_result(small):
-    return run_grid(small, tiny_spec())
+def grid_result(loans60):
+    return run_grid(loans60, tiny_spec())
 
 
 def test_grid_enumerates_all_configs(grid_result):
@@ -124,21 +117,21 @@ def test_grid_sr_never_discriminates_at_lambda_zero(grid_result):
         assert r.metrics["sr"].discrimination == 0.0
 
 
-def test_grid_shared_debiased_test_set(grid_result, small):
+def test_grid_shared_debiased_test_set(grid_result, loans60):
     from fairtrim.data import SplitSpec, split
 
     union = set(grid_result.unfair_union)
     for r in grid_result.records:
         # every config's eval set excludes the whole union, not just its own
-        _, te = split(small, SplitSpec(permutation_seed=r.permutation_seed))
+        _, te = split(loans60, SplitSpec(permutation_seed=r.permutation_seed))
         expected = len(te) - len(union & set(te.row_ids.tolist()))
         assert r.debiased_test_rows == expected
 
 
-def test_grid_train_test_sizes(grid_result, small):
+def test_grid_train_test_sizes(grid_result, loans60):
     for r in grid_result.records:
-        assert r.train_rows == int(0.8 * len(small))
-        assert r.test_rows == len(small) - r.train_rows
+        assert r.train_rows == int(0.8 * len(loans60))
+        assert r.test_rows == len(loans60) - r.train_rows
 
 
 def test_picks_structure(grid_result):
@@ -202,7 +195,7 @@ def test_grid_spec_rejects_a_repeated_axis_value(axis):
     ("batch_sizes", (8, -1)),
     ("permutation_seeds", (0, -1)),
 ])
-def test_every_axis_value_is_checked_before_training(small, monkeypatch, axis, values):
+def test_every_axis_value_is_checked_before_training(loans60, monkeypatch, axis, values):
     import fairtrim.debias
     import fairtrim.experiment
 
@@ -212,7 +205,7 @@ def test_every_axis_value_is_checked_before_training(small, monkeypatch, axis, v
     for module in (fairtrim.debias, fairtrim.experiment):
         monkeypatch.setattr(module, "train_many", refuse)
     with pytest.raises(RangeError):
-        run_grid(small, tiny_spec(**{axis: values}))
+        run_grid(loans60, tiny_spec(**{axis: values}))
 
 
 # every seed reaches numpy's SeedSequence, which takes only non-negative ints
@@ -254,7 +247,7 @@ def test_full_scale_spec_dimensions():
     assert len(spec.permutation_seeds) == 20
 
 
-def test_grid_trains_each_model_once(small, monkeypatch):
+def test_grid_trains_each_model_once(loans60, monkeypatch):
     import fairtrim.debias
     import fairtrim.experiment
     from fairtrim.model import train_many
@@ -269,7 +262,7 @@ def test_grid_trains_each_model_once(small, monkeypatch):
 
     monkeypatch.setattr(fairtrim.debias, "train_many", spy)
     monkeypatch.setattr(fairtrim.experiment, "train_many", spy)
-    result = run_grid(small, tiny_spec())
+    result = run_grid(loans60, tiny_spec())
     assert seen
     assert len(seen) == len(set(seen))
     # tiny_spec is one group of two seeds whose removal counts never repeat:
@@ -282,13 +275,12 @@ def test_grid_trains_each_model_once(small, monkeypatch):
     assert 1 in sizes  # the configs stop at different chunks
 
 
-def test_phase_one_full_and_sr_models_are_their_own_trainings(tmp_path):
+def test_phase_one_full_and_sr_models_are_their_own_trainings(loans60_files):
     # the sensitive column first: sr's columns are not a prefix of full's
-    write_loans(tmp_path / "d.csv", tmp_path / "s.json", n=60, seed=0, flip_rate=0.5)
     schema = loans_schema()
     columns = dict(schema.columns)
     schema = replace(schema, columns=(("group", columns.pop("group")), *columns.items()))
-    d = load_dataset(tmp_path / "d.csv", schema)
+    d = load_dataset(loans60_files[0], schema)
     assert d.sensitive_block.start == 0
     spec = tiny_spec(max_chunks=1)
     configs = _enumerate_configs(d, spec)
@@ -304,9 +296,9 @@ def test_phase_one_full_and_sr_models_are_their_own_trainings(tmp_path):
         assert not W1[d.sensitive_block].any()  # zero rows at the sensitive one-hot
 
 
-def test_shape_groups_cut_seeds_only_for_idle_workers(small):
+def test_shape_groups_cut_seeds_only_for_idle_workers(loans60):
     spec = tiny_spec(batch_sizes=(16, 8), permutation_seeds=(0, 1, 2))
-    configs = _enumerate_configs(small, spec)
+    configs = _enumerate_configs(loans60, spec)
     sizes = {w: [len(job) for job in _shape_groups(configs, w)] for w in (1, 2, 3, 4, 6, 9)}
     # a group stays whole while there is a worker for it, so it trains as one stack
     assert sizes[1] == sizes[2] == [3, 3]
@@ -318,7 +310,7 @@ def test_shape_groups_cut_seeds_only_for_idle_workers(small):
         assert all(len({c[2:5] for c in job}) == 1 for job in jobs)  # one shape per job
 
 
-def test_pool_has_a_job_for_every_worker(small, monkeypatch):
+def test_pool_has_a_job_for_every_worker(loans60, monkeypatch):
     import fairtrim.experiment
 
     pool_sizes = []
@@ -330,19 +322,19 @@ def test_pool_has_a_job_for_every_worker(small, monkeypatch):
 
     monkeypatch.setattr(fairtrim.experiment, "ProcessPoolExecutor", Recording)
     two_groups = dict(batch_sizes=(16, 8))
-    par = run_grid(small, tiny_spec(workers=3, **two_groups))  # 4 jobs of one seed
-    run_grid(small, tiny_spec(workers=2, permutation_seeds=(0,)))  # 1 job, no pool
+    par = run_grid(loans60, tiny_spec(workers=3, **two_groups))  # 4 jobs of one seed
+    run_grid(loans60, tiny_spec(workers=2, permutation_seeds=(0,)))  # 1 job, no pool
     assert pool_sizes == [3]
-    seq = run_grid(small, tiny_spec(**two_groups))
+    seq = run_grid(loans60, tiny_spec(**two_groups))
     assert [r.config_id for r in par.records] == [r.config_id for r in seq.records]
     for a, b in zip(seq.records, par.records):
         assert a.metrics == b.metrics
         assert a.removed_row_ids == b.removed_row_ids
 
 
-def test_workers_do_not_change_results(small):
-    seq = run_grid(small, tiny_spec())
-    par = run_grid(small, tiny_spec(workers=2))
+def test_workers_do_not_change_results(loans60):
+    seq = run_grid(loans60, tiny_spec())
+    par = run_grid(loans60, tiny_spec(workers=2))
     assert len(seq.records) == len(par.records)
     for a, b in zip(seq.records, par.records):
         assert a.config_id == b.config_id

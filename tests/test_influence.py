@@ -1,5 +1,7 @@
 """Solver correctness (closed forms first) and ranking contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,8 +85,10 @@ def test_cg_zero_rhs_short_circuits():
 def test_cg_reports_nonconvergence_on_indefinite_matrix():
     A = np.diag([1.0, -1.0])
     b = np.array([0.3, 1.0])
-    with pytest.raises(NotPositiveDefinite):  # negative curvature direction met
-        conjugate_gradient(lambda w: A @ w, b, 1e-12, 50)
+    # a negative curvature direction met, then a direction of exactly zero curvature
+    for matvec in (lambda w: A @ w, lambda u: np.zeros_like(u)):
+        with pytest.raises(NotPositiveDefinite):
+            conjugate_gradient(matvec, b, 1e-12, 50)
 
 
 def test_cg_iteration_cap_reported():
@@ -194,14 +198,16 @@ def test_ranking_mean_aggregation_against_manual(trained, toy):
 
 
 def test_ranking_tie_breaks_by_row_id(trained, toy):
-    # duplicate rows produce identical gradients, hence identical scores
-    dup = toy.subset(np.array([1, 1, 3]))
+    # duplicate rows produce identical gradients, hence identical scores; the twins
+    # carry row ids 9 and 2, the larger first, so only the tie break orders them
+    dup = replace(toy.subset(np.array([1, 1, 3])), row_ids=np.array([9, 2, 4]))
     iset = make_iset(trained, toy, multiplier=5)
     rk = rank_by_influence(iset, dup, trained, SolverConfig())
     assert len(rk.entries) == 3
-    twins = [e for e in rk.entries if e.row_id == 2]
+    twins = [e for e in rk.entries if e.row_id in (2, 9)]
     assert len(twins) == 2 and twins[0].score == twins[1].score
-    pos = [i for i, e in enumerate(rk.entries) if e.row_id == 2]
+    assert [e.row_id for e in twins] == [2, 9]
+    pos = [i for i, e in enumerate(rk.entries) if e.row_id in (2, 9)]
     assert pos[1] == pos[0] + 1  # equal scores sit adjacent, ordered by row id
 
 

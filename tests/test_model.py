@@ -664,7 +664,7 @@ def test_masked_model_ignores_masked_columns(toy):
 @pytest.mark.parametrize("hidden1", [1, 4, 16])
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_masked_model_is_a_plain_model_blind_to_the_sensitive_columns(
-    tmp_path, monkeypatch, position, hidden1
+    loans60_files, tmp_path, monkeypatch, position, hidden1
 ):
     import fairtrim.model
     from fairtrim.data import drop_sensitive, kept_columns_after_drop
@@ -672,8 +672,7 @@ def test_masked_model_is_a_plain_model_blind_to_the_sensitive_columns(
     columns = [c for c in loans_schema().columns if c[0] != "group"]
     columns.insert({"first": 0, "middle": 2, "last": len(columns)}[position],
                    ("group", "categorical"))
-    write_loans(tmp_path / "d.csv", tmp_path / "s.json", n=60, seed=0, flip_rate=0.5)
-    d = load_dataset(tmp_path / "d.csv", replace(loans_schema(), columns=tuple(columns)))
+    d = load_dataset(loans60_files[0], replace(loans_schema(), columns=tuple(columns)))
     inner = train(drop_sensitive(d), Hyperparameters(hidden1, 3, 16, epochs=30))
     sr = mask_sensitive(inner, d)
     assert isinstance(sr, Model) and sr.input_dim == d.width
